@@ -1,17 +1,19 @@
 """weierdim benchmark: cold CLI processes, end to end and layer by layer.
 
-    python3 perfbench/run.py --workload checklist --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload checklist --seed 1 --seconds 40 --trace 0
 
 Run from the root of a checkout.  Each workload (see workloads.py) is a
 serial list of cold `python -m weierdim.cli ...` processes, one client in a
-closed loop, every process with WEIERDIM_THREADS=2.  Passes repeat until
---seconds have been measured (at least one pass).
+closed loop, every process with WEIERDIM_THREADS=2.
 
---trace 0 reports the end-to-end metrics: setup_s (median of cold
-`--version` starts), and the median over passes of wall_s, cpu_s,
-peak_rss_mb and pass_ratio.  --trace 1 alternates an untraced pass with a
-traced one, in which every op runs under child.py with the layer wrappers of
-spans.py, and reports the per-layer metrics.
+--trace 0 cycles through the workload's ops, in order, for --seconds (every
+op runs at least once; no op is started that would end past the window by
+its earlier time) and reports the end-to-end metrics: setup_s (median of
+cold `--version` starts, half before and half after the window), wall_s and
+cpu_s (one pass, each op counted by the median of its runs), peak_rss_mb and
+pass_ratio.  --trace 1 alternates an untraced pass with a traced one, in
+which every op runs under child.py with the layer wrappers of spans.py, and
+reports the per-layer metrics.
 
 Every op is gated: exit code, JSON stdout, the pinned facts of its workload
 entry, and stdout bytes equal to the same op run with WEIERDIM_THREADS=1
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import platform
@@ -44,7 +47,7 @@ import spans
 
 HERE = Path(__file__).resolve().parent
 THREADS = "2"
-SETUP_STARTS = 3
+SETUP_STARTS = 4
 OP_TIMEOUT_S = 120.0
 BLAS_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -125,11 +128,10 @@ def gate(op: Op, run: Run, ref: dict) -> str | None:
 def reference(root: Path, ops: list[Op], tmp: Path) -> dict[str, dict]:
     """stdout digest of every op at WEIERDIM_THREADS=1.
 
-    Untimed, so the ops are split in order between two child processes that
+    Untimed, so the ops are dealt alternately to two child processes that
     run side by side; each imports the package once.
     """
-    half = (len(ops) + 1) // 2
-    parts = [ops[:half], ops[half:]]
+    parts = [ops[0::2], ops[1::2]]
     env = child_env(root, "1")
 
     def run_part(part):
@@ -156,30 +158,41 @@ class Pass:
     lines: list[str]
 
 
+def run_op(root: Path, op: Op, ref: dict, tmp: Path, traced: bool = False):
+    """Run and gate one op; returns the run, the gate's complaint or None,
+    the op's spans (traced only) and its report line."""
+    env = child_env(root, THREADS)
+    span_list = None
+    if traced:
+        spans_path = tmp / "spans.json"
+        cmd = [sys.executable, str(HERE / "child.py"), "trace", str(spans_path), *op.argv]
+    else:
+        cmd = [sys.executable, "-m", "weierdim.cli", *op.argv]
+    run = launch(cmd, env, tmp)
+    problem = gate(op, run, ref[op.name])
+    if traced:
+        try:
+            span_list = json.loads(spans_path.read_text())
+            spans_path.unlink()
+        except (OSError, ValueError):
+            problem = problem or "no spans written"
+    line = (f"op {op.name} exit={run.exit_code} bytes={len(run.stdout)} "
+            f"sha256={hashlib.sha256(run.stdout).hexdigest()} wall_s={run.wall_s:.4f} "
+            f"cpu_s={run.cpu_s:.4f} {'ok' if problem is None else 'FAILED: ' + problem}")
+    return run, problem, span_list, line
+
+
 def run_pass(root: Path, ops: list[Op], ref: dict, tmp: Path, traced: bool = False) -> tuple[Pass, list]:
     """One serial pass over the ops; returns its totals and, if traced, the spans of each op."""
-    env = child_env(root, THREADS)
     runs, span_lists, lines = [], [], []
     failed = 0
-    for i, op in enumerate(ops):
-        if traced:
-            spans_path = tmp / f"spans-{i}.json"
-            cmd = [sys.executable, str(HERE / "child.py"), "trace", str(spans_path), *op.argv]
-        else:
-            cmd = [sys.executable, "-m", "weierdim.cli", *op.argv]
-        run = launch(cmd, env, tmp)
-        problem = gate(op, run, ref[op.name])
-        if traced:
-            try:
-                span_lists.append(json.loads(spans_path.read_text()))
-                spans_path.unlink()
-            except (OSError, ValueError):
-                problem = problem or "no spans written"
+    for op in ops:
+        run, problem, span_list, line = run_op(root, op, ref, tmp, traced)
+        if traced and span_list is not None:
+            span_lists.append(span_list)
         failed += problem is not None
         runs.append(run)
-        lines.append(f"op {op.name} exit={run.exit_code} bytes={len(run.stdout)} "
-                     f"sha256={hashlib.sha256(run.stdout).hexdigest()} wall_s={run.wall_s:.4f} "
-                     f"{'ok' if problem is None else 'FAILED: ' + problem}")
+        lines.append(line)
     totals = Pass(
         wall_s=sum(r.wall_s for r in runs),
         cpu_s=sum(r.cpu_s for r in runs),
@@ -191,10 +204,47 @@ def run_pass(root: Path, ops: list[Op], ref: dict, tmp: Path, traced: bool = Fal
     return totals, span_lists
 
 
-def setup_times(root: Path, tmp: Path) -> list[float]:
+def run_window(root: Path, ops: list[Op], ref: dict, tmp: Path, seconds: float) -> Pass:
+    """Cycle through the ops for `seconds`; one pass estimated from per-op medians.
+
+    Every op runs at least once.  After that, an op is not started if its
+    earlier median time would carry the window past `seconds`, so a run ends
+    close to its budget.  wall_s and cpu_s sum each op's median; peak_rss_mb
+    is the largest per-op median of ru_maxrss.
+    """
+    runs: dict[str, list[Run]] = {op.name: [] for op in ops}
+    lines = []
+    attempted = failed = 0
+    t0 = time.perf_counter()
+    for i in itertools.count():
+        op = ops[i % len(ops)]
+        if i >= len(ops):
+            expected = statistics.median(r.wall_s for r in runs[op.name])
+            if time.perf_counter() - t0 + expected > seconds:
+                break
+        run, problem, _, line = run_op(root, op, ref, tmp)
+        runs[op.name].append(run)
+        attempted += 1
+        failed += problem is not None
+        lines.append(line)
+    med = {name: (statistics.median(r.wall_s for r in rs), statistics.median(r.cpu_s for r in rs),
+                  statistics.median(r.maxrss_mb for r in rs)) for name, rs in runs.items()}
+    lines += [f"op_median {name} runs={len(runs[name])} wall_s={w:.4f} cpu_s={c:.4f} "
+              f"maxrss_mb={m:.1f}" for name, (w, c, m) in med.items()]
+    return Pass(
+        wall_s=sum(w for w, _, _ in med.values()),
+        cpu_s=sum(c for _, c, _ in med.values()),
+        peak_rss_mb=max(m for _, _, m in med.values()),
+        attempted=attempted,
+        failed=failed,
+        lines=lines,
+    )
+
+
+def setup_times(root: Path, tmp: Path, starts: int) -> list[float]:
     env = child_env(root, THREADS)
     times = []
-    for _ in range(SETUP_STARTS):
+    for _ in range(starts):
         run = launch([sys.executable, "-m", "weierdim.cli", "--version"], env, tmp)
         if run.exit_code != 0:
             raise BenchError(f"`weierdim --version` failed: {run.stderr_tail}")
@@ -247,24 +297,29 @@ def measure(root: Path, workload: str, seed: int, seconds: float, trace: bool,
     ops_factory = ops_factory or WORKLOADS[workload]
     env = environment(root)
     t_start = time.perf_counter()
-    setup = [] if trace else setup_times(root, tmp)
+    setup = [] if trace else setup_times(root, tmp, SETUP_STARTS // 2)
     (tmp / "ref").mkdir()
     (tmp / "run").mkdir()
     t_ref = time.perf_counter()
     ref = reference(root, ops_factory(seed, str(tmp / "ref")), tmp)
     ops = ops_factory(seed, str(tmp / "run"))
 
-    plain: list[Pass] = []
-    traced: list[tuple[Pass, dict]] = []
     t_passes = time.perf_counter()
-    while not plain or time.perf_counter() - t_passes < seconds:
-        plain.append(run_pass(root, ops, ref, tmp)[0])
-        if trace:
+    if trace:
+        plain: list[Pass] = []
+        traced: list[tuple[Pass, dict]] = []
+        while not plain or time.perf_counter() - t_passes < seconds:
+            plain.append(run_pass(root, ops, ref, tmp)[0])
             p, span_lists = run_pass(root, ops, ref, tmp, traced=True)
             traced.append((p, spans.layer_metrics(span_lists)))
+        passes = plain + [p for p, _ in traced]
+    else:
+        window = run_window(root, ops, ref, tmp, seconds)
+        passes = [window]
     t_end = time.perf_counter()
+    if not trace:
+        setup += setup_times(root, tmp, SETUP_STARTS - SETUP_STARTS // 2)
 
-    passes = plain + [p for p, _ in traced]
     attempted = sum(p.attempted for p in passes)
     failed = sum(p.failed for p in passes)
     if trace:
@@ -280,9 +335,9 @@ def measure(root: Path, workload: str, seed: int, seconds: float, trace: bool,
         units = dict(END_TO_END)
         values = {
             "setup_s": statistics.median(setup),
-            "wall_s": statistics.median(p.wall_s for p in plain),
-            "cpu_s": statistics.median(p.cpu_s for p in plain),
-            "peak_rss_mb": statistics.median(p.peak_rss_mb for p in plain),
+            "wall_s": window.wall_s,
+            "cpu_s": window.cpu_s,
+            "peak_rss_mb": window.peak_rss_mb,
             "pass_ratio": (attempted - failed) / attempted,
         }
 
@@ -295,8 +350,7 @@ def measure(root: Path, workload: str, seed: int, seconds: float, trace: bool,
         "setup_runs_s " + " ".join(f"{t:.4f}" for t in setup),
         "pass_walls_s " + " ".join(f"{p.wall_s:.4f}" for p in passes),
         f"phases_s setup={t_ref - t_start:.2f} reference={t_passes - t_ref:.2f} "
-        f"passes={t_end - t_passes:.2f}",
-        f"passes untraced={len(plain)} traced={len(traced)} "
+        f"passes={t_end - t_passes:.2f} total={time.perf_counter() - t_start:.2f}",
         f"attempted={attempted} failed={failed} fail_ratio={failed / attempted:.4f}",
         f"loadavg_end {_loadavg()}",
     ]
