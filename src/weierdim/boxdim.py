@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
-from .measures import DimFit
+from .measures import DimFit, _linear_fit
 from .parallel import map_ordered
 from .series import Params, PhiSpec
 
@@ -119,11 +118,11 @@ def fit_box_dimension(table: BoxCountTable, drop_coarsest: int = 2) -> DimFit:
         raise ValueError("too few levels left after dropping the coarsest")
     eps = np.array([e for e, _ in rows])
     hits = np.array([h for _, h in rows], dtype=np.float64)
-    fit = linregress(np.log(1.0 / eps), np.log(hits))
+    slope, intercept, stderr = _linear_fit(np.log(1.0 / eps), np.log(hits))
     return DimFit(
-        slope=float(fit.slope),
-        intercept=float(fit.intercept),
-        stderr=float(fit.stderr),
+        slope=slope,
+        intercept=intercept,
+        stderr=stderr,
         radii=tuple(float(e) for e in eps),
         values=tuple(float(h) for h in hits),
     )

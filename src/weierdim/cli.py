@@ -10,6 +10,8 @@ across runs and worker counts; WEIERDIM_THREADS only caps workers.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -63,23 +65,26 @@ _PHI_CHOICES = {
 }
 
 
+def _csv_text(payload: dict) -> str:
+    """CSV table: the rows' fields, then every other key but config on each row."""
+    rows = payload.get("rows") or [{}]
+    extra = sorted(k for k in payload if k not in ("rows", "config"))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([*rows[0], *extra])
+    for row in rows:
+        cells = [*(row[k] for k in rows[0]), *(payload[k] for k in extra)]
+        writer.writerow(json.dumps(v, sort_keys=True, allow_nan=False)
+                        if isinstance(v, (dict, list, tuple)) else v for v in cells)
+    return buf.getvalue().rstrip("\n")
+
+
 def _emit(payload: dict, args) -> None:
     fmt = getattr(args, "format", "json")
     if fmt == "json":
         text = json.dumps(payload, sort_keys=True, indent=2)
     elif fmt == "csv":
-        lines = []
-        rows = payload.get("rows")
-        if rows:
-            cols = list(rows[0].keys())
-            lines.append(",".join(cols))
-            for r in rows:
-                lines.append(",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c]) for c in cols))
-        else:
-            for k in sorted(payload):
-                if k != "config":
-                    lines.append(f"{k},{payload[k]}")
-        text = "\n".join(lines)
+        text = _csv_text(payload)
     else:
         lines = []
         for k in sorted(payload):
@@ -96,15 +101,14 @@ def _emit(payload: dict, args) -> None:
             fh.write(text + "\n")
 
 
-def _parse_word(raw: str, b: int, tail_seed) -> DigitWord:
-    if raw is None:
-        return DigitWord(tail_seed=tail_seed)
+def _word_digits(raw: str) -> tuple[int, ...]:
+    """Digit word from "010" or "0,1,0"; argparse reports a bad digit as usage."""
     raw = raw.strip()
-    if "," in raw:
-        digits = tuple(int(t) for t in raw.split(",") if t != "")
-    else:
-        digits = tuple(int(ch) for ch in raw)
-    return DigitWord(digits, tail_seed=tail_seed)
+    tokens = [t for t in raw.split(",") if t != ""] if "," in raw else raw
+    try:
+        return tuple(int(t) for t in tokens)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad digit word {raw!r}") from None
 
 
 def _parse_phases(raw):
@@ -128,7 +132,7 @@ def _cmd_eval(args) -> int:
         )
     else:
         p = Params(args.b, args.lam)
-        word = _parse_word(args.word, args.b, args.tail_seed)
+        word = DigitWord(args.word or (), tail_seed=args.tail_seed)
         if what == "Y":
             sv = eval_stable_slope(p, word, args.x, abs_tol=args.tol)
         elif what == "Ydx":
@@ -416,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--lambda", dest="lam", type=float, required=True)
     pe.add_argument("--x", type=float, required=True)
     pe.add_argument("--what", choices=("f", "Y", "Ydx", "Ydgamma", "S"), default="f")
-    pe.add_argument("--word", help="digit word, e.g. 010 or 0,1,2")
+    pe.add_argument("--word", type=_word_digits, help="digit word, e.g. 010 or 0,1,2")
     pe.add_argument("--tail-seed", type=int, default=None,
                     help="random word tail; default is the all-zero tail")
     pe.add_argument("--tol", type=float, default=1e-9)

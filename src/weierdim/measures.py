@@ -15,15 +15,16 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import linregress
 
 from . import rng
 from .series import (
     COSINE_DERIV,
     Params,
     PhiSpec,
+    _orbit_sums,
     default_depth,
     eval_weierstrass,
+    tail_bound_geometric,
     tail_bound_slope,
 )
 
@@ -91,6 +92,23 @@ class DimFit:
             raise ValueError("radii must be strictly decreasing")
 
 
+def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line through (x, y): (slope, intercept, slope stderr).
+
+    The statistics-library formulas (the tests compare bit for bit): population
+    covariances, r clamped to [-1, 1], stderr = sqrt((1 - r^2) ssy / ssx / (n - 2)).
+    """
+    ssxm, ssxym, _, ssym = np.cov(x, y, bias=1).flat
+    if ssxm == 0.0 or ssym == 0.0:
+        r = math.nan if ssxym == 0 else 0.0
+    else:
+        r = min(1.0, max(-1.0, ssxym / np.sqrt(ssxm * ssym)))
+    slope = ssxym / ssxm
+    intercept = np.mean(y) - slope * np.mean(x)
+    stderr = np.sqrt((1 - r ** 2) * ssym / ssxm / (len(x) - 2))
+    return float(slope), float(intercept), float(stderr)
+
+
 def sample_transversal(
     p: Params,
     x: float,
@@ -106,17 +124,11 @@ def sample_transversal(
     gamma = p.gamma
     if depth is None:
         depth = default_depth(gamma)
-    digits = rng.digit_matrix(seed, rng.STREAM_TRANSVERSAL, count, depth, p.b)
-    u = np.full(count, float(x))
-    acc = np.zeros(count)
-    gp = 1.0
-    for n in range(depth):
-        u += digits[:, n]
-        u /= p.b
-        gp *= gamma
-        acc += gp * np.sin(TWO_PI * u)
+    columns = (
+        rng.digit_column(seed, rng.STREAM_TRANSVERSAL, count, c, p.b) for c in range(depth)
+    )
     return SampleSet(
-        points=TWO_PI * acc,
+        points=_orbit_sums(np.full(count, float(x)), p.b, gamma, columns, ("y",))["y"],
         seed=seed,
         depth=depth,
         kind="transversal",
@@ -146,23 +158,17 @@ def sample_sbr(
     if depth is None:
         depth = default_depth(gamma, 1e-9 / max(sup / TWO_PI, 1e-12))
     xs = rng.uniform_vector(seed, rng.STREAM_SBR_X, count)
-    digits = rng.digit_matrix(seed, rng.STREAM_SBR_DIGITS, count, depth, p.b)
-    u = xs.copy()
-    acc = np.zeros(count)
-    gpm = 1.0
-    for n in range(depth):
-        u += digits[:, n]
-        u /= p.b
-        acc += gpm * psi.oscillating(u)
-        gpm *= gamma
-    vals = acc + psi.constant / (1.0 - gamma)
+    columns = (
+        rng.digit_column(seed, rng.STREAM_SBR_DIGITS, count, c, p.b) for c in range(depth)
+    )
+    vals = _orbit_sums(xs, p.b, gamma, columns, ("s",), psi)["s"]
     return SampleSet(
         points=np.column_stack([xs, vals]),
         seed=seed,
         depth=depth,
         kind="sbr",
         params=p,
-        tail_bound=sup * gamma ** depth / (1.0 - gamma),
+        tail_bound=tail_bound_geometric(gamma, sup, depth),
     )
 
 
@@ -235,9 +241,7 @@ def local_dim_estimate(
             dist = np.sqrt(((pts - pts[i]) ** 2).sum(axis=1))
         masses = np.array([(dist <= r).sum() / n for r in radii])
         mass_sum += masses
-        fit = linregress(log_r, np.log(masses))
-        slopes[c] = fit.slope
-        intercepts[c] = fit.intercept
+        slopes[c], intercepts[c], _ = _linear_fit(log_r, np.log(masses))
     stderr = float(slopes.std(ddof=1) / math.sqrt(centers)) if centers > 1 else 0.0
     return DimFit(
         slope=float(slopes.mean()),

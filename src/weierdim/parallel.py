@@ -1,8 +1,8 @@
 """Deterministic worker-pool helpers.
 
-WEIERDIM_THREADS caps the number of worker threads (default 1).  All callers
-chunk their work by index and reduce in a fixed order, so results are
-byte-identical for any worker count.
+WEIERDIM_THREADS caps the number of worker threads (default 1); values above
+os.cpu_count() are lowered to it.  All callers chunk their work by index and
+reduce in a fixed order, so results are byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ def worker_count() -> int:
     if not raw:
         return 1
     try:
-        return max(1, int(raw))
+        return max(1, min(int(raw), os.cpu_count() or 1))
     except ValueError:
         return 1
 

@@ -48,28 +48,34 @@ def _finalize_np(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _stream_base(seed: int, stream: int) -> np.uint64:
-    return np.uint64(value64(seed, stream))
+def _hashes(seed: int, stream: int, start: int, count: int) -> np.ndarray:
+    """value64(seed, stream, i) for i = start .. start+count-1."""
+    idx = np.arange(start, start + count, dtype=np.uint64) * np.uint64(_GOLDEN)
+    return _finalize_np(np.uint64(value64(seed, stream)) + idx)
+
+
+def _digits(h: np.ndarray, base: int) -> np.ndarray:
+    return (h % np.uint64(base)).astype(np.int64)
 
 
 def digit_vector(seed: int, stream: int, start: int, count: int, base: int) -> np.ndarray:
     """Digits in {0, .., base-1} at positions start .. start+count-1."""
-    idx = np.arange(start, start + count, dtype=np.uint64) * np.uint64(_GOLDEN)
-    h = _finalize_np(_stream_base(seed, stream) + idx)
-    return (h % np.uint64(base)).astype(np.int64)
+    return _digits(_hashes(seed, stream, start, count), base)
 
 
 def digit_matrix(seed: int, stream: int, rows: int, cols: int, base: int) -> np.ndarray:
     """(rows, cols) digit matrix; entry (r, c) == value64(seed, stream, r, c) % base."""
-    r = np.arange(rows, dtype=np.uint64) * np.uint64(_GOLDEN)
     c = np.arange(cols, dtype=np.uint64) * np.uint64(_GOLDEN)
-    hr = _finalize_np(_stream_base(seed, stream) + r)
-    hv = _finalize_np(hr[:, None] + c[None, :])
-    return (hv % np.uint64(base)).astype(np.int64)
+    return _digits(_finalize_np(_hashes(seed, stream, 0, rows)[:, None] + c), base)
+
+
+def digit_column(seed: int, stream: int, rows: int, c: int, base: int) -> np.ndarray:
+    """Column c of digit_matrix(seed, stream, rows, cols, base), for any cols > c."""
+    offset = np.uint64((c * _GOLDEN) & _MASK)
+    return _digits(_finalize_np(_hashes(seed, stream, 0, rows) + offset), base)
 
 
 def uniform_vector(seed: int, stream: int, count: int, start: int = 0) -> np.ndarray:
     """Uniform floats in [0, 1); entry i derives from value64(seed, stream, start+i)."""
-    idx = np.arange(start, start + count, dtype=np.uint64) * np.uint64(_GOLDEN)
-    h = _finalize_np(_stream_base(seed, stream) + idx)
+    h = _hashes(seed, stream, start, count)
     return (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)

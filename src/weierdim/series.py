@@ -25,13 +25,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
 from . import rng
 
 TWO_PI = 2.0 * math.pi
+FOUR_PI_SQ = 4.0 * math.pi ** 2
 _MAX_TERMS = 10_000_000
 
 
@@ -188,20 +190,21 @@ def eval_phi_prime(phi: PhiSpec, x: float) -> float:
     return float(phi.derivative().eval(x))
 
 
-def _require_tol(abs_tol: float) -> None:
+def _terms_for(
+    abs_tol: float, tail: Callable[[int], float], ratio: float, coef: float, shift: int
+) -> int:
+    """Term count n >= 0 with tail(n) <= abs_tol.
+
+    The search steps up from the closed-form estimate for the geometric tail
+    coef * ratio^(n+shift) / (1-ratio), which tail equals or lies above.
+    """
     if not (abs_tol > 0.0):
         raise ValueError(f"abs_tol must be positive, got {abs_tol!r}")
-
-
-def _geom_terms(abs_tol: float, ratio: float, coef: float, shift: int) -> int:
-    """Minimal n >= 0 with coef * ratio^(n+shift) / (1-ratio) <= abs_tol."""
-    if coef == 0.0:
-        return 0
-    target = abs_tol * (1.0 - ratio) / coef
-    if target >= ratio ** shift:
-        return 0
-    n = max(0, math.ceil(math.log(target) / math.log(ratio)) - shift)
-    while coef * ratio ** (n + shift) / (1.0 - ratio) > abs_tol:
+    n = 0
+    target = abs_tol * (1.0 - ratio) / coef if coef != 0.0 else math.inf
+    if target < ratio ** shift:
+        n = max(0, math.ceil(math.log(target) / math.log(ratio)) - shift)
+    while tail(n) > abs_tol:
         n += 1
         if n > _MAX_TERMS:
             raise ValueError("tolerance requires an unreasonable number of terms")
@@ -216,7 +219,7 @@ def tail_bound_slope(gamma: float, n: int) -> float:
 def tail_bound_slope_dx(b: int, gamma: float, n: int) -> float:
     """Tail of 4 pi^2 sum_{k>n} (gamma/b)^k."""
     r = gamma / b
-    return 4.0 * math.pi ** 2 * r ** (n + 1) / (1.0 - r)
+    return FOUR_PI_SQ * r ** (n + 1) / (1.0 - r)
 
 
 def tail_bound_slope_dgamma(gamma: float, n: int) -> float:
@@ -224,25 +227,9 @@ def tail_bound_slope_dgamma(gamma: float, n: int) -> float:
     return TWO_PI * gamma ** n * ((n + 1) - n * gamma) / (1.0 - gamma) ** 2
 
 
-def _slope_terms(abs_tol: float, gamma: float) -> int:
-    return max(1, _geom_terms(abs_tol, gamma, TWO_PI, 1))
-
-
-def _slope_dx_terms(abs_tol: float, b: int, gamma: float) -> int:
-    return max(1, _geom_terms(abs_tol, gamma / b, 4.0 * math.pi ** 2, 1))
-
-
-def _slope_dgamma_terms(abs_tol: float, gamma: float) -> int:
-    n = max(1, _geom_terms(abs_tol, gamma, TWO_PI, 1))
-    while tail_bound_slope_dgamma(gamma, n) > abs_tol:
-        n += 1
-        if n > _MAX_TERMS:
-            raise ValueError("tolerance requires an unreasonable number of terms")
-    return n
-
-
-def _fiber_terms(abs_tol: float, gamma: float, sup: float) -> int:
-    return max(1, _geom_terms(abs_tol, gamma, sup, 0))
+def tail_bound_geometric(ratio: float, coef: float, n: int) -> float:
+    """Tail of coef * sum_{k>=n} ratio^k (the graph series and the fiber sum)."""
+    return coef * ratio ** n / (1.0 - ratio)
 
 
 def _frac_mod1(x: float) -> tuple[int, int]:
@@ -288,8 +275,7 @@ def eval_weierstrass(
     b, lam = _series_scale(p)
     sup = phi.sup_bound()
     if terms is None:
-        _require_tol(abs_tol)
-        n_terms = _geom_terms(abs_tol, lam, sup, 0)
+        n_terms = _terms_for(abs_tol, partial(tail_bound_geometric, lam, sup), lam, sup, 0)
     else:
         n_terms = int(terms)
     num, den = _frac_mod1(x)
@@ -306,14 +292,52 @@ def eval_weierstrass(
     return SeriesValue(float(acc), float(tail), n_terms)
 
 
-def _orbit(word: DigitWord, x: float, b: int, n_terms: int) -> np.ndarray:
-    """Backward-orbit arguments u_n = (u_{n-1} + i_n)/b for n = 1..n_terms."""
-    digs = word.digit_array(n_terms, b)
-    out = np.empty(n_terms, dtype=np.float64)
-    u = x
-    for n in range(n_terms):
-        u = (u + digs[n]) / b
-        out[n] = u
+def _orbit_sums(
+    u: np.ndarray,
+    b: int,
+    gamma: float,
+    columns: Iterable,
+    want: Collection[str],
+    psi: Optional[PhiSpec] = None,
+) -> dict[str, np.ndarray]:
+    """Weighted sums along the backward orbit u_n = (u_{n-1} + i_n)/b.
+
+    u holds the start values x; columns yields the digits i_1, i_2, ... as
+    arrays that broadcast against u (one digit column per orbit step).  want
+    names the sums to return, truncated after the last column:
+
+        "y"        2 pi sum gamma^n sin(2 pi u_n)
+        "ydx"      4 pi^2 sum (gamma/b)^n cos(2 pi u_n)
+        "ydgamma"  2 pi sum n gamma^(n-1) sin(2 pi u_n)
+        "s"        sum gamma^(n-1) psi(u_n), the constant of psi summed exactly
+
+    Every caller accumulates in this one order, so the slope grids, samplers
+    and single-word evaluators share their rounding.
+    """
+    u = np.array(u, dtype=np.float64)
+    acc = {k: np.zeros_like(u) for k in want}
+    sy, sdx, sdg, ss = map(acc.get, ("y", "ydx", "ydgamma", "s"))
+    g = 1.0  # gamma^(n-1) before the update below, gamma^n after it
+    r = 1.0  # (gamma/b)^n
+    for n, digit in enumerate(columns, 1):
+        u += digit
+        u /= b
+        if ss is not None:
+            ss += g * psi.oscillating(u)
+        if sy is not None or sdg is not None:
+            sin_u = np.sin(TWO_PI * u)
+        if sdg is not None:
+            sdg += (n * g) * sin_u
+        g *= gamma
+        if sy is not None:
+            sy += g * sin_u
+        if sdx is not None:
+            r *= gamma / b
+            sdx += r * np.cos(TWO_PI * u)
+    scale = {"y": TWO_PI, "ydx": FOUR_PI_SQ, "ydgamma": TWO_PI}
+    out = {k: scale[k] * v for k, v in acc.items() if k != "s"}
+    if ss is not None:
+        out["s"] = ss + psi.constant / (1.0 - gamma)
     return out
 
 
@@ -331,15 +355,10 @@ def eval_stable_slope(
     stable line at x for this word.
     """
     gamma = p.gamma
-    if terms is None:
-        _require_tol(abs_tol)
-        n_terms = _slope_terms(abs_tol, gamma)
-    else:
-        n_terms = int(terms)
-    u = _orbit(word, x, p.b, n_terms)
-    powers = gamma ** np.arange(1, n_terms + 1)
-    value = TWO_PI * float(np.dot(powers, np.sin(TWO_PI * u)))
-    return SeriesValue(value, tail_bound_slope(gamma, n_terms), n_terms)
+    tail = partial(tail_bound_slope, gamma)
+    n = int(terms) if terms is not None else max(1, _terms_for(abs_tol, tail, gamma, TWO_PI, 1))
+    y = _orbit_sums(x, p.b, gamma, word.digit_array(n, p.b), ("y",))["y"]
+    return SeriesValue(float(y), tail(n), n)
 
 
 def eval_stable_slope_dx(
@@ -350,16 +369,11 @@ def eval_stable_slope_dx(
     terms: Optional[int] = None,
 ) -> SeriesValue:
     """x-derivative of the stable slope: 4 pi^2 sum (gamma/b)^n cos(2 pi u_n)."""
-    gamma = p.gamma
-    if terms is None:
-        _require_tol(abs_tol)
-        n_terms = _slope_dx_terms(abs_tol, p.b, gamma)
-    else:
-        n_terms = int(terms)
-    u = _orbit(word, x, p.b, n_terms)
-    powers = (gamma / p.b) ** np.arange(1, n_terms + 1)
-    value = 4.0 * math.pi ** 2 * float(np.dot(powers, np.cos(TWO_PI * u)))
-    return SeriesValue(value, tail_bound_slope_dx(p.b, gamma, n_terms), n_terms)
+    b, gamma = p.b, p.gamma
+    tail = partial(tail_bound_slope_dx, b, gamma)
+    n = int(terms) if terms is not None else max(1, _terms_for(abs_tol, tail, gamma / b, FOUR_PI_SQ, 1))
+    ydx = _orbit_sums(x, b, gamma, word.digit_array(n, b), ("ydx",))["ydx"]
+    return SeriesValue(float(ydx), tail(n), n)
 
 
 def eval_stable_slope_dgamma(
@@ -371,16 +385,11 @@ def eval_stable_slope_dgamma(
 ) -> SeriesValue:
     """gamma-derivative of the stable slope: 2 pi sum n gamma^(n-1) sin(2 pi u_n)."""
     gamma = p.gamma
-    if terms is None:
-        _require_tol(abs_tol)
-        n_terms = _slope_dgamma_terms(abs_tol, gamma)
-    else:
-        n_terms = int(terms)
-    u = _orbit(word, x, p.b, n_terms)
-    ns = np.arange(1, n_terms + 1)
-    powers = ns * gamma ** (ns - 1)
-    value = TWO_PI * float(np.dot(powers, np.sin(TWO_PI * u)))
-    return SeriesValue(value, tail_bound_slope_dgamma(gamma, n_terms), n_terms)
+    # steps up from the slope-series estimate; the dgamma tail lies above it
+    tail = partial(tail_bound_slope_dgamma, gamma)
+    n = int(terms) if terms is not None else max(1, _terms_for(abs_tol, tail, gamma, TWO_PI, 1))
+    ydg = _orbit_sums(x, p.b, gamma, word.digit_array(n, p.b), ("ydgamma",))["ydgamma"]
+    return SeriesValue(float(ydg), tail(n), n)
 
 
 def eval_fiber_sum(
@@ -398,24 +407,16 @@ def eval_fiber_sum(
     With psi equal to the derivative of the graph's phi, the identity
     Y = -gamma * S holds.
     """
-    gamma = p.gamma
-    sup = psi.oscillating_sup()
-    if terms is None:
-        _require_tol(abs_tol)
-        n_terms = _fiber_terms(abs_tol, gamma, sup)
-    else:
-        n_terms = int(terms)
-    u = _orbit(word, x, p.b, n_terms)
-    powers = gamma ** np.arange(n_terms)
-    value = float(np.dot(powers, psi.oscillating(u)))
-    value += psi.constant / (1.0 - gamma)
-    tail = sup * gamma ** n_terms / (1.0 - gamma)
-    return SeriesValue(value, tail, n_terms)
+    gamma, sup = p.gamma, psi.oscillating_sup()
+    tail = partial(tail_bound_geometric, gamma, sup)
+    n = int(terms) if terms is not None else max(1, _terms_for(abs_tol, tail, gamma, sup, 0))
+    s = _orbit_sums(x, p.b, gamma, word.digit_array(n, p.b), ("s",), psi)["s"]
+    return SeriesValue(float(s), tail(n), n)
 
 
 def default_depth(gamma: float, tail_target: float = 1e-9) -> int:
     """Truncation depth making the slope-series tail at most tail_target."""
-    return _slope_terms(tail_target, gamma)
+    return max(1, _terms_for(tail_target, partial(tail_bound_slope, gamma), gamma, TWO_PI, 1))
 
 
 def slope_grid(
@@ -431,26 +432,7 @@ def slope_grid(
     shape (words, points): the slope, its x-derivative, and (optionally) its
     gamma-derivative, each truncated at the full depth.
     """
-    n_words, depth = digits.shape
-    u = np.broadcast_to(x, (n_words, x.size)).astype(np.float64).copy()
-    sy = np.zeros_like(u)
-    sdx = np.zeros_like(u)
-    sdg = np.zeros_like(u) if want_dgamma else None
-    gp = 1.0   # gamma^n
-    rp = 1.0   # (gamma/b)^n
-    gpm = 1.0  # gamma^(n-1)
-    for n in range(1, depth + 1):
-        u += digits[:, n - 1][:, None]
-        u /= b
-        gp *= gamma
-        rp *= gamma / b
-        s = np.sin(TWO_PI * u)
-        sy += gp * s
-        sdx += rp * np.cos(TWO_PI * u)
-        if sdg is not None:
-            sdg += (n * gpm) * s
-        gpm *= gamma
-    y = TWO_PI * sy
-    ydx = 4.0 * math.pi ** 2 * sdx
-    ydg = TWO_PI * sdg if sdg is not None else None
-    return y, ydx, ydg
+    u = np.broadcast_to(x, (digits.shape[0], x.size))
+    want = ("y", "ydx", "ydgamma") if want_dgamma else ("y", "ydx")
+    out = _orbit_sums(u, b, gamma, digits.T[:, :, None], want)
+    return out["y"], out["ydx"], out.get("ydgamma")

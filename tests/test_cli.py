@@ -1,7 +1,9 @@
 """Command line interface: outputs, exit codes, determinism."""
 
+import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ import pytest
 
 from weierdim import COSINE, Params, eval_weierstrass
 from weierdim.cli import main
+from weierdim.parallel import worker_count
 
 
 def run_cli(capsys, *argv):
@@ -71,9 +74,11 @@ class TestEval:
         assert code == 3
 
     def test_usage_error_exit_code(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", "--b", "2"])
-        assert exc.value.code == 2
+        bad_word = ["eval", "--b", "2", "--lambda", "0.9", "--x", "0", "--what", "Y", "--word"]
+        for argv in (["eval", "--b", "2"], bad_word + ["0a1"], bad_word + ["0,1,x"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
 
 
 class TestThresholds:
@@ -206,16 +211,20 @@ class TestReproduce:
         assert failing == ["certificate_b3_valid"]
 
     def test_csv_format(self, capsys):
-        code, out = run_cli(capsys, "reproduce", "--format", "csv")
-        assert code == 0
-        header = out.splitlines()[0]
-        assert header.startswith("claim,")
+        for argv, first, keys in (
+            (("reproduce",), "claim", {"detail", "all_pass"}),
+            (("boxdim", "--b", "2", "--lambda", "0.9", "--levels", "8"), "epsilon",
+             {"slope", "stderr", "theoretical", "note"}),
+        ):
+            code, out = run_cli(capsys, *argv, "--format", "csv")
+            assert code == 0
+            header, *rows = csv.reader(out.splitlines())
+            assert header[0] == first and keys <= set(header)
+            assert rows and all(len(r) == len(header) for r in rows)
 
 
 class TestDeterminism:
     def test_byte_identical_across_runs_and_workers(self):
-        import os
-
         cmd = [sys.executable, "-m", "weierdim.cli", "thresholds", "--b-range", "2:6"]
         outs = []
         for threads in ("1", "8", "1"):
@@ -225,3 +234,24 @@ class TestDeterminism:
             assert proc.returncode == 0
             outs.append(proc.stdout)
         assert outs[0] == outs[1] == outs[2]
+
+    @pytest.mark.parametrize("argv", [
+        ("boxdim", "--b", "3", "--lambda", "0.8", "--levels", "9", "--samples-per-column", "27"),
+        ("transversality", "--b", "3", "--lambda", "0.8", "--x-grid", "300", "--seed", "2"),
+        ("transversality", "--b", "2", "--lambda", "0.95", "--mode", "tangency",
+         "--n", "2", "--m", "2", "--eps", "0.5", "--delta", "0.5", "--grid-per-interval", "50"),
+        ("measure", "--kind", "transversal", "--b", "2", "--lambda", "0.95", "--x", "0.3",
+         "--count", "20000", "--bins", "16", "--seed", "3"),
+    ])
+    def test_worker_pool_output_independent_of_threads(self, capsys, monkeypatch, argv):
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("WEIERDIM_THREADS", threads)
+            code, out = run_cli(capsys, *argv)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_thread_count_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("WEIERDIM_THREADS", "100000")
+        assert worker_count() <= (os.cpu_count() or 1)

@@ -1,6 +1,7 @@
 """Measure samplers, local-dimension estimation and histograms."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from weierdim import (
     Params,
     PhiSpec,
     SampleSet,
+    box_count,
     density_histogram,
     dimension_from_transversal,
     eval_stable_slope,
@@ -21,6 +23,7 @@ from weierdim import (
     sample_transversal,
 )
 from weierdim import rng
+from weierdim.measures import _linear_fit
 
 
 class TestTransversalSampler:
@@ -140,6 +143,32 @@ class TestLocalDimension:
         rough = sample_transversal(Params(2, 0.9), 0.2, 100, depth=8, seed=0)
         with pytest.raises(ValueError):
             local_dim_estimate(rough, [0.1, 0.05, 0.025, 0.0125 * rough.tail_bound], centers=5)
+
+
+class TestLinearFit:
+    def test_matches_scipy_linregress_bitwise(self):
+        stats = pytest.importorskip("scipy.stats")
+        cases = []
+        for b, lam, levels in ((2, 0.9, 10), (3, 0.7, 7), (2, 0.6, 9)):
+            table = box_count(Params(b, lam), COSINE, levels=levels, samples_per_column=8)
+            eps = np.array([e for e, _ in table.levels])
+            hits = np.array([h for _, h in table.levels], dtype=np.float64)
+            cases.append((np.log(1.0 / eps), np.log(hits)))
+        s = sample_transversal(Params(2, 0.95), 0.3, 20_000, seed=1)
+        log_r = np.log([0.05 * 2.0 ** -j for j in range(6)])
+        for i in range(0, 20_000, 500):
+            dist = np.abs(s.points - s.points[i])
+            masses = np.array([(dist <= r).sum() / s.count for r in np.exp(log_r)])
+            cases.append((log_r, np.log(masses)))
+        cases.append((log_r, np.zeros(log_r.size)))  # a point mass: r and stderr are nan
+
+        def bits(v):
+            return struct.pack("<d", v)
+
+        for x, y in cases:
+            ref = stats.linregress(x, y)
+            got = _linear_fit(x, y)
+            assert [bits(v) for v in got] == [bits(ref.slope), bits(ref.intercept), bits(ref.stderr)]
 
 
 class TestDimensionFormula:

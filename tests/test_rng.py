@@ -8,6 +8,8 @@ def test_scalar_vector_consistency():
     for r in (0, 3, 6):
         for c in (0, 5, 10):
             assert m[r, c] == rng.value64(42, 3, r, c) % 5
+    for c in range(11):
+        assert np.array_equal(rng.digit_column(42, 3, 7, c, 5), m[:, c])
     v = rng.digit_vector(42, 3, 4, 6, 5)
     for i in range(6):
         assert v[i] == rng.value64(42, 3, 4 + i) % 5

@@ -23,6 +23,8 @@ from weierdim import (
     eval_stable_slope_dgamma,
     eval_stable_slope_dx,
     eval_weierstrass,
+    rng,
+    slope_grid,
 )
 from weierdim.measures import sample_transversal
 
@@ -253,6 +255,35 @@ class TestFiberSum:
         assert s_oracle(2, 0.55, 0.37, [1, 1, 0], 120) == pytest.approx(S_REF, abs=1e-15)
         sv = eval_fiber_sum(params_for_gamma(2, 0.55), psi, DigitWord((1, 1, 0)), 0.37, abs_tol=1e-11)
         assert sv.value == pytest.approx(S_REF, abs=1e-10)
+
+
+class TestSlopeGrid:
+    def test_regression_pin(self):
+        # pinned bit for bit: the shared orbit kernel must not change grid values
+        x = np.linspace(0.0, 1.0, 5)
+        d = rng.digit_matrix(3, rng.STREAM_PAIR_WORDS, 4, 30, 2)
+        y, ydx, ydg = slope_grid(2, 0.6, x, d, want_dgamma=True)
+        assert y[1, 2] == pytest.approx(-4.0745692421585495, abs=0)
+        assert y[0, 4] == pytest.approx(-2.996086999338868, abs=0)
+        assert ydx[3, 1] == pytest.approx(5.005539348415592, abs=0)
+        assert ydg[2, 3] == pytest.approx(11.95468828024025, abs=0)
+        d = rng.digit_matrix(5, rng.STREAM_PAIR_WORDS, 3, 25, 3)
+        y, ydx, ydg = slope_grid(3, 0.45, x, d)
+        assert y[2, 1] == pytest.approx(0.8418136249693893, abs=0)
+        assert ydx[0, 3] == pytest.approx(-0.7014623679951769, abs=0)
+        assert ydg is None
+
+    def test_rows_match_single_word_evaluators(self):
+        p = params_for_gamma(3, 0.55)
+        x = np.array([0.0, 0.31, 0.9])
+        d = rng.digit_matrix(8, rng.STREAM_PAIR_WORDS, 2, 35, 3)
+        y, ydx, ydg = slope_grid(3, p.gamma, x, d, want_dgamma=True)
+        for i in range(2):
+            word = DigitWord(tuple(int(t) for t in d[i]))
+            for j, xj in enumerate(x):
+                for grid, fn in ((y, eval_stable_slope), (ydx, eval_stable_slope_dx),
+                                 (ydg, eval_stable_slope_dgamma)):
+                    assert grid[i, j] == fn(p, word, float(xj), terms=35).value
 
 
 class TestTailSoundness:
