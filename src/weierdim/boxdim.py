@@ -19,7 +19,7 @@ import numpy as np
 
 from .measures import DimFit, _linear_fit
 from .parallel import map_ordered
-from .series import Params, PhiSpec
+from .series import Params, PhiSpec, _graph_sum
 
 _MAX_GRID = 1 << 26
 
@@ -45,20 +45,13 @@ def theoretical_dimension(p: Params) -> float:
 
 def _grid_values(p: Params, phi: PhiSpec, grid_depth: int) -> np.ndarray:
     """f at every x = t / b**grid_depth, t = 0..b**grid_depth, exactly."""
-    b, lam = p.b, p.lam
-    total = b ** grid_depth
+    total = p.b ** grid_depth
 
     def chunk_values(bounds):
-        t0, t1 = bounds
-        t = np.arange(t0, t1, dtype=np.int64)
-        acc = np.zeros(t.size)
-        lam_pow = 1.0
-        for n in range(grid_depth):
-            mod = b ** (grid_depth - n)
-            acc += lam_pow * phi.eval((t % mod) / mod)
-            lam_pow *= lam
+        t = np.arange(*bounds, dtype=np.int64)
+        acc, lam_pow = _graph_sum(t, total, p.b, p.lam, phi, grid_depth)
         # all deeper terms see the argument 0
-        acc += lam_pow * float(phi.eval(0.0)) / (1.0 - lam)
+        acc += lam_pow * float(phi.eval(0.0)) / (1.0 - p.lam)
         return acc
 
     step = 1 << 18

@@ -101,20 +101,25 @@ def _emit(payload: dict, args) -> None:
             fh.write(text + "\n")
 
 
+# argparse reports a ValueError from these type= functions as a usage error (exit 2).
 def _word_digits(raw: str) -> tuple[int, ...]:
-    """Digit word from "010" or "0,1,0"; argparse reports a bad digit as usage."""
+    """Digit word from "010" or "0,1,0"."""
     raw = raw.strip()
     tokens = [t for t in raw.split(",") if t != ""] if "," in raw else raw
-    try:
-        return tuple(int(t) for t in tokens)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad digit word {raw!r}") from None
+    return tuple(int(t) for t in tokens)
 
 
-def _parse_phases(raw):
-    if raw is None:
-        return None
+def _phases(raw: str) -> list[float]:
     return [float(t) for t in raw.split(",") if t != ""]
+
+
+def _b_range(raw: str) -> tuple[str, list[int]]:
+    """(raw, bases) from "lo:hi" or "2,3,5"; the raw string is echoed in config."""
+    lo, _, hi = raw.partition(":")
+    bases = list(range(int(lo), int(hi) + 1)) if hi else [int(t) for t in raw.split(",")]
+    if not bases:
+        raise ValueError(f"empty base range {raw!r}")
+    return raw, bases
 
 
 def _cmd_eval(args) -> int:
@@ -128,7 +133,7 @@ def _cmd_eval(args) -> int:
         phi = _PHI_CHOICES[args.phi]
         sv = eval_weierstrass(
             (args.b, args.lam), phi, args.x,
-            phases=_parse_phases(args.phases), abs_tol=args.tol,
+            phases=args.phases, abs_tol=args.tol,
         )
     else:
         p = Params(args.b, args.lam)
@@ -154,16 +159,10 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_b_range(raw: str) -> list[int]:
-    if ":" in raw:
-        lo, hi = raw.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(t) for t in raw.split(",")]
-
-
 def _cmd_thresholds(args) -> int:
+    raw, bases = args.b_range
     rows = []
-    for b in _parse_b_range(args.b_range):
+    for b in bases:
         br = solve_critical_lambda(b, args.tol)
         ae = solve_ae_critical_lambda(b, args.tol)
         rows.append(
@@ -175,7 +174,7 @@ def _cmd_thresholds(args) -> int:
                 "ae_method": ae.method,
             }
         )
-    _emit({"rows": rows, "config": {"b_range": args.b_range, "tol": args.tol}}, args)
+    _emit({"rows": rows, "config": {"b_range": raw, "tol": args.tol}}, args)
     return 0
 
 
@@ -424,14 +423,15 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--tail-seed", type=int, default=None,
                     help="random word tail; default is the all-zero tail")
     pe.add_argument("--tol", type=float, default=1e-9)
-    pe.add_argument("--phases", help="comma separated per-term phase offsets (f only)")
+    pe.add_argument("--phases", type=_phases,
+                    help="comma separated per-term phase offsets (f only)")
     pe.add_argument("--phi", choices=sorted(_PHI_CHOICES), default="cos")
     pe.add_argument("--psi", choices=sorted(_PHI_CHOICES), default="cos-deriv")
     add_common(pe)
     pe.set_defaults(func=_cmd_eval)
 
     pt = sub.add_parser("thresholds", help="critical scales per base")
-    pt.add_argument("--b-range", default="2:12", help="lo:hi or comma list")
+    pt.add_argument("--b-range", type=_b_range, default="2:12", help="lo:hi or comma list")
     pt.add_argument("--tol", type=float, default=1e-12)
     add_common(pt)
     pt.set_defaults(func=_cmd_thresholds)

@@ -19,6 +19,7 @@ import numpy as np
 from . import rng
 from .series import (
     COSINE_DERIV,
+    TWO_PI,
     Params,
     PhiSpec,
     _orbit_sums,
@@ -27,8 +28,6 @@ from .series import (
     tail_bound_geometric,
     tail_bound_slope,
 )
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,9 +123,7 @@ def sample_transversal(
     gamma = p.gamma
     if depth is None:
         depth = default_depth(gamma)
-    columns = (
-        rng.digit_column(seed, rng.STREAM_TRANSVERSAL, count, c, p.b) for c in range(depth)
-    )
+    columns = rng.digit_columns(seed, rng.STREAM_TRANSVERSAL, count, depth, p.b)
     return SampleSet(
         points=_orbit_sums(np.full(count, float(x)), p.b, gamma, columns, ("y",))["y"],
         seed=seed,
@@ -158,9 +155,7 @@ def sample_sbr(
     if depth is None:
         depth = default_depth(gamma, 1e-9 / max(sup / TWO_PI, 1e-12))
     xs = rng.uniform_vector(seed, rng.STREAM_SBR_X, count)
-    columns = (
-        rng.digit_column(seed, rng.STREAM_SBR_DIGITS, count, c, p.b) for c in range(depth)
-    )
+    columns = rng.digit_columns(seed, rng.STREAM_SBR_DIGITS, count, depth, p.b)
     vals = _orbit_sums(xs, p.b, gamma, columns, ("s",), psi)["s"]
     return SampleSet(
         points=np.column_stack([xs, vals]),
@@ -183,16 +178,11 @@ def sample_graph_lift(
     if count < 1:
         raise ValueError("count must be positive")
     xs = rng.uniform_vector(seed, rng.STREAM_GRAPH_X, count)
-    vals = np.empty(count)
-    terms = 0
-    for i, x in enumerate(xs):
-        sv = eval_weierstrass(p, phi, float(x), abs_tol=abs_tol)
-        vals[i] = sv.value
-        terms = max(terms, sv.terms_used)
+    sv = eval_weierstrass(p, phi, xs, abs_tol=abs_tol)
     return SampleSet(
-        points=np.column_stack([xs, vals]),
+        points=np.column_stack([xs, sv.value]),
         seed=seed,
-        depth=terms,
+        depth=sv.terms_used,
         kind="graph",
         params=p,
         tail_bound=abs_tol,

@@ -69,10 +69,11 @@ def digit_matrix(seed: int, stream: int, rows: int, cols: int, base: int) -> np.
     return _digits(_finalize_np(_hashes(seed, stream, 0, rows)[:, None] + c), base)
 
 
-def digit_column(seed: int, stream: int, rows: int, c: int, base: int) -> np.ndarray:
-    """Column c of digit_matrix(seed, stream, rows, cols, base), for any cols > c."""
-    offset = np.uint64((c * _GOLDEN) & _MASK)
-    return _digits(_finalize_np(_hashes(seed, stream, 0, rows) + offset), base)
+def digit_columns(seed: int, stream: int, rows: int, cols: int, base: int):
+    """Yield the columns of digit_matrix(seed, stream, rows, cols, base), hashing rows once."""
+    h = _hashes(seed, stream, 0, rows)
+    for c in range(cols):
+        yield _digits(_finalize_np(h + np.uint64((c * _GOLDEN) & _MASK)), base)
 
 
 def uniform_vector(seed: int, stream: int, count: int, start: int = 0) -> np.ndarray:

@@ -37,6 +37,12 @@ FOUR_PI_SQ = 4.0 * math.pi ** 2
 _MAX_TERMS = 10_000_000
 
 
+def _check_base(b) -> int:
+    if int(b) != b or b < 2:
+        raise ValueError(f"base must be an integer >= 2, got {b!r}")
+    return int(b)
+
+
 @dataclass(frozen=True)
 class Params:
     """Base/scale pair (b, lam) for one graph, with derived quantities.
@@ -50,9 +56,7 @@ class Params:
     lam: float
 
     def __post_init__(self):
-        if int(self.b) != self.b or self.b < 2:
-            raise ValueError(f"base must be an integer >= 2, got {self.b!r}")
-        object.__setattr__(self, "b", int(self.b))
+        object.__setattr__(self, "b", _check_base(self.b))
         if not (1.0 / self.b < self.lam < 1.0):
             raise ValueError(
                 f"lam must lie in (1/{self.b}, 1), got {self.lam!r}"
@@ -169,9 +173,9 @@ class DigitWord:
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """A numeric value with an absolute bound on the omitted series tail."""
+    """A value (or array of values) with an absolute bound on the omitted tail."""
 
-    value: float
+    value: float | np.ndarray
     tail_bound: float
     terms_used: int
 
@@ -193,9 +197,9 @@ def eval_phi_prime(phi: PhiSpec, x: float) -> float:
 def _terms_for(
     abs_tol: float, tail: Callable[[int], float], ratio: float, coef: float, shift: int
 ) -> int:
-    """Term count n >= 0 with tail(n) <= abs_tol.
+    """Least term count n >= 0 with tail(n) <= abs_tol, for a decreasing tail.
 
-    The search steps up from the closed-form estimate for the geometric tail
+    The search starts from the closed-form estimate for the geometric tail
     coef * ratio^(n+shift) / (1-ratio), which tail equals or lies above.
     """
     if not (abs_tol > 0.0):
@@ -204,6 +208,8 @@ def _terms_for(
     target = abs_tol * (1.0 - ratio) / coef if coef != 0.0 else math.inf
     if target < ratio ** shift:
         n = max(0, math.ceil(math.log(target) / math.log(ratio)) - shift)
+    while n > 0 and tail(n - 1) <= abs_tol:
+        n -= 1
     while tail(n) > abs_tol:
         n += 1
         if n > _MAX_TERMS:
@@ -232,10 +238,35 @@ def tail_bound_geometric(ratio: float, coef: float, n: int) -> float:
     return coef * ratio ** n / (1.0 - ratio)
 
 
-def _frac_mod1(x: float) -> tuple[int, int]:
-    """Exact fractional part of x as (numerator, power-of-two denominator)."""
-    f = Fraction(x) % 1
-    return f.numerator, f.denominator
+def _frac_mod1(x):
+    """Exact fractional part of x as (numerator, power-of-two denominator); an
+    array must hold multiples of 2^-53 in [0, 1) and gets uint64 numerators."""
+    if not isinstance(x, np.ndarray):
+        f = Fraction(x) % 1
+        return f.numerator, f.denominator
+    scaled = x * 2.0 ** 53
+    if x.ndim != 1 or not np.all((x >= 0.0) & (x < 1.0) & (scaled == np.floor(scaled))):
+        raise ValueError("an array x must be 1-D multiples of 2^-53 in [0, 1)")
+    return scaled.astype(np.uint64), 2 ** 53
+
+
+def _graph_sum(num, den: int, b: int, lam: float, phi: PhiSpec, n_terms: int, phases=None):
+    """(sum_{n<n_terms} lam^n phi(b^n num/den + theta_n), lam^n_terms) for int or int-array num.
+
+    Reducing mod den first keeps arguments exact: num = den sees phi(0), not phi(1.0).  An
+    array's num * b may wrap mod 2^64 only where den divides 2^64."""
+    acc = np.zeros(np.shape(num))
+    lam_pow = 1.0
+    b %= den
+    for n in range(n_terms):
+        num = num % den
+        t = num / den
+        if phases is not None and n < len(phases):
+            t = (t + phases[n]) % 1.0
+        acc += lam_pow * phi.eval(t)
+        lam_pow *= lam
+        num = num * b
+    return acc, lam_pow
 
 
 def _series_scale(p) -> tuple[int, float]:
@@ -244,17 +275,16 @@ def _series_scale(p) -> tuple[int, float]:
     if isinstance(p, Params):
         return p.b, p.lam
     b, lam = p
-    if int(b) != b or b < 2:
-        raise ValueError(f"base must be an integer >= 2, got {b!r}")
+    b = _check_base(b)
     if not (0.0 < lam < 1.0):
         raise ValueError(f"lam must lie in (0, 1), got {lam!r}")
-    return int(b), float(lam)
+    return b, float(lam)
 
 
 def eval_weierstrass(
     p,
     phi: PhiSpec,
-    x: float,
+    x,
     phases: Optional[Sequence[float]] = None,
     abs_tol: float = 1e-9,
     terms: Optional[int] = None,
@@ -264,6 +294,8 @@ def eval_weierstrass(
     Parameters
     ----------
     p : Params, or a plain (b, lam) pair with any lam in (0, 1).
+    x : a float, or a 1-D array of multiples of 2^-53 in [0, 1) (the points
+        rng.uniform_vector draws); for an array the value is an array too.
     phases : optional per-term offsets theta_n; terms beyond the list use 0.
     abs_tol : requested bound on the omitted tail; the number of terms is the
         minimal N with sup|phi| * lam^N / (1 - lam) <= abs_tol.
@@ -274,22 +306,10 @@ def eval_weierstrass(
     """
     b, lam = _series_scale(p)
     sup = phi.sup_bound()
-    if terms is None:
-        n_terms = _terms_for(abs_tol, partial(tail_bound_geometric, lam, sup), lam, sup, 0)
-    else:
-        n_terms = int(terms)
-    num, den = _frac_mod1(x)
-    acc = 0.0
-    lam_pow = 1.0
-    for n in range(n_terms):
-        t = num / den
-        if phases is not None and n < len(phases):
-            t = (t + phases[n]) % 1.0
-        acc += lam_pow * float(phi.eval(t))
-        lam_pow *= lam
-        num = (num * b) % den
-    tail = sup * lam_pow / (1.0 - lam)
-    return SeriesValue(float(acc), float(tail), n_terms)
+    tail = partial(tail_bound_geometric, lam, sup)
+    n_terms = int(terms) if terms is not None else _terms_for(abs_tol, tail, lam, sup, 0)
+    acc, lam_pow = _graph_sum(*_frac_mod1(x), b, lam, phi, n_terms, phases)
+    return SeriesValue(acc if acc.ndim else float(acc), sup * lam_pow / (1.0 - lam), n_terms)
 
 
 def _orbit_sums(
@@ -319,8 +339,11 @@ def _orbit_sums(
     sy, sdx, sdg, ss = map(acc.get, ("y", "ydx", "ydgamma", "s"))
     g = 1.0  # gamma^(n-1) before the update below, gamma^n after it
     r = 1.0  # (gamma/b)^n
-    for n, digit in enumerate(columns, 1):
+    n = 0
+    for digit in columns:
+        n += 1
         u += digit
+        del digit  # free a sampler's column before the sums (enumerate would keep it)
         u /= b
         if ss is not None:
             ss += g * psi.oscillating(u)

@@ -20,6 +20,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .certificates import StarCertificate, search_certificate, verify_certificate
+from .series import _check_base
 
 #: Above this coefficient bound the double-root value is exactly 1/(1+sqrt(beta)).
 CLOSED_FORM_BETA = 3.0 + math.sqrt(8.0)
@@ -66,12 +67,6 @@ class AeCriticalBound:
     method: str  # "closed-form" | "certificate" | "generic-bound" | "monotone"
     bracket: Optional[RootBracket] = None
     certificate: Optional[StarCertificate] = None
-
-
-def _check_base(b: int) -> int:
-    if int(b) != b or b < 2:
-        raise ValueError(f"base must be an integer >= 2, got {b!r}")
-    return int(b)
 
 
 def _check_lambda(b: int, lam: float, closed_top: bool = True) -> None:
@@ -261,11 +256,11 @@ def double_root_bounds(
 
 def builtin_certificate(b: int) -> Optional[tuple[float, StarCertificate]]:
     """Published certificate (lambda0, certificate) for bases 2, 3, 4."""
-    params = _BUILTIN_CERT_PARAMS.get(int(b))
+    params = _BUILTIN_CERT_PARAMS.get(_check_base(b))
     if params is None:
         return None
     lam0, k, eta, t = params
-    return lam0, StarCertificate(coeff_bound(int(b), lam0), k, eta, t)
+    return lam0, StarCertificate(coeff_bound(b, lam0), k, eta, t)
 
 
 @lru_cache(maxsize=None)

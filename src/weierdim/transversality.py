@@ -29,6 +29,7 @@ from .parallel import map_ordered
 from .series import (
     DigitWord,
     Params,
+    _check_base,
     slope_grid,
     tail_bound_slope,
     tail_bound_slope_dgamma,
@@ -184,9 +185,7 @@ def empirical_delta(
     The subtracted terms are the truncation tail bounds at `depth`, so any
     positive value is a sound separation for the sampled representatives.
     """
-    b = int(b)
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b!r}")
+    b = _check_base(b)
     if not (1.0 / b < gamma < 1.0):
         raise ValueError(f"gamma must lie in (1/{b}, 1), got {gamma!r}")
     if x_grid < 2:
@@ -300,9 +299,7 @@ def two_var_delta(
     over a lattice anchored at 1/b whose step ignores eps_margin, so grids
     for nested margins are themselves nested.
     """
-    b = int(b)
-    if b < 2:
-        raise ValueError(f"base must be >= 2, got {b!r}")
+    b = _check_base(b)
     if not (eps_margin > 0.0):
         raise ValueError("eps_margin must be positive")
     ae = solve_ae_critical_lambda(b)

@@ -11,6 +11,7 @@ from weierdim import (
     fit_box_dimension,
     theoretical_dimension,
 )
+from weierdim.boxdim import _grid_values
 
 
 class TestTheoreticalDimension:
@@ -72,6 +73,23 @@ class TestBoxCount:
             box_count(p, COSINE, levels=10, samples_per_column=1)
         with pytest.raises(ValueError):
             box_count(p, COSINE, levels=40, samples_per_column=64)
+
+
+class TestGridValues:
+    def test_regression_pin(self):
+        phi = PhiSpec(cosine_coeffs=((1, 0.5), (3, -0.25)), sine_coeffs=((2, 0.3),), constant=0.7)
+        vals = _grid_values(Params(3, 0.7), phi, 6)
+        assert vals.size == 3 ** 6 + 1
+        pins = {0: 3.166666666666666, 1: 3.2332353079709173, 100: 2.857281460861287,
+                364: 1.493414606923663, 728: 3.008852087344744, 729: 3.166666666666666}
+        for i, v in pins.items():
+            assert vals[i] == pytest.approx(v, abs=0)
+        assert float(vals.sum()) == pytest.approx(1745.0076766666662, abs=0)
+
+    def test_right_end_reduces_to_zero(self):
+        # x = 1 must see phi(0), not phi(1.0) = sin(2 pi) != 0
+        vals = _grid_values(Params(2, 0.6), PhiSpec(sine_coeffs=((1, 1.0),)), 10)
+        assert vals[-1] == vals[0] == 0.0
 
 
 class TestFit:

@@ -75,10 +75,16 @@ class TestEval:
 
     def test_usage_error_exit_code(self, capsys):
         bad_word = ["eval", "--b", "2", "--lambda", "0.9", "--x", "0", "--what", "Y", "--word"]
-        for argv in (["eval", "--b", "2"], bad_word + ["0a1"], bad_word + ["0,1,x"]):
+        bad_phases = ["eval", "--b", "2", "--lambda", "0.9", "--x", "0", "--phases"]
+        bad_range = ["thresholds", "--b-range"]
+        for argv in (["eval", "--b", "2"], bad_word + ["0a1"], bad_word + ["0,1,x"],
+                     bad_phases + ["0.1,zz"], bad_range + ["2:x"], bad_range + ["5:2"],
+                     bad_range + ["2:3:4"], bad_range + ["2,,3"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
-            assert exc.value.code == 2
+            assert exc.value.code == 2, argv
+        # a well-formed range with a base below 2 is a domain error
+        assert run_cli(capsys, "thresholds", "--b-range", "1:3")[0] == 3
 
 
 class TestThresholds:

@@ -25,8 +25,12 @@ from weierdim import (
     eval_weierstrass,
     rng,
     slope_grid,
+    tail_bound_slope,
+    tail_bound_slope_dgamma,
+    tail_bound_slope_dx,
 )
 from weierdim.measures import sample_transversal
+from weierdim.series import tail_bound_geometric
 
 mp.mp.dps = 40
 TWO_PI = 2.0 * math.pi
@@ -143,6 +147,22 @@ class TestWeierstrassSeries:
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
             eval_weierstrass(Params(2, 0.9), COSINE, 0.3, abs_tol=0.0)
+
+    def test_array_matches_scalar_bitwise(self):
+        phi = PhiSpec(cosine_coeffs=((1, 0.5),), sine_coeffs=((3, 0.3),), constant=0.2)
+        xs = rng.uniform_vector(9, 1, 100)
+        for b in (2, 3, 10, 4099):
+            for phases in (None, [0.1, -0.4]):
+                sv = eval_weierstrass((b, 0.6), phi, xs, phases=phases, abs_tol=1e-10)
+                for x, v in zip(xs, sv.value):
+                    one = eval_weierstrass((b, 0.6), phi, float(x), phases=phases, abs_tol=1e-10)
+                    assert v == one.value
+                assert (sv.tail_bound, sv.terms_used) == (one.tail_bound, one.terms_used)
+
+    def test_off_grid_array_rejected(self):
+        for xs in ([0.1], [0.5, 0.1], [[0.5]], [1.0], [-0.5], [np.nan], 0.5):
+            with pytest.raises(ValueError):
+                eval_weierstrass((2, 0.9), COSINE, np.array(xs))
 
     def test_params_domain(self):
         with pytest.raises(ValueError):
@@ -311,6 +331,29 @@ class TestTailSoundness:
         a = eval_weierstrass(p, COSINE, 0.31, terms=40)
         b = eval_weierstrass(p, COSINE, 0.31, terms=220)
         assert abs(a.value - b.value) <= a.tail_bound * (1 + 1e-9)
+
+
+class TestMinimalTerms:
+    def test_tolerance_equal_to_a_tail_gives_that_count(self):
+        rnd = np.random.default_rng(8)
+        psi = PhiSpec(sine_coeffs=((2, 1.5),), constant=0.5)
+        for _ in range(200):
+            b = int(rnd.integers(2, 12))
+            lam = float(rnd.uniform(1.0 / b, 1.0))
+            n = int(rnd.integers(0, 60))
+            p, word, x = Params(b, lam), DigitWord(tail_seed=1), 0.3
+            g = p.gamma
+            graph = eval_weierstrass(p, COSINE, x, abs_tol=tail_bound_geometric(lam, 1.0, n))
+            assert graph.terms_used == n
+            # the word-series evaluators use at least one term
+            for fn, tol in (
+                (eval_stable_slope, tail_bound_slope(g, n)),
+                (eval_stable_slope_dx, tail_bound_slope_dx(b, g, n)),
+                (eval_stable_slope_dgamma, tail_bound_slope_dgamma(g, n)),
+            ):
+                assert fn(p, word, x, abs_tol=tol).terms_used == max(1, n)
+            fiber = eval_fiber_sum(p, psi, word, x, abs_tol=tail_bound_geometric(g, 1.5, n))
+            assert fiber.terms_used == max(1, n)
 
 
 class TestDigitWord:

@@ -44,6 +44,9 @@ class TestDefectSigns:
             transversality_defect(3, 1.2)
         with pytest.raises(ValueError):
             transversality_defect_gamma(3, 0.2)
+        # a fractional base is rejected, not looked up as b = 2
+        with pytest.raises(ValueError, match="integer >= 2"):
+            builtin_certificate(2.7)
 
 
 class TestGammaFormIdentity:

@@ -103,6 +103,11 @@ class TestEmpiricalDelta:
     def test_domain(self):
         with pytest.raises(ValueError):
             empirical_delta(2, 0.3)
+        # a fractional base is rejected, not truncated to b = 2
+        with pytest.raises(ValueError, match="integer >= 2"):
+            empirical_delta(2.7, 0.6)
+        with pytest.raises(ValueError, match="integer >= 2"):
+            two_var_delta(2.7, 0.05)
 
 
 class TestScaleIdentity:
