@@ -12,16 +12,16 @@ exact in x; doubling the sample density never removes a counted box.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .measures import DimFit, _linear_fit
 from .parallel import map_ordered
-from .series import Params, PhiSpec, _graph_sum
+from .series import Params, PhiSpec
 
 _MAX_GRID = 1 << 26
+_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -44,19 +44,48 @@ def theoretical_dimension(p: Params) -> float:
 
 
 def _grid_values(p: Params, phi: PhiSpec, grid_depth: int) -> np.ndarray:
-    """f at every x = t / b**grid_depth, t = 0..b**grid_depth, exactly."""
-    total = p.b ** grid_depth
+    """f at every x = t / b**grid_depth, t = 0..b**grid_depth, exactly.
 
-    def chunk_values(bounds):
-        t = np.arange(*bounds, dtype=np.int64)
-        acc, lam_pow = _graph_sum(t, total, p.b, p.lam, phi, grid_depth)
-        # all deeper terms see the argument 0
-        acc += lam_pow * float(phi.eval(0.0)) / (1.0 - p.lam)
+    Term n of _graph_sum at t is lam^n phi(s / b**(grid_depth - n)) with
+    s = t mod b**(grid_depth - n), so each level is periodic in t.  A level
+    whose period fits in a chunk is one table added to every chunk; a wider
+    level evaluates phi on the chunk's residues.  The operands and the order
+    of the additions are _graph_sum's, so the values are its bits.
+    """
+    b, total = p.b, p.b ** grid_depth
+    step = b  # the largest power of b within _CHUNK, at least b, at most total
+    while step * b <= min(_CHUNK, total):
+        step *= b
+    step = min(step, total)
+    lam_pows = []
+    lam_pow = 1.0  # the running product of _graph_sum
+    for _ in range(grid_depth):
+        lam_pows.append(lam_pow)
+        lam_pow *= p.lam
+    # all deeper terms see the argument 0
+    tail = lam_pow * float(phi.eval(0.0)) / (1.0 - p.lam)
+    periods = [b ** (grid_depth - n) for n in range(grid_depth)]
+    tables = {
+        n: lam_pows[n] * phi.eval(np.arange(period) / period)
+        for n, period in enumerate(periods)
+        if period <= step
+    }
+
+    def chunk_values(t0):
+        acc = np.zeros(step)
+        for n, period in enumerate(periods):
+            if n in tables:
+                rows = acc.reshape(-1, period)  # a view: periods divide step
+                rows += tables[n]
+            else:
+                off = t0 % period
+                acc += lam_pows[n] * phi.eval(np.arange(off, off + step) / period)
+        acc += tail
         return acc
 
-    step = 1 << 18
-    bounds = [(t0, min(t0 + step, total + 1)) for t0 in range(0, total + 1, step)]
-    return np.concatenate(map_ordered(chunk_values, bounds))
+    vals = map_ordered(chunk_values, range(0, total, step))
+    # t = b**grid_depth reduces to t = 0 in every term
+    return np.concatenate([*vals, vals[0][:1]])
 
 
 def box_count(
@@ -77,7 +106,9 @@ def box_count(
     if samples_per_column < 2:
         raise ValueError("samples_per_column must be at least 2")
     b = p.b
-    extra = max(1, math.ceil(math.log(samples_per_column) / math.log(b)))
+    extra = 1
+    while b ** extra < samples_per_column:
+        extra += 1
     grid_depth = levels + extra
     if b ** grid_depth > _MAX_GRID:
         raise ValueError(

@@ -31,10 +31,12 @@ from typing import Callable, Collection, Iterable, Optional, Sequence
 import numpy as np
 
 from . import rng
+from .parallel import map_ordered
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 _MAX_TERMS = 10_000_000
+_SLOPE_CHUNK_CELLS = 1 << 16  # (word, point) cells per slope_grid task
 
 
 def _check_base(b) -> int:
@@ -453,9 +455,19 @@ def slope_grid(
 
     digits has shape (words, depth); x has shape (points,).  Returns arrays of
     shape (words, points): the slope, its x-derivative, and (optionally) its
-    gamma-derivative, each truncated at the full depth.
+    gamma-derivative, each truncated at the full depth.  Rows are summed in
+    chunks of words on the worker pool; each cell's arithmetic is
+    elementwise, so the bits do not depend on the chunking.
     """
-    u = np.broadcast_to(x, (digits.shape[0], x.size))
     want = ("y", "ydx", "ydgamma") if want_dgamma else ("y", "ydx")
-    out = _orbit_sums(u, b, gamma, digits.T[:, :, None], want)
+    rows = max(1, _SLOPE_CHUNK_CELLS // max(1, x.size))
+
+    def chunk_sums(r0):
+        part = digits[r0 : r0 + rows]
+        u = np.broadcast_to(x, (part.shape[0], x.size))
+        return _orbit_sums(u, b, gamma, part.T[:, :, None], want)
+
+    parts = map_ordered(chunk_sums, range(0, max(1, digits.shape[0]), rows))
+    # pop drops each chunk's array once it is copied into the full grid
+    out = {k: np.concatenate([part.pop(k) for part in parts]) for k in want}
     return out["y"], out["ydx"], out.get("ydgamma")

@@ -127,12 +127,15 @@ def _exhaustive_depth(b: int, depth: int, pair_budget: int) -> int:
 def _pair_words(
     b: int, depth: int, pair_budget: int, seed: int
 ) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Digit rows and index pairs with distinct first digits.
+    """Digit rows and index pairs i < j with distinct first digits.
 
     All prefix pairs up to the exhaustive depth (kept within the pair budget)
     come first, completed by zeros; the remaining budget is filled with pairs
     drawn from a pool of counter-sampled full-depth words whose first digits
     cycle through the alphabet, so distinct-first-digit pairs always exist.
+    The budget counts ordered pairs in row-major order.  Only the i < j
+    member of each is returned: the separation scores are symmetric, and that
+    member comes first, so the first minimiser is unchanged.
     """
     d_ex = _exhaustive_depth(b, depth, pair_budget)
     prefixes = list(itertools.product(range(b), repeat=d_ex))
@@ -143,10 +146,10 @@ def _pair_words(
     pairs = [
         (i, j)
         for i in range(n_ex)
-        for j in range(n_ex)
+        for j in range(i + 1, n_ex)
         if prefixes[i][0] != prefixes[j][0]
     ]
-    n_sampled = max(0, pair_budget - len(pairs))
+    n_sampled = max(0, pair_budget - 2 * len(pairs))
     if n_sampled:
         pool = math.ceil(math.sqrt(n_sampled / (1.0 - 1.0 / b))) + 1
         raw = rng.digit_matrix(seed, rng.STREAM_PAIR_WORDS, pool, depth, b)
@@ -157,7 +160,8 @@ def _pair_words(
                 if taken >= n_sampled:
                     break
                 if i != j and raw[i, 0] != raw[j, 0]:
-                    pairs.append((n_ex + i, n_ex + j))
+                    if i < j:
+                        pairs.append((n_ex + i, n_ex + j))
                     taken += 1
             if taken >= n_sampled:
                 break

@@ -1,5 +1,6 @@
 """Box counting and dimension fits."""
 
+import numpy as np
 import pytest
 
 from weierdim import (
@@ -11,7 +12,16 @@ from weierdim import (
     fit_box_dimension,
     theoretical_dimension,
 )
+from weierdim import boxdim
 from weierdim.boxdim import _grid_values
+from weierdim.series import _graph_sum
+
+MIX = PhiSpec(cosine_coeffs=((1, 0.5), (3, -0.25)), sine_coeffs=((2, 0.3),), constant=0.7)
+SINE = PhiSpec(sine_coeffs=((1, 1.0),))
+
+
+class _DepthRecorded(Exception):
+    """Stops box_count once the grid depth it chose is known."""
 
 
 class TestTheoreticalDimension:
@@ -74,11 +84,29 @@ class TestBoxCount:
         with pytest.raises(ValueError):
             box_count(p, COSINE, levels=40, samples_per_column=64)
 
+    @pytest.mark.parametrize("b, samples, extra, levels", [
+        (5, 125, 3, 8),  # log(125)/log(5) rounds above 3; 5^11 fits the budget
+        (6, 216, 3, 4),
+        (3, 27, 3, 4),
+        (2, 64, 6, 4),
+        (2, 65, 7, 4),
+    ])
+    def test_grid_depth_is_next_power_of_b(self, monkeypatch, b, samples, extra, levels):
+        depths = []
+
+        def record(p, phi, grid_depth):
+            depths.append(grid_depth)
+            raise _DepthRecorded
+
+        monkeypatch.setattr(boxdim, "_grid_values", record)
+        with pytest.raises(_DepthRecorded):
+            box_count(Params(b, 0.9), COSINE, levels=levels, samples_per_column=samples)
+        assert depths == [levels + extra]
+
 
 class TestGridValues:
     def test_regression_pin(self):
-        phi = PhiSpec(cosine_coeffs=((1, 0.5), (3, -0.25)), sine_coeffs=((2, 0.3),), constant=0.7)
-        vals = _grid_values(Params(3, 0.7), phi, 6)
+        vals = _grid_values(Params(3, 0.7), MIX, 6)
         assert vals.size == 3 ** 6 + 1
         pins = {0: 3.166666666666666, 1: 3.2332353079709173, 100: 2.857281460861287,
                 364: 1.493414606923663, 728: 3.008852087344744, 729: 3.166666666666666}
@@ -88,8 +116,21 @@ class TestGridValues:
 
     def test_right_end_reduces_to_zero(self):
         # x = 1 must see phi(0), not phi(1.0) = sin(2 pi) != 0
-        vals = _grid_values(Params(2, 0.6), PhiSpec(sine_coeffs=((1, 1.0),)), 10)
+        vals = _grid_values(Params(2, 0.6), SINE, 10)
         assert vals[-1] == vals[0] == 0.0
+
+    @pytest.mark.parametrize("b, lam, depth, phi", [
+        (3, 0.7, 6, MIX),  # one chunk, every level a table
+        (2, 0.9, 20, COSINE),  # four chunks, two levels wider than a chunk
+        (3, 0.8, 12, COSINE),
+        (4099, 0.5, 1, COSINE),  # one level, period b
+        (2, 0.6, 19, SINE),
+    ])
+    def test_matches_graph_sum_kernel(self, b, lam, depth, phi):
+        total = b ** depth
+        ref, lam_pow = _graph_sum(np.arange(total + 1), total, b, lam, phi, depth)
+        ref += lam_pow * float(phi.eval(0.0)) / (1.0 - lam)
+        assert _grid_values(Params(b, lam), phi, depth).tobytes() == ref.tobytes()
 
 
 class TestFit:

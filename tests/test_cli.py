@@ -248,6 +248,8 @@ class TestDeterminism:
          "--n", "2", "--m", "2", "--eps", "0.5", "--delta", "0.5", "--grid-per-interval", "50"),
         ("measure", "--kind", "transversal", "--b", "2", "--lambda", "0.95", "--x", "0.3",
          "--count", "20000", "--bins", "16", "--seed", "3"),
+        ("transversality", "--b", "2", "--mode", "two-var"),
+        ("boxdim", "--b", "2", "--lambda", "0.9", "--levels", "13", "--samples-per-column", "64"),
     ])
     def test_worker_pool_output_independent_of_threads(self, capsys, monkeypatch, argv):
         outs = []

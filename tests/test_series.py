@@ -30,7 +30,7 @@ from weierdim import (
     tail_bound_slope_dx,
 )
 from weierdim.measures import sample_transversal
-from weierdim.series import tail_bound_geometric
+from weierdim.series import _SLOPE_CHUNK_CELLS, _orbit_sums, tail_bound_geometric
 
 mp.mp.dps = 40
 TWO_PI = 2.0 * math.pi
@@ -304,6 +304,20 @@ class TestSlopeGrid:
                 for grid, fn in ((y, eval_stable_slope), (ydx, eval_stable_slope_dx),
                                  (ydg, eval_stable_slope_dgamma)):
                     assert grid[i, j] == fn(p, word, float(xj), terms=35).value
+
+    @pytest.mark.parametrize("want_dgamma", (False, True))
+    def test_row_chunks_match_one_orbit_call(self, monkeypatch, want_dgamma):
+        # 40 words over 4000 points span three row chunks, the last one short
+        monkeypatch.setenv("WEIERDIM_THREADS", "2")
+        x = np.linspace(0.0, 1.0, 4000)
+        d = rng.digit_matrix(4, rng.STREAM_PAIR_WORDS, 40, 20, 3)
+        assert d.shape[0] > 2 * (_SLOPE_CHUNK_CELLS // x.size)
+        grids = slope_grid(3, 0.7, x, d, want_dgamma=want_dgamma)
+        want = ("y", "ydx", "ydgamma") if want_dgamma else ("y", "ydx")
+        ref = _orbit_sums(np.broadcast_to(x, (40, x.size)), 3, 0.7, d.T[:, :, None], want)
+        for grid, key in zip(grids, want):
+            assert grid.tobytes() == ref[key].tobytes()
+        assert (grids[2] is None) == (not want_dgamma)
 
 
 class TestTailSoundness:

@@ -19,6 +19,7 @@ from weierdim import (
     transversality_defect_gamma,
     two_var_delta,
 )
+from weierdim.transversality import _pair_words
 
 
 class TestAnalyticCheck:
@@ -108,6 +109,49 @@ class TestEmpiricalDelta:
             empirical_delta(2.7, 0.6)
         with pytest.raises(ValueError, match="integer >= 2"):
             two_var_delta(2.7, 0.05)
+
+
+class TestDeltaPins:
+    """Estimates pinned bit for bit: scoring each unordered word pair once
+    must not move the minimiser or reorder its witness words."""
+
+    def test_empirical_base2(self):
+        est = empirical_delta(2, Params(2, 0.95).gamma, x_grid=2000, depth=30,
+                              pair_budget=16384, seed=1)
+        assert est.delta_hat == pytest.approx(1.6500735078652848, abs=0)
+        assert est.argmin_x == pytest.approx(0.528264132066033, abs=0)
+        assert est.argmin_pair[0].digits == (0, 1, 1, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 1,
+                                             0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1)
+        assert est.argmin_pair[1].digits == (1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 1,
+                                             1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0, 1, 0)
+        assert est.tail_slack == pytest.approx(6.058419281434918e-08, abs=0)
+        assert est.argmin_gamma is None
+
+    def test_empirical_base3(self):
+        est = empirical_delta(3, Params(3, 0.8).gamma, x_grid=2000, depth=30,
+                              pair_budget=2048, seed=1)
+        assert est.delta_hat == pytest.approx(1.4728721718476272, abs=0)
+        assert est.argmin_x == pytest.approx(0.9129564782391195, abs=0)
+        assert est.argmin_pair[0].digits == (0, 2, 1, 2, 1, 1, 1, 0, 1, 1, 1, 0, 0, 0, 0,
+                                             2, 1, 0, 1, 0, 1, 1, 0, 2, 1, 1, 2, 2, 2, 0)
+        assert est.argmin_pair[1].digits == (1, 0, 0, 1, 1, 0, 0, 1, 2, 2, 1, 2, 1, 0, 0,
+                                             0, 0, 1, 1, 1, 2, 1, 2, 2, 0, 2, 0, 0, 2, 2)
+        assert est.tail_slack == pytest.approx(3.521636909644651e-11, abs=0)
+
+    def test_two_var_base2(self):
+        est = two_var_delta(2, 0.05, seed=1)
+        assert est.delta_hat == pytest.approx(2.9522842462106924, abs=0)
+        assert est.argmin_x == pytest.approx(0.49875, abs=0)
+        assert est.argmin_gamma == pytest.approx(0.551604938271605, abs=0)
+        assert est.argmin_pair[0].digits == (0, 1, 1, 0, 1) + (0,) * 35
+        assert est.argmin_pair[1].digits == (1, 0, 0, 1, 1) + (0,) * 35
+        assert est.tail_slack == pytest.approx(5.4739113437189846e-08, abs=0)
+
+    def test_each_unordered_pair_once(self):
+        # the budget counts ordered pairs: 16384 ordered pairs, 8255 unordered
+        words, pairs = _pair_words(2, 30, 16384, 1)
+        assert len(pairs) == len(set(pairs)) == 8255
+        assert all(i < j and words[i, 0] != words[j, 0] for i, j in pairs)
 
 
 class TestScaleIdentity:
