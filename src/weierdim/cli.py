@@ -80,10 +80,9 @@ def _csv_text(payload: dict) -> str:
 
 
 def _emit(payload: dict, args) -> None:
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2)
-    elif fmt == "csv":
+    elif args.format == "csv":
         text = _csv_text(payload)
     else:
         lines = []
@@ -95,9 +94,8 @@ def _emit(payload: dict, args) -> None:
                 lines.append(f"{k}: {payload[k]}")
         text = "\n".join(lines)
     print(text)
-    out = getattr(args, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
 
 
@@ -320,23 +318,18 @@ def _cmd_measure(args) -> int:
 
 def _reproduce_claims(perturb_eta: float):
     """Yield (name, passed, detail) for every reproduced numeric claim."""
-    sqrt_b5 = 1.04 / math.sqrt(5)
-    sign_checks = [
-        ("defect_b2_lam0.9352_negative", transversality_defect(2, 0.9352) < 0,
-         transversality_defect(2, 0.9352)),
-        ("defect_b2_lam0.9_positive", transversality_defect(2, 0.9) > 0,
-         transversality_defect(2, 0.9)),
-        ("defect_b3_lam0.7269_negative", transversality_defect(3, 0.7269) < 0,
-         transversality_defect(3, 0.7269)),
-        ("defect_b4_lam0.6083_negative", transversality_defect(4, 0.6083) < 0,
-         transversality_defect(4, 0.6083)),
-        ("majorant_b3_lam1_negative", defect_majorant(3, 1.0) < 0, defect_majorant(3, 1.0)),
-        ("majorant_b5_lam0.5448_negative", defect_majorant(5, 0.5448) < 0,
-         defect_majorant(5, 0.5448)),
-        ("ae_majorant_b5_negative", ae_defect_majorant(5, sqrt_b5) < 0,
-         ae_defect_majorant(5, sqrt_b5)),
+    sign_claims = [  # (name, fn, b, lam, sign): the claim is sign * fn(b, lam) > 0
+        ("defect_b2_lam0.9352_negative", transversality_defect, 2, 0.9352, -1),
+        ("defect_b2_lam0.9_positive", transversality_defect, 2, 0.9, 1),
+        ("defect_b3_lam0.7269_negative", transversality_defect, 3, 0.7269, -1),
+        ("defect_b4_lam0.6083_negative", transversality_defect, 4, 0.6083, -1),
+        ("majorant_b3_lam1_negative", defect_majorant, 3, 1.0, -1),
+        ("majorant_b5_lam0.5448_negative", defect_majorant, 5, 0.5448, -1),
+        ("ae_majorant_b5_negative", ae_defect_majorant, 5, 1.04 / math.sqrt(5), -1),
     ]
-    yield from sign_checks
+    for name, fn, b, lam, sign in sign_claims:
+        v = fn(b, lam)
+        yield name, sign * v > 0, v
 
     br2 = solve_critical_lambda(2)
     yield ("critical_b2_bracket_in_(0.9,0.9352)",

@@ -42,10 +42,14 @@ def value64(seed: int, *indices: int) -> int:
 
 
 def _finalize_np(z: np.ndarray) -> np.ndarray:
+    """The finalizer applied in place to z, a fresh uint64 array; returns z."""
     # uint64 arithmetic wraps mod 2**64, matching the scalar path
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _hashes(seed: int, stream: int, start: int, count: int) -> np.ndarray:
@@ -55,7 +59,9 @@ def _hashes(seed: int, stream: int, start: int, count: int) -> np.ndarray:
 
 
 def _digits(h: np.ndarray, base: int) -> np.ndarray:
-    return (h % np.uint64(base)).astype(np.int64)
+    """h % base in place, read as int64 (every digit is below 2**63)."""
+    h %= np.uint64(base)
+    return h.view(np.int64)
 
 
 def digit_vector(seed: int, stream: int, start: int, count: int, base: int) -> np.ndarray:

@@ -69,11 +69,9 @@ class AeCriticalBound:
     certificate: Optional[StarCertificate] = None
 
 
-def _check_lambda(b: int, lam: float, closed_top: bool = True) -> None:
-    hi_ok = lam <= 1.0 if closed_top else lam < 1.0
-    if not (1.0 / b < lam and hi_ok):
-        top = "1]" if closed_top else "1)"
-        raise ValueError(f"lam must lie in (1/{b}, {top}, got {lam!r}")
+def _check_lambda(b: int, lam: float) -> None:
+    if not (1.0 / b < lam <= 1.0):
+        raise ValueError(f"lam must lie in (1/{b}, 1], got {lam!r}")
 
 
 def transversality_defect(b: int, lam: float) -> float:

@@ -27,6 +27,7 @@ import numpy as np
 from . import rng
 from .parallel import map_ordered
 from .series import (
+    _SLOPE_CHUNK_CELLS,
     DigitWord,
     Params,
     _check_base,
@@ -40,8 +41,6 @@ from .thresholds import (
     solve_ae_critical_lambda,
     transversality_defect,
 )
-
-_PAIR_CHUNK = 256
 
 
 class WorkBudgetError(ValueError):
@@ -141,8 +140,7 @@ def _pair_words(
     prefixes = list(itertools.product(range(b), repeat=d_ex))
     n_ex = len(prefixes)
     words = [np.zeros((n_ex, depth), dtype=np.int64)]
-    for i, pref in enumerate(prefixes):
-        words[0][i, :d_ex] = pref
+    words[0][:, :d_ex] = prefixes
     pairs = [
         (i, j)
         for i in range(n_ex)
@@ -154,24 +152,60 @@ def _pair_words(
         pool = math.ceil(math.sqrt(n_sampled / (1.0 - 1.0 / b))) + 1
         raw = rng.digit_matrix(seed, rng.STREAM_PAIR_WORDS, pool, depth, b)
         raw[:, 0] = np.arange(pool, dtype=np.int64) % b
-        taken = 0
-        for i in range(pool):
-            for j in range(pool):
-                if taken >= n_sampled:
-                    break
-                if i != j and raw[i, 0] != raw[j, 0]:
-                    if i < j:
-                        pairs.append((n_ex + i, n_ex + j))
-                    taken += 1
-            if taken >= n_sampled:
-                break
+        ii, jj = np.nonzero(raw[:, :1] != raw[None, :, 0])
+        ii, jj = ii[:n_sampled], jj[:n_sampled]
+        keep = ii < jj
+        pairs.extend(zip((n_ex + ii[keep]).tolist(), (n_ex + jj[keep]).tolist()))
         words.append(raw)
     return np.vstack(words), pairs
 
 
-def _chunk_min(score: np.ndarray) -> tuple[float, int]:
-    flat = int(np.argmin(score))
-    return float(score.flat[flat]), flat
+def _min_separation(
+    b: int, gamma: float, xs: np.ndarray, words: np.ndarray,
+    pairs: list[tuple[int, int]], depth: int, with_dgamma: bool,
+) -> tuple[float, tuple[int, int], float, float]:
+    """(score, pair, x, slack) at the first minimiser in pair-major order.
+
+    The score is max(|dY| - 2 tY, |dY_x| [+ |dY_gamma|] - 2 tD), tD being the
+    Y_x tail bound plus, `with_dgamma`, the Y_gamma one; slack = 2 max(tY, tD).
+    Pair chunks of about _SLOPE_CHUNK_CELLS cells run on the worker pool.
+    """
+    y, ydx, ydg = slope_grid(b, gamma, xs, words, want_dgamma=with_dgamma)
+    t_y = tail_bound_slope(gamma, depth)
+    t_d = tail_bound_slope_dx(b, gamma, depth)
+    if with_dgamma:
+        t_d += tail_bound_slope_dgamma(gamma, depth)
+    idx = np.array(pairs, dtype=np.int64)
+    rows = max(1, _SLOPE_CHUNK_CELLS // xs.size)
+
+    def score_chunk(c):
+        si, sj = idx[c : c + rows].T
+        d = np.abs(ydx[si] - ydx[sj])
+        if with_dgamma:
+            d += np.abs(ydg[si] - ydg[sj])
+        d -= 2.0 * t_d
+        score = np.abs(y[si] - y[sj])
+        score -= 2.0 * t_y
+        np.maximum(score, d, out=score)
+        k = int(np.argmin(score))
+        return float(score.flat[k]), c * xs.size + k
+
+    score, flat = min(map_ordered(score_chunk, range(0, len(pairs), rows)),
+                      key=lambda r: r[0])
+    k, x_idx = divmod(flat, xs.size)
+    return score, pairs[k], float(xs[x_idx]), 2.0 * max(t_y, t_d)
+
+
+def _estimate(words: np.ndarray, found, gamma: Optional[float] = None) -> DeltaEstimate:
+    """DeltaEstimate with the witness words of a _min_separation result."""
+    score, (i, j), x, slack = found
+    return DeltaEstimate(
+        delta_hat=max(0.0, score),
+        argmin_x=x,
+        argmin_pair=(DigitWord(tuple(words[i])), DigitWord(tuple(words[j]))),
+        tail_slack=slack,
+        argmin_gamma=gamma,
+    )
 
 
 def empirical_delta(
@@ -196,36 +230,7 @@ def empirical_delta(
         raise ValueError("x_grid must be at least 2")
     words, pairs = _pair_words(b, depth, pair_budget, seed)
     xs = np.linspace(0.0, 1.0, x_grid)
-    y, ydx, _ = slope_grid(b, gamma, xs, words)
-    t_y = tail_bound_slope(gamma, depth)
-    t_ydx = tail_bound_slope_dx(b, gamma, depth)
-
-    chunks = [pairs[c : c + _PAIR_CHUNK] for c in range(0, len(pairs), _PAIR_CHUNK)]
-
-    def score_chunk(chunk):
-        ii = np.fromiter((p[0] for p in chunk), dtype=np.int64)
-        jj = np.fromiter((p[1] for p in chunk), dtype=np.int64)
-        d_y = np.abs(y[ii] - y[jj]) - 2.0 * t_y
-        d_ydx = np.abs(ydx[ii] - ydx[jj]) - 2.0 * t_ydx
-        return _chunk_min(np.maximum(d_y, d_ydx))
-
-    best_val = math.inf
-    best_pair = pairs[0]
-    best_x = float(xs[0])
-    for chunk, (val, flat) in zip(chunks, map_ordered(score_chunk, chunks)):
-        if val < best_val:
-            best_val = val
-            local_pair, x_idx = divmod(flat, xs.size)
-            best_pair = chunk[local_pair]
-            best_x = float(xs[x_idx])
-    i, j = best_pair
-    witness = (DigitWord(tuple(words[i])), DigitWord(tuple(words[j])))
-    return DeltaEstimate(
-        delta_hat=max(0.0, best_val),
-        argmin_x=best_x,
-        argmin_pair=witness,
-        tail_slack=2.0 * max(t_y, t_ydx),
-    )
+    return _estimate(words, _min_separation(b, gamma, xs, words, pairs, depth, False))
 
 
 def tangency_count(
@@ -324,41 +329,9 @@ def two_var_delta(
         raise ValueError("gamma lattice has no points inside the margin window")
     xs = (np.arange(x_grid) + 0.5) / x_grid
     words, pairs = _pair_words(b, depth, pair_budget, seed)
-    ii = np.fromiter((p[0] for p in pairs), dtype=np.int64)
-    jj = np.fromiter((p[1] for p in pairs), dtype=np.int64)
-
-    best_val = math.inf
-    best_pair = pairs[0]
-    best_x = float(xs[0])
-    best_gamma = gammas[0]
-    best_slack = 0.0
-    for gamma in gammas:
-        y, ydx, ydg = slope_grid(b, gamma, xs, words, want_dgamma=True)
-        t_y = tail_bound_slope(gamma, depth)
-        t_ydx = tail_bound_slope_dx(b, gamma, depth)
-        t_ydg = tail_bound_slope_dgamma(gamma, depth)
-        for c in range(0, len(pairs), _PAIR_CHUNK):
-            si, sj = ii[c : c + _PAIR_CHUNK], jj[c : c + _PAIR_CHUNK]
-            d_y = np.abs(y[si] - y[sj]) - 2.0 * t_y
-            d_dd = (
-                np.abs(ydx[si] - ydx[sj])
-                + np.abs(ydg[si] - ydg[sj])
-                - 2.0 * (t_ydx + t_ydg)
-            )
-            val, flat = _chunk_min(np.maximum(d_y, d_dd))
-            if val < best_val:
-                best_val = val
-                local_pair, x_idx = divmod(flat, xs.size)
-                best_pair = pairs[c + local_pair]
-                best_x = float(xs[x_idx])
-                best_gamma = gamma
-                best_slack = 2.0 * max(t_y, t_ydx + t_ydg)
-    i, j = best_pair
-    witness = (DigitWord(tuple(words[i])), DigitWord(tuple(words[j])))
-    return DeltaEstimate(
-        delta_hat=max(0.0, best_val),
-        argmin_x=best_x,
-        argmin_pair=witness,
-        tail_slack=best_slack,
-        argmin_gamma=best_gamma,
+    # min keeps the first gamma on a tie
+    found, gamma = min(
+        ((_min_separation(b, g, xs, words, pairs, depth, True), g) for g in gammas),
+        key=lambda r: r[0][0],
     )
+    return _estimate(words, found, gamma)

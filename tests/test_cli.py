@@ -250,6 +250,7 @@ class TestDeterminism:
          "--count", "20000", "--bins", "16", "--seed", "3"),
         ("transversality", "--b", "2", "--mode", "two-var"),
         ("boxdim", "--b", "2", "--lambda", "0.9", "--levels", "13", "--samples-per-column", "64"),
+        ("transversality", "--b", "3", "--mode", "two-var", "--pair-budget", "2048"),
     ])
     def test_worker_pool_output_independent_of_threads(self, capsys, monkeypatch, argv):
         outs = []

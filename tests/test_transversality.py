@@ -1,5 +1,7 @@
 """Transversality estimators: separation, tangency counts, two-variable."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from weierdim import (
     transversality_defect_gamma,
     two_var_delta,
 )
+from weierdim import transversality
 from weierdim.transversality import _pair_words
 
 
@@ -152,6 +155,75 @@ class TestDeltaPins:
         words, pairs = _pair_words(2, 30, 16384, 1)
         assert len(pairs) == len(set(pairs)) == 8255
         assert all(i < j and words[i, 0] != words[j, 0] for i, j in pairs)
+
+    def test_two_var_base3(self):
+        est = two_var_delta(3, 0.05, seed=1)
+        assert est.delta_hat == pytest.approx(1.9731391878915998, abs=0)
+        assert est.argmin_x == pytest.approx(0.99375, abs=0)
+        assert est.argmin_gamma == pytest.approx(0.39878787878787886, abs=0)
+        assert est.argmin_pair[0].digits == (0, 2, 1) + (0,) * 37
+        assert est.argmin_pair[1].digits == (1, 0, 1) + (0,) * 37
+        assert est.tail_slack == pytest.approx(9.324248625636968e-14, abs=0)
+
+    @pytest.mark.parametrize("case, n_words, n_pairs, words_sha, pairs_sha", [
+        ((2, 30, 16384, 1), 257, 8255,
+         "850e9ff1a49c74533db40ca82c7f52f8e64b93c3812268e0148c9f2012a14bd2",
+         "f0dfaada89c46d16c9930ec1087225565388f46bdd560ac9737f6f39d587ede6"),
+        ((5, 30, 4096, 1), 94, 2148,
+         "ad02613515cf095f0105e239b11dcb7c61846079e105176726faead45cee775e",
+         "0f7c8f860ec2c22961363a7cb27e8520927dd124021ea416c5daba570e49dee8"),
+        ((3, 20, 5000, 7), 113, 2525,
+         "8cbaf2c5767565bc160f15985a94a26b4a3eba8c48fb2a8eabc88ef5d7b2d311",
+         "85546a7796b5c10839cf7292858e730a96a2ece28b54f555c6f2433936bdf772"),
+    ])
+    def test_pair_words(self, case, n_words, n_pairs, words_sha, pairs_sha):
+        words, pairs = _pair_words(*case)
+        assert words.shape == (n_words, case[1]) and words.dtype == np.int64
+        assert len(pairs) == n_pairs
+        assert all(type(i) is int and type(j) is int for i, j in pairs)
+        assert hashlib.sha256(words.tobytes()).hexdigest() == words_sha
+        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == pairs_sha
+
+
+def _reference_pairs(words, n_ex, pair_budget):
+    """The ordered-pair loops that _pair_words replaces with np.nonzero."""
+    first = [int(d) for d in words[:, 0]]
+    pairs = [(i, j) for i in range(n_ex) for j in range(i + 1, n_ex) if first[i] != first[j]]
+    left = max(0, pair_budget - 2 * len(pairs))
+    for i in range(n_ex, len(first)):
+        for j in range(n_ex, len(first)):
+            if left and i != j and first[i] != first[j]:
+                left -= 1
+                if i < j:
+                    pairs.append((i, j))
+    return pairs
+
+
+@pytest.mark.parametrize("b", (2, 3, 5, 10))
+@pytest.mark.parametrize("pair_budget", (7, 513, 5000))
+def test_pair_words_match_loop_reference(b, pair_budget):
+    words, pairs = _pair_words(b, 12, pair_budget, 3)
+    n_ex = b ** transversality._exhaustive_depth(b, 12, pair_budget)
+    assert pairs == _reference_pairs(words, n_ex, pair_budget)
+
+
+class TestPairChunks:
+    """The first minimiser does not depend on where the pair chunks break."""
+
+    @pytest.mark.parametrize("estimate, x_grid", [
+        (lambda: empirical_delta(2, Params(2, 0.95).gamma, x_grid=300, depth=30,
+                                 pair_budget=2048, seed=1), 300),
+        (lambda: empirical_delta(3, Params(3, 0.8).gamma, x_grid=200, depth=20,
+                                 pair_budget=1024, seed=2), 200),
+        (lambda: two_var_delta(2, 0.05, x_grid=100, gamma_grid=5, pair_budget=300,
+                               seed=4), 100),
+    ], ids=("delta-b2", "delta-b3", "two-var-b2"))
+    def test_chunk_size_independent(self, monkeypatch, estimate, x_grid):
+        ests = [estimate()]
+        for cells in (3 * x_grid, 2 ** 30):
+            monkeypatch.setattr(transversality, "_SLOPE_CHUNK_CELLS", cells)
+            ests.append(estimate())
+        assert ests[0] == ests[1] == ests[2]
 
 
 class TestScaleIdentity:
