@@ -1,13 +1,15 @@
 """Box-counting dimension estimation for graphs of the lacunary series.
 
 Scales are powers of 1/b so that column boundaries line up with the series'
-self-affine structure.  All columns of every level are read off one master
-grid of base-b rational points; on that grid each series argument reduces
-mod 1 to an exact rational, and every term beyond the grid depth is phi(0)
-exactly, so the sampled values carry no truncation error at all.  The
-oscillation inside a column is bracketed by sampling (min/max over the grid
-points including both endpoints), which can undercount boxes in y but is
-exact in x; doubling the sample density never removes a counted box.
+self-affine structure.  The finest columns are read off a grid of base-b
+rational points; on that grid each series argument reduces mod 1 to an exact
+rational, and every term beyond the grid depth is phi(0) exactly, so the
+sampled values carry no truncation error at all.  The grid is streamed in
+chunks that keep only the min and max of each finest column, and each
+coarser level takes the min/max over its b child columns.  The oscillation
+inside a column is bracketed by sampling (min/max over the grid points
+including both endpoints), which can undercount boxes in y but is exact in
+x; doubling the sample density never removes a counted box.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DimFit, _linear_fit
-from .parallel import map_ordered
+from .parallel import WorkBudgetError, map_ordered
 from .series import Params, PhiSpec
 
 _MAX_GRID = 1 << 26
@@ -43,20 +45,21 @@ def theoretical_dimension(p: Params) -> float:
     return p.affinity_dim
 
 
-def _grid_values(p: Params, phi: PhiSpec, grid_depth: int) -> np.ndarray:
-    """f at every x = t / b**grid_depth, t = 0..b**grid_depth, exactly.
+def _grid_values(p: Params, phi: PhiSpec, grid_depth: int, span: int) -> np.ndarray:
+    """Min (row 0) and max (row 1) of f over each column of `span` steps of
+    the grid x = t / b**grid_depth, both end points included, exactly.
 
     Term n of _graph_sum at t is lam^n phi(s / b**(grid_depth - n)) with
     s = t mod b**(grid_depth - n), so each level is periodic in t.  A level
     whose period fits in a chunk is one table added to every chunk; a wider
     level evaluates phi on the chunk's residues.  The operands and the order
-    of the additions are _graph_sum's, so the values are its bits.
+    of the additions are _graph_sum's, so the values are its bits.  A chunk
+    holds whole columns (span is a power of b) and returns their extremes.
     """
     b, total = p.b, p.b ** grid_depth
-    step = b  # the largest power of b within _CHUNK, at least b, at most total
+    step = span  # whole columns: the largest span * b**k within _CHUNK, at least span
     while step * b <= min(_CHUNK, total):
         step *= b
-    step = min(step, total)
     lam_pows = []
     lam_pow = 1.0  # the running product of _graph_sum
     for _ in range(grid_depth):
@@ -71,7 +74,7 @@ def _grid_values(p: Params, phi: PhiSpec, grid_depth: int) -> np.ndarray:
         if period <= step
     }
 
-    def chunk_values(t0):
+    def chunk_extremes(t0):
         acc = np.zeros(step)
         for n, period in enumerate(periods):
             if n in tables:
@@ -81,11 +84,13 @@ def _grid_values(p: Params, phi: PhiSpec, grid_depth: int) -> np.ndarray:
                 off = t0 % period
                 acc += lam_pows[n] * phi.eval(np.arange(off, off + step) / period)
         acc += tail
-        return acc
+        cols = acc.reshape(-1, span)  # copy the first values: a view keeps acc alive
+        return cols.min(axis=1), cols.max(axis=1), cols[:, 0].copy()
 
-    vals = map_ordered(chunk_values, range(0, total, step))
-    # t = b**grid_depth reduces to t = 0 in every term
-    return np.concatenate([*vals, vals[0][:1]])
+    lo, hi, first = map(np.concatenate, zip(*map_ordered(chunk_extremes, range(0, total, step))))
+    # column c ends where column c + 1 starts; t = b**grid_depth reduces to t = 0
+    right = np.roll(first, -1)
+    return np.stack([np.minimum(lo, right), np.maximum(hi, right)])
 
 
 def box_count(
@@ -96,10 +101,10 @@ def box_count(
 ) -> BoxCountTable:
     """Count eps-boxes hit by the graph for eps = b^-1 .. b^-levels.
 
-    Within each x-column the spanned y-range is bracketed by sampling at
-    least samples_per_column interior points plus both endpoints (actual
-    density is the next power of b, shared across levels via one master
-    grid).
+    Within each finest x-column the spanned y-range is bracketed by sampling
+    at least samples_per_column interior points plus both endpoints (actual
+    density is the next power of b).  A coarser column's closed x-range is
+    the union of its b children's, so its min and max are theirs.
     """
     if levels < 4:
         raise ValueError("need at least 4 levels for a meaningful table")
@@ -111,24 +116,20 @@ def box_count(
         extra += 1
     grid_depth = levels + extra
     if b ** grid_depth > _MAX_GRID:
-        raise ValueError(
+        raise WorkBudgetError(
             f"grid of b^{grid_depth} points exceeds the sampling budget; "
             "reduce levels or samples_per_column"
         )
-    vals = _grid_values(p, phi, grid_depth)
+    lo, hi = _grid_values(p, phi, grid_depth, b ** extra)
     rows = []
-    for j in range(1, levels + 1):
+    for j in range(levels, 0, -1):
         eps = float(b) ** (-j)
-        cols = b ** j
-        span = b ** (grid_depth - j)
-        seg = vals[:-1].reshape(cols, span)
-        right = vals[span::span]
-        col_min = np.minimum(seg.min(axis=1), right)
-        col_max = np.maximum(seg.max(axis=1), right)
-        k_min = np.floor(col_min / eps).astype(np.int64)
-        k_max = np.floor(col_max / eps).astype(np.int64)
+        k_min = np.floor(lo / eps).astype(np.int64)
+        k_max = np.floor(hi / eps).astype(np.int64)
         rows.append((eps, int((k_max - k_min + 1).sum())))
-    return BoxCountTable(tuple(rows), p, samples_per_column)
+        lo = lo.reshape(-1, b).min(axis=1)
+        hi = hi.reshape(-1, b).max(axis=1)
+    return BoxCountTable(tuple(rows[::-1]), p, samples_per_column)
 
 
 def fit_box_dimension(table: BoxCountTable, drop_coarsest: int = 2) -> DimFit:
@@ -137,6 +138,8 @@ def fit_box_dimension(table: BoxCountTable, drop_coarsest: int = 2) -> DimFit:
     The coarsest drop_coarsest levels are excluded (transient scales bias
     the fit); at least 4 levels must remain.
     """
+    if drop_coarsest < 0:
+        raise ValueError(f"drop_coarsest must be at least 0, got {drop_coarsest}")
     rows = table.levels[drop_coarsest:]
     if len(rows) < 4:
         raise ValueError("too few levels left after dropping the coarsest")

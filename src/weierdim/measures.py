@@ -22,6 +22,7 @@ from .series import (
     TWO_PI,
     Params,
     PhiSpec,
+    _check_depth,
     _orbit_sums,
     default_depth,
     eval_weierstrass,
@@ -121,8 +122,7 @@ def sample_transversal(
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     gamma = p.gamma
-    if depth is None:
-        depth = default_depth(gamma)
+    depth = default_depth(gamma) if depth is None else _check_depth(depth)
     columns = rng.digit_columns(seed, rng.STREAM_TRANSVERSAL, count, depth, p.b)
     return SampleSet(
         points=_orbit_sums(np.full(count, float(x)), p.b, gamma, columns, ("y",))["y"],
@@ -154,6 +154,7 @@ def sample_sbr(
     sup = psi.oscillating_sup()
     if depth is None:
         depth = default_depth(gamma, 1e-9 / max(sup / TWO_PI, 1e-12))
+    depth = _check_depth(depth)
     xs = rng.uniform_vector(seed, rng.STREAM_SBR_X, count)
     columns = rng.digit_columns(seed, rng.STREAM_SBR_DIGITS, count, depth, p.b)
     vals = _orbit_sums(xs, p.b, gamma, columns, ("s",), psi)["s"]

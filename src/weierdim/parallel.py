@@ -3,6 +3,7 @@
 WEIERDIM_THREADS caps the number of worker threads (default 1); values above
 os.cpu_count() are lowered to it.  All callers chunk their work by index and
 reduce in a fixed order, so results are byte-identical for any worker count.
+Estimators that refuse work beyond a fixed budget raise WorkBudgetError.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
+
+
+class WorkBudgetError(ValueError):
+    """Requested work exceeds the allowed budget."""
 
 
 def worker_count() -> int:

@@ -45,6 +45,12 @@ def _check_base(b) -> int:
     return int(b)
 
 
+def _check_depth(depth) -> int:
+    if int(depth) != depth or depth < 1:
+        raise ValueError(f"depth must be an integer >= 1, got {depth!r}")
+    return int(depth)
+
+
 @dataclass(frozen=True)
 class Params:
     """Base/scale pair (b, lam) for one graph, with derived quantities.

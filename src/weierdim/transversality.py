@@ -25,12 +25,13 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .parallel import map_ordered
+from .parallel import WorkBudgetError, map_ordered
 from .series import (
     _SLOPE_CHUNK_CELLS,
     DigitWord,
     Params,
     _check_base,
+    _check_depth,
     slope_grid,
     tail_bound_slope,
     tail_bound_slope_dgamma,
@@ -41,10 +42,6 @@ from .thresholds import (
     solve_ae_critical_lambda,
     transversality_defect,
 )
-
-
-class WorkBudgetError(ValueError):
-    """Requested enumeration exceeds the allowed work budget."""
 
 
 @dataclass(frozen=True)
@@ -223,7 +220,7 @@ def empirical_delta(
     The subtracted terms are the truncation tail bounds at `depth`, so any
     positive value is a sound separation for the sampled representatives.
     """
-    b = _check_base(b)
+    b, depth = _check_base(b), _check_depth(depth)
     if not (1.0 / b < gamma < 1.0):
         raise ValueError(f"gamma must lie in (1/{b}, 1), got {gamma!r}")
     if x_grid < 2:
@@ -308,7 +305,7 @@ def two_var_delta(
     over a lattice anchored at 1/b whose step ignores eps_margin, so grids
     for nested margins are themselves nested.
     """
-    b = _check_base(b)
+    b, depth = _check_base(b), _check_depth(depth)
     if not (eps_margin > 0.0):
         raise ValueError("eps_margin must be positive")
     ae = solve_ae_critical_lambda(b)

@@ -1,5 +1,8 @@
 """Box counting and dimension fits."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,12 +15,43 @@ from weierdim import (
     fit_box_dimension,
     theoretical_dimension,
 )
-from weierdim import boxdim
+from weierdim import WorkBudgetError, boxdim
 from weierdim.boxdim import _grid_values
 from weierdim.series import _graph_sum
 
 MIX = PhiSpec(cosine_coeffs=((1, 0.5), (3, -0.25)), sine_coeffs=((2, 0.3),), constant=0.7)
 SINE = PhiSpec(sine_coeffs=((1, 1.0),))
+CONST = PhiSpec(constant=0.7)
+
+
+def _exact_grid(p, phi, depth):
+    """f at every t / b**depth, t = 0..b**depth, from the graph-series kernel."""
+    total = p.b ** depth
+    vals, lam_pow = _graph_sum(np.arange(total + 1), total, p.b, p.lam, phi, depth)
+    return vals + lam_pow * float(phi.eval(0.0)) / (1.0 - p.lam)
+
+
+def _column_extremes(vals, span):
+    """Min and max over each column of span steps, both end points included."""
+    right = vals[span::span]
+    cols = vals[:-1].reshape(-1, span)
+    return np.stack([np.minimum(cols.min(axis=1), right), np.maximum(cols.max(axis=1), right)])
+
+
+def _master_grid_counts(p, phi, levels, samples_per_column):
+    """The box counts read level by level off one array of every grid value."""
+    extra = 1
+    while p.b ** extra < samples_per_column:
+        extra += 1
+    vals = _exact_grid(p, phi, levels + extra)
+    rows = []
+    for j in range(1, levels + 1):
+        eps = float(p.b) ** (-j)
+        lo, hi = _column_extremes(vals, p.b ** (levels + extra - j))
+        k_min = np.floor(lo / eps).astype(np.int64)
+        k_max = np.floor(hi / eps).astype(np.int64)
+        rows.append((eps, int((k_max - k_min + 1).sum())))
+    return tuple(rows)
 
 
 class _DepthRecorded(Exception):
@@ -81,7 +115,7 @@ class TestBoxCount:
             box_count(p, COSINE, levels=3)
         with pytest.raises(ValueError):
             box_count(p, COSINE, levels=10, samples_per_column=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(WorkBudgetError, match="sampling budget"):
             box_count(p, COSINE, levels=40, samples_per_column=64)
 
     @pytest.mark.parametrize("b, samples, extra, levels", [
@@ -94,30 +128,76 @@ class TestBoxCount:
     def test_grid_depth_is_next_power_of_b(self, monkeypatch, b, samples, extra, levels):
         depths = []
 
-        def record(p, phi, grid_depth):
-            depths.append(grid_depth)
+        def record(p, phi, grid_depth, span):
+            depths.append((grid_depth, span))
             raise _DepthRecorded
 
         monkeypatch.setattr(boxdim, "_grid_values", record)
         with pytest.raises(_DepthRecorded):
             box_count(Params(b, 0.9), COSINE, levels=levels, samples_per_column=samples)
-        assert depths == [levels + extra]
+        assert depths == [(levels + extra, b ** extra)]
+
+    @pytest.mark.parametrize("b, lam, phi, levels, samples", [
+        (2, 0.9, COSINE, 10, 16),
+        (2, 0.6, SINE, 8, 5),
+        (2, 0.95, MIX, 9, 64),
+        (3, 0.7, MIX, 6, 9),
+        (3, 0.5, PhiSpec(), 5, 4),
+        (5, 0.7, CONST, 4, 25),
+        (5, 0.3, COSINE, 5, 6),
+        (6, 0.8, MIX, 4, 36),
+        (7, 0.5, SINE, 4, 10),
+        (10, 0.9, COSINE, 4, 10),
+        (10, 0.2, MIX, 4, 2),
+    ])
+    def test_matches_master_grid(self, b, lam, phi, levels, samples):
+        p = Params(b, lam)
+        table = box_count(p, phi, levels=levels, samples_per_column=samples)
+        assert table.levels == _master_grid_counts(p, phi, levels, samples)
+
+    @pytest.mark.parametrize("b, lam, phi, levels, samples", [
+        (2, 0.9, COSINE, 8, 16),
+        (3, 0.7, MIX, 5, 9),
+    ])
+    def test_chunk_size_independent(self, monkeypatch, b, lam, phi, levels, samples):
+        tables = []
+        for chunk in (boxdim._CHUNK, 1, 1 << 30):  # 1: every chunk one column, span > chunk
+            monkeypatch.setattr(boxdim, "_CHUNK", chunk)
+            tables.append(box_count(Params(b, lam), phi, levels=levels, samples_per_column=samples))
+        assert tables[0].levels == tables[1].levels == tables[2].levels
+
+    def test_streams_the_grid(self):
+        # the 2^22-point grid alone would take 32 MB
+        tracemalloc.start()
+        try:
+            box_count(Params(2, 0.9), COSINE, levels=10, samples_per_column=2 ** 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20
 
 
 class TestGridValues:
     def test_regression_pin(self):
-        vals = _grid_values(Params(3, 0.7), MIX, 6)
-        assert vals.size == 3 ** 6 + 1
-        pins = {0: 3.166666666666666, 1: 3.2332353079709173, 100: 2.857281460861287,
-                364: 1.493414606923663, 728: 3.008852087344744, 729: 3.166666666666666}
-        for i, v in pins.items():
-            assert vals[i] == pytest.approx(v, abs=0)
-        assert float(vals.sum()) == pytest.approx(1745.0076766666662, abs=0)
+        # SHA-256 of the column extremes of the values the full-grid
+        # _grid_values returned, reduced with both end points per column
+        pins = {
+            1: "cc172bb2dd875a5ed0201fcb431b5a7710ff191336b3838f318d33ec72367fe7",
+            3: "8744263c5446070005eda30a646035d62d29adbb8fceda45dfac5161bf47836c",
+            27: "81465fa717cd1ffd695d8beaecbf498cde48373d311895edf5a436626e4930f1",
+        }
+        for span, digest in pins.items():
+            ext = _grid_values(Params(3, 0.7), MIX, 6, span)
+            assert ext.shape == (2, 3 ** 6 // span)
+            assert hashlib.sha256(ext.tobytes()).hexdigest() == digest
 
     def test_right_end_reduces_to_zero(self):
         # x = 1 must see phi(0), not phi(1.0) = sin(2 pi) != 0
-        vals = _grid_values(Params(2, 0.6), SINE, 10)
-        assert vals[-1] == vals[0] == 0.0
+        p, depth = Params(2, 0.6), 10
+        lo, hi = _grid_values(p, SINE, depth, 1)
+        before_end = _exact_grid(p, SINE, depth)[-2]
+        assert before_end != 0.0
+        assert (lo[-1], hi[-1]) == (min(before_end, 0.0), max(before_end, 0.0))
 
     @pytest.mark.parametrize("b, lam, depth, phi", [
         (3, 0.7, 6, MIX),  # one chunk, every level a table
@@ -127,10 +207,11 @@ class TestGridValues:
         (2, 0.6, 19, SINE),
     ])
     def test_matches_graph_sum_kernel(self, b, lam, depth, phi):
-        total = b ** depth
-        ref, lam_pow = _graph_sum(np.arange(total + 1), total, b, lam, phi, depth)
-        ref += lam_pow * float(phi.eval(0.0)) / (1.0 - lam)
-        assert _grid_values(Params(b, lam), phi, depth).tobytes() == ref.tobytes()
+        vals = _exact_grid(Params(b, lam), phi, depth)
+        # span b**depth is one column, wider than a chunk when depth > 18 at b = 2
+        for span in sorted({1, b, b ** (depth // 2), b ** depth}):
+            ext = _grid_values(Params(b, lam), phi, depth, span)
+            assert ext.tobytes() == _column_extremes(vals, span).tobytes(), span
 
 
 class TestFit:
@@ -145,6 +226,12 @@ class TestFit:
         table = BoxCountTable(levels, Params(4, 0.5), 8)
         fit = fit_box_dimension(table, drop_coarsest=0)
         assert abs(fit.slope - 1.5) < 1e-9
+
+    def test_negative_drop_rejected(self):
+        levels = tuple((2.0 ** -j, 2 ** j) for j in range(1, 13))
+        table = BoxCountTable(levels, Params(2, 0.9), 8)
+        with pytest.raises(ValueError, match="drop_coarsest"):
+            fit_box_dimension(table, drop_coarsest=-5)
 
     def test_too_few_levels(self):
         table = box_count(Params(2, 0.9), COSINE, levels=5, samples_per_column=4)

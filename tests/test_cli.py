@@ -152,6 +152,24 @@ class TestEstimators:
         assert abs(payload["slope"] - 1.8480) < 0.1
         assert payload["theoretical"] == pytest.approx(1.8480, abs=5e-5)
 
+    @pytest.mark.parametrize("argv", [
+        ("transversality", "--b", "2", "--depth", "0"),
+        ("transversality", "--b", "2", "--mode", "two-var", "--depth", "0"),
+        ("transversality", "--b", "2", "--depth", "-2"),
+        ("measure", "--kind", "transversal", "--b", "2", "--lambda", "0.9", "--count", "10",
+         "--depth", "-3"),
+        ("measure", "--kind", "transversal", "--b", "2", "--lambda", "0.9", "--count", "10",
+         "--depth", "0"),
+        ("measure", "--kind", "sbr", "--b", "2", "--lambda", "0.9", "--count", "10",
+         "--depth", "0"),
+        ("boxdim", "--b", "2", "--lambda", "0.9", "--levels", "12", "--drop-coarsest", "-5"),
+        ("boxdim", "--b", "2", "--lambda", "0.9", "--levels", "40"),
+    ])
+    def test_out_of_range_exit_code(self, capsys, argv):
+        code, out = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+
     def test_measure_mean(self, capsys):
         code, payload = run_json(
             capsys, "measure", "--kind", "transversal", "--b", "2",
@@ -251,6 +269,7 @@ class TestDeterminism:
         ("transversality", "--b", "2", "--mode", "two-var"),
         ("boxdim", "--b", "2", "--lambda", "0.9", "--levels", "13", "--samples-per-column", "64"),
         ("transversality", "--b", "3", "--mode", "two-var", "--pair-budget", "2048"),
+        ("boxdim", "--b", "5", "--lambda", "0.7", "--levels", "6", "--samples-per-column", "30"),
     ])
     def test_worker_pool_output_independent_of_threads(self, capsys, monkeypatch, argv):
         outs = []

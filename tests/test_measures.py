@@ -58,9 +58,17 @@ class TestTransversalSampler:
             sample_transversal(Params(2, 0.9), 1.5, 10)
         with pytest.raises(ValueError):
             sample_transversal(Params(2, 0.9), 0.5, 0)
+        for depth in (0, -3, 2.5):
+            with pytest.raises(ValueError, match="depth"):
+                sample_transversal(Params(2, 0.9), 0.5, 10, depth=depth)
 
 
 class TestSbrSampler:
+    def test_depth_must_be_positive(self):
+        for depth in (0, -3):
+            with pytest.raises(ValueError, match="depth"):
+                sample_sbr(Params(2, 0.9), count=10, depth=depth)
+
     def test_zero_psi_gives_zero_fibers(self):
         s = sample_sbr(Params(2, 0.9), PhiSpec(), count=100, depth=20, seed=3)
         assert np.all(s.points[:, 1] == 0.0)

@@ -21,7 +21,7 @@ from weierdim import (
     transversality_defect_gamma,
     two_var_delta,
 )
-from weierdim import transversality
+from weierdim import parallel, transversality
 from weierdim.transversality import _pair_words
 
 
@@ -112,6 +112,11 @@ class TestEmpiricalDelta:
             empirical_delta(2.7, 0.6)
         with pytest.raises(ValueError, match="integer >= 2"):
             two_var_delta(2.7, 0.05)
+        for depth in (0, -2):
+            with pytest.raises(ValueError, match="depth"):
+                empirical_delta(2, 0.6, depth=depth)
+            with pytest.raises(ValueError, match="depth"):
+                two_var_delta(2, 0.05, depth=depth)
 
 
 class TestDeltaPins:
@@ -288,6 +293,9 @@ class TestTangencyCount:
         q = TangencyQuery(n=10, m=10, eps=0.1, delta=0.1)
         with pytest.raises(WorkBudgetError):
             tangency_count(p, q)
+        # one budget error type for every estimator, still a ValueError
+        assert WorkBudgetError is transversality.WorkBudgetError is parallel.WorkBudgetError
+        assert issubclass(WorkBudgetError, ValueError)
 
 
 class TestTwoVariable:
