@@ -47,22 +47,30 @@ class CertificateReport:
     note: str = ""
 
 
-def g_star(cert: StarCertificate) -> float:
-    """Closed form of the certificate series at t."""
-    beta, k, eta, t = cert.beta, cert.k, cert.eta, cert.t
+def _g(beta: float, k: int, eta: float, t):
+    """Closed form of the certificate series at t (a float or an array)."""
     one_minus = 1.0 - t
     head = t * (1.0 - t ** (k - 1)) / one_minus
     tail = t ** (k + 1) / one_minus
     return 1.0 - beta * head + eta * t ** k + beta * tail
 
 
-def g_star_prime(cert: StarCertificate) -> float:
-    """Exact derivative of the closed form at t."""
-    beta, k, eta, t = cert.beta, cert.k, cert.eta, cert.t
+def _g_prime(beta: float, k: int, eta: float, t):
+    """Exact derivative of the closed form at t (a float or an array)."""
     one_minus_sq = (1.0 - t) ** 2
     head = (1.0 - k * t ** (k - 1) + (k - 1) * t ** k) / one_minus_sq
     tail = ((k + 1) * t ** k - k * t ** (k + 1)) / one_minus_sq
     return -beta * head + eta * k * t ** (k - 1) + beta * tail
+
+
+def g_star(cert: StarCertificate) -> float:
+    """Closed form of the certificate series at t."""
+    return _g(cert.beta, cert.k, cert.eta, cert.t)
+
+
+def g_star_prime(cert: StarCertificate) -> float:
+    """Exact derivative of the closed form at t."""
+    return _g_prime(cert.beta, cert.k, cert.eta, cert.t)
 
 
 def verify_certificate(cert: StarCertificate) -> CertificateReport:
@@ -108,20 +116,14 @@ def search_certificate(
     if ts.size == 0:
         return None
     etas = np.linspace(-2.0 * beta, 2.0 * beta, eta_grid)
-    one_minus = 1.0 - ts
     # pre-filter on the grid with a doubled margin, then confirm exactly
     grid_margin = 2.0 * SIGN_MARGIN
     for k in range(1, k_max + 1):
-        tk = ts ** k
-        head = ts * (1.0 - ts ** (k - 1)) / one_minus
-        tail = ts ** (k + 1) / one_minus
-        base = 1.0 - beta * head + beta * tail
-        head_p = (1.0 - k * ts ** (k - 1) + (k - 1) * tk) / one_minus ** 2
-        tail_p = ((k + 1) * tk - k * ts ** (k + 1)) / one_minus ** 2
-        base_p = -beta * head_p + beta * tail_p
-        tk1 = k * ts ** (k - 1)
-        eta_lo = (grid_margin - base) / tk
-        eta_hi = (-grid_margin - base_p) / tk1
+        # g and g' are affine in eta, with slopes t^k and k t^(k-1)
+        base = _g(beta, k, 0.0, ts)
+        base_p = _g_prime(beta, k, 0.0, ts)
+        eta_lo = (grid_margin - base) / ts ** k
+        eta_hi = (-grid_margin - base_p) / (k * ts ** (k - 1))
         hit = (etas[:, None] > eta_lo[None, :]) & (etas[:, None] < eta_hi[None, :])
         rows = hit.any(axis=1)
         for e in np.flatnonzero(rows):

@@ -299,6 +299,9 @@ def _cmd_measure(args) -> int:
         s = sample_transversal(p, args.x, args.count, depth=args.depth, seed=args.seed)
     elif args.kind == "sbr":
         s = sample_sbr(p, _PHI_CHOICES[args.psi], args.count, depth=args.depth, seed=args.seed)
+    elif args.depth is not None:
+        print("error: graph mode picks its depth from the tolerance", file=sys.stderr)
+        return 2
     else:
         s = sample_graph_lift(p, _PHI_CHOICES[args.phi], args.count, seed=args.seed)
     payload = s.summary()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,11 +20,11 @@ import numpy as np
 from . import rng
 from .series import (
     COSINE_DERIV,
-    TWO_PI,
     Params,
     PhiSpec,
     _check_depth,
     _orbit_sums,
+    _terms_for,
     default_depth,
     eval_weierstrass,
     tail_bound_geometric,
@@ -151,10 +152,8 @@ def sample_sbr(
     if count < 1:
         raise ValueError("count must be positive")
     gamma = p.gamma
-    sup = psi.oscillating_sup()
-    if depth is None:
-        depth = default_depth(gamma, 1e-9 / max(sup / TWO_PI, 1e-12))
-    depth = _check_depth(depth)
+    tail = partial(tail_bound_geometric, gamma, psi.oscillating_sup())
+    depth = _terms_for(1e-9, tail, 1) if depth is None else _check_depth(depth)
     xs = rng.uniform_vector(seed, rng.STREAM_SBR_X, count)
     columns = rng.digit_columns(seed, rng.STREAM_SBR_DIGITS, count, depth, p.b)
     vals = _orbit_sums(xs, p.b, gamma, columns, ("s",), psi)["s"]
@@ -164,7 +163,7 @@ def sample_sbr(
         depth=depth,
         kind="sbr",
         params=p,
-        tail_bound=tail_bound_geometric(gamma, sup, depth),
+        tail_bound=tail(depth),
     )
 
 
@@ -186,7 +185,7 @@ def sample_graph_lift(
         depth=sv.terms_used,
         kind="graph",
         params=p,
-        tail_bound=abs_tol,
+        tail_bound=sv.tail_bound,
     )
 
 

@@ -23,6 +23,8 @@ not lose the fractional part to floating-point cancellation.
 from __future__ import annotations
 
 import math
+import sys
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -31,7 +33,7 @@ from typing import Callable, Collection, Iterable, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .parallel import map_ordered
+from .parallel import WorkBudgetError, map_ordered
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi ** 2
@@ -202,27 +204,17 @@ def eval_phi_prime(phi: PhiSpec, x: float) -> float:
     return float(phi.derivative().eval(x))
 
 
-def _terms_for(
-    abs_tol: float, tail: Callable[[int], float], ratio: float, coef: float, shift: int
-) -> int:
-    """Least term count n >= 0 with tail(n) <= abs_tol, for a decreasing tail.
+def _terms_for(abs_tol: float, tail: Callable[[int], float], least: int = 0) -> int:
+    """Least term count n >= least with tail(n) <= abs_tol, for a decreasing tail.
 
-    The search starts from the closed-form estimate for the geometric tail
-    coef * ratio^(n+shift) / (1-ratio), which tail equals or lies above.
+    The cap is checked before any series work.  A subnormal abs_tol is
+    refused: tails that small underflow and are not monotone in n.
     """
-    if not (abs_tol > 0.0):
-        raise ValueError(f"abs_tol must be positive, got {abs_tol!r}")
-    n = 0
-    target = abs_tol * (1.0 - ratio) / coef if coef != 0.0 else math.inf
-    if target < ratio ** shift:
-        n = max(0, math.ceil(math.log(target) / math.log(ratio)) - shift)
-    while n > 0 and tail(n - 1) <= abs_tol:
-        n -= 1
-    while tail(n) > abs_tol:
-        n += 1
-        if n > _MAX_TERMS:
-            raise ValueError("tolerance requires an unreasonable number of terms")
-    return n
+    if not (abs_tol >= sys.float_info.min):
+        raise ValueError(f"abs_tol must be a positive normal float, got {abs_tol!r}")
+    if tail(_MAX_TERMS) > abs_tol:
+        raise WorkBudgetError(f"abs_tol {abs_tol!r} needs more than {_MAX_TERMS} terms")
+    return bisect_left(range(_MAX_TERMS + 1), True, least, key=lambda n: tail(n) <= abs_tol)
 
 
 def tail_bound_slope(gamma: float, n: int) -> float:
@@ -315,9 +307,9 @@ def eval_weierstrass(
     b, lam = _series_scale(p)
     sup = phi.sup_bound()
     tail = partial(tail_bound_geometric, lam, sup)
-    n_terms = int(terms) if terms is not None else _terms_for(abs_tol, tail, lam, sup, 0)
-    acc, lam_pow = _graph_sum(*_frac_mod1(x), b, lam, phi, n_terms, phases)
-    return SeriesValue(acc if acc.ndim else float(acc), sup * lam_pow / (1.0 - lam), n_terms)
+    n_terms = int(terms) if terms is not None else _terms_for(abs_tol, tail)
+    acc, _ = _graph_sum(*_frac_mod1(x), b, lam, phi, n_terms, phases)
+    return SeriesValue(acc if acc.ndim else float(acc), tail(n_terms), n_terms)
 
 
 def _orbit_sums(
@@ -372,6 +364,14 @@ def _orbit_sums(
     return out
 
 
+def _word_series(p, word, x, key, tail, abs_tol, terms, psi=None) -> SeriesValue:
+    """The orbit sum `key` of _orbit_sums along word from x, with n terms:
+    terms if given, else the least n >= 1 with tail(n) <= abs_tol."""
+    n = int(terms) if terms is not None else _terms_for(abs_tol, tail, 1)
+    value = _orbit_sums(x, p.b, p.gamma, word.digit_array(n, p.b), (key,), psi)[key]
+    return SeriesValue(float(value), tail(n), n)
+
+
 def eval_stable_slope(
     p: Params,
     word: DigitWord,
@@ -385,11 +385,7 @@ def eval_stable_slope(
     bound 2 pi gamma^(N+1) / (1 - gamma).  The vector (1, value) spans the
     stable line at x for this word.
     """
-    gamma = p.gamma
-    tail = partial(tail_bound_slope, gamma)
-    n = int(terms) if terms is not None else max(1, _terms_for(abs_tol, tail, gamma, TWO_PI, 1))
-    y = _orbit_sums(x, p.b, gamma, word.digit_array(n, p.b), ("y",))["y"]
-    return SeriesValue(float(y), tail(n), n)
+    return _word_series(p, word, x, "y", partial(tail_bound_slope, p.gamma), abs_tol, terms)
 
 
 def eval_stable_slope_dx(
@@ -400,11 +396,8 @@ def eval_stable_slope_dx(
     terms: Optional[int] = None,
 ) -> SeriesValue:
     """x-derivative of the stable slope: 4 pi^2 sum (gamma/b)^n cos(2 pi u_n)."""
-    b, gamma = p.b, p.gamma
-    tail = partial(tail_bound_slope_dx, b, gamma)
-    n = int(terms) if terms is not None else max(1, _terms_for(abs_tol, tail, gamma / b, FOUR_PI_SQ, 1))
-    ydx = _orbit_sums(x, b, gamma, word.digit_array(n, b), ("ydx",))["ydx"]
-    return SeriesValue(float(ydx), tail(n), n)
+    tail = partial(tail_bound_slope_dx, p.b, p.gamma)
+    return _word_series(p, word, x, "ydx", tail, abs_tol, terms)
 
 
 def eval_stable_slope_dgamma(
@@ -415,12 +408,8 @@ def eval_stable_slope_dgamma(
     terms: Optional[int] = None,
 ) -> SeriesValue:
     """gamma-derivative of the stable slope: 2 pi sum n gamma^(n-1) sin(2 pi u_n)."""
-    gamma = p.gamma
-    # steps up from the slope-series estimate; the dgamma tail lies above it
-    tail = partial(tail_bound_slope_dgamma, gamma)
-    n = int(terms) if terms is not None else max(1, _terms_for(abs_tol, tail, gamma, TWO_PI, 1))
-    ydg = _orbit_sums(x, p.b, gamma, word.digit_array(n, p.b), ("ydgamma",))["ydgamma"]
-    return SeriesValue(float(ydg), tail(n), n)
+    tail = partial(tail_bound_slope_dgamma, p.gamma)
+    return _word_series(p, word, x, "ydgamma", tail, abs_tol, terms)
 
 
 def eval_fiber_sum(
@@ -438,16 +427,13 @@ def eval_fiber_sum(
     With psi equal to the derivative of the graph's phi, the identity
     Y = -gamma * S holds.
     """
-    gamma, sup = p.gamma, psi.oscillating_sup()
-    tail = partial(tail_bound_geometric, gamma, sup)
-    n = int(terms) if terms is not None else max(1, _terms_for(abs_tol, tail, gamma, sup, 0))
-    s = _orbit_sums(x, p.b, gamma, word.digit_array(n, p.b), ("s",), psi)["s"]
-    return SeriesValue(float(s), tail(n), n)
+    tail = partial(tail_bound_geometric, p.gamma, psi.oscillating_sup())
+    return _word_series(p, word, x, "s", tail, abs_tol, terms, psi)
 
 
 def default_depth(gamma: float, tail_target: float = 1e-9) -> int:
     """Truncation depth making the slope-series tail at most tail_target."""
-    return max(1, _terms_for(tail_target, partial(tail_bound_slope, gamma), gamma, TWO_PI, 1))
+    return _terms_for(tail_target, partial(tail_bound_slope, gamma), 1)
 
 
 def slope_grid(

@@ -308,6 +308,8 @@ def two_var_delta(
     b, depth = _check_base(b), _check_depth(depth)
     if not (eps_margin > 0.0):
         raise ValueError("eps_margin must be positive")
+    if x_grid < 1 or gamma_grid < 1:
+        raise ValueError("x_grid and gamma_grid must be at least 1")
     ae = solve_ae_critical_lambda(b)
     gamma_top = 1.0 / (b * ae.hi)
     lo = 1.0 / b + eps_margin

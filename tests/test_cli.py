@@ -164,6 +164,8 @@ class TestEstimators:
          "--depth", "0"),
         ("boxdim", "--b", "2", "--lambda", "0.9", "--levels", "12", "--drop-coarsest", "-5"),
         ("boxdim", "--b", "2", "--lambda", "0.9", "--levels", "40"),
+        ("transversality", "--b", "2", "--mode", "two-var", "--x-grid", "0"),
+        ("transversality", "--b", "2", "--mode", "two-var", "--gamma-grid", "-1"),
     ])
     def test_out_of_range_exit_code(self, capsys, argv):
         code, out = run_cli(capsys, *argv)
@@ -195,6 +197,13 @@ class TestEstimators:
         )
         assert code == 0
         assert sum(m for _, m in payload["histogram"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_measure_graph_depth_usage_error(self, capsys):
+        code, out = run_cli(
+            capsys, "measure", "--kind", "graph", "--b", "2", "--lambda", "0.9",
+            "--count", "10", "--depth", "0",
+        )
+        assert (code, out) == (2, "")
 
     def test_two_var_mode(self, capsys):
         code, payload = run_json(

@@ -17,6 +17,7 @@ from weierdim import (
     density_histogram,
     dimension_from_transversal,
     eval_stable_slope,
+    eval_weierstrass,
     local_dim_estimate,
     sample_graph_lift,
     sample_sbr,
@@ -69,6 +70,10 @@ class TestSbrSampler:
             with pytest.raises(ValueError, match="depth"):
                 sample_sbr(Params(2, 0.9), count=10, depth=depth)
 
+    def test_default_depth_meets_fiber_tail(self):
+        s = sample_sbr(Params(3, 0.6), count=10)
+        assert s.tail_bound <= 1e-9
+
     def test_zero_psi_gives_zero_fibers(self):
         s = sample_sbr(Params(2, 0.9), PhiSpec(), count=100, depth=20, seed=3)
         assert np.all(s.points[:, 1] == 0.0)
@@ -103,6 +108,13 @@ class TestGraphLift:
     def test_zero_phi_flat(self):
         s = sample_graph_lift(Params(2, 0.9), PhiSpec(), 200, seed=3)
         assert np.all(s.points[:, 1] == 0.0)
+
+    def test_reports_the_series_tail(self):
+        p = Params(2, 0.9)
+        s = sample_graph_lift(p, COSINE, 20, seed=3)
+        sv = eval_weierstrass(p, COSINE, 0.3)
+        assert (s.depth, s.tail_bound) == (sv.terms_used, sv.tail_bound)
+        assert s.tail_bound <= 1e-9
 
     def test_bounded_by_geometric_sum(self):
         p = Params(2, 0.95)

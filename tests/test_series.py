@@ -5,6 +5,7 @@ defined below; each test re-runs its oracle so the constants cannot drift.
 """
 
 import math
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -30,7 +31,16 @@ from weierdim import (
     tail_bound_slope_dx,
 )
 from weierdim.measures import sample_transversal
-from weierdim.series import _SLOPE_CHUNK_CELLS, _orbit_sums, tail_bound_geometric
+from weierdim.parallel import WorkBudgetError
+from weierdim.series import (
+    _MAX_TERMS,
+    _SLOPE_CHUNK_CELLS,
+    FOUR_PI_SQ,
+    _orbit_sums,
+    _terms_for,
+    default_depth,
+    tail_bound_geometric,
+)
 
 mp.mp.dps = 40
 TWO_PI = 2.0 * math.pi
@@ -145,8 +155,10 @@ class TestWeierstrassSeries:
             assert sv.tail_bound <= tol
 
     def test_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            eval_weierstrass(Params(2, 0.9), COSINE, 0.3, abs_tol=0.0)
+        # subnormal tails underflow and are not monotone in the term count
+        for tol in (0.0, -1e-9, math.nan, 1.6e-319):
+            with pytest.raises(ValueError, match="abs_tol"):
+                eval_weierstrass(Params(2, 0.9), COSINE, 0.3, abs_tol=tol)
 
     def test_array_matches_scalar_bitwise(self):
         phi = PhiSpec(cosine_coeffs=((1, 0.5),), sine_coeffs=((3, 0.3),), constant=0.2)
@@ -357,8 +369,10 @@ class TestMinimalTerms:
             n = int(rnd.integers(0, 60))
             p, word, x = Params(b, lam), DigitWord(tail_seed=1), 0.3
             g = p.gamma
-            graph = eval_weierstrass(p, COSINE, x, abs_tol=tail_bound_geometric(lam, 1.0, n))
+            tol = tail_bound_geometric(lam, 1.0, n)
+            graph = eval_weierstrass(p, COSINE, x, abs_tol=tol)
             assert graph.terms_used == n
+            assert graph.tail_bound <= tol
             # the word-series evaluators use at least one term
             for fn, tol in (
                 (eval_stable_slope, tail_bound_slope(g, n)),
@@ -368,6 +382,67 @@ class TestMinimalTerms:
                 assert fn(p, word, x, abs_tol=tol).terms_used == max(1, n)
             fiber = eval_fiber_sum(p, psi, word, x, abs_tol=tail_bound_geometric(g, 1.5, n))
             assert fiber.terms_used == max(1, n)
+
+
+def _stepping_terms(abs_tol, tail, ratio, coef, shift):
+    """The earlier term search, kept as the reference: start from the
+    closed-form estimate of coef * ratio^(n+shift) / (1-ratio) and step."""
+    n = 0
+    target = abs_tol * (1.0 - ratio) / coef if coef != 0.0 else math.inf
+    if target < ratio ** shift:
+        n = max(0, math.ceil(math.log(target) / math.log(ratio)) - shift)
+    while n > 0 and tail(n - 1) <= abs_tol:
+        n -= 1
+    while tail(n) > abs_tol:
+        n += 1
+    return n
+
+
+class TestTermSearch:
+    def test_matches_stepping_search(self):
+        rnd = np.random.default_rng(17)
+        cases = 0
+        for _ in range(4500):
+            b = int(rnd.integers(2, 12))
+            lam = float(rnd.uniform(1.0 / b, 1.0))
+            g, sup = 1.0 / (b * lam), float(rnd.uniform(0.1, 10.0))
+            series = (  # (tail, ratio, coef, shift, least) as each evaluator used them
+                (partial(tail_bound_geometric, lam, sup), lam, sup, 0, 0),
+                (partial(tail_bound_slope, g), g, TWO_PI, 1, 1),
+                (partial(tail_bound_slope_dx, b, g), g / b, FOUR_PI_SQ, 1, 1),
+                (partial(tail_bound_slope_dgamma, g), g, TWO_PI, 1, 1),
+                (partial(tail_bound_geometric, g, sup), g, sup, 0, 1),
+            )
+            tail, ratio, coef, shift, least = series[int(rnd.integers(0, 5))]
+            tie = tail(int(rnd.integers(0, 200)))
+            tols = [10.0 ** rnd.uniform(-300, 1)]
+            if tie >= 1e-300:
+                tols += [tie, *(np.nextafter(tie, side) for side in (0.0, 1.0))]
+                tols += [float(np.nextafter(t, side)) for t, side in zip(tols[2:], (0.0, 1.0))]
+            for tol in map(float, tols):
+                ref = max(least, _stepping_terms(tol, tail, ratio, coef, shift))
+                assert _terms_for(tol, tail, least) == ref, (b, lam, sup, tol)
+                cases += 1
+        assert cases >= 20_000
+
+    def test_budget_before_any_series_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("series work before the budget check")
+
+        for target in ("_graph_sum", "_orbit_sums"):
+            monkeypatch.setattr(f"weierdim.series.{target}", no_work)
+        monkeypatch.setattr(DigitWord, "digit_array", no_work)
+        p, word, psi = Params(2, 0.5000001), DigitWord(), COSINE_DERIV
+        calls = (
+            lambda: eval_weierstrass((2, 0.9999999), COSINE, 0.3, abs_tol=1e-12),
+            lambda: eval_stable_slope(p, word, 0.3),
+            lambda: eval_stable_slope_dgamma(p, word, 0.3),
+            lambda: eval_fiber_sum(p, psi, word, 0.3),
+            lambda: default_depth(1 - 2e-7),
+        )
+        for call in calls:
+            with pytest.raises(WorkBudgetError, match=str(_MAX_TERMS)):
+                call()
 
 
 class TestDigitWord:
