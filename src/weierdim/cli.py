@@ -3,8 +3,9 @@
 Subcommands: eval | thresholds | star-verify | transversality | boxdim |
 measure | reproduce.  Data goes to stdout (JSON by default, CSV or text on
 request), logs to stderr.  Exit codes: 0 success, 1 failed claim, 2 usage
-error, 3 domain error.  Output for fixed flags and seed is byte-identical
-across runs and worker counts; WEIERDIM_THREADS only caps workers.
+error (including a non-finite number or an unwritable output path), 3 domain
+error.  Output for fixed flags and seed is byte-identical across runs and
+worker counts; WEIERDIM_THREADS only caps workers.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from .thresholds import (
     solve_ae_critical_lambda,
     solve_critical_lambda,
     transversality_defect,
-    transversality_defect_gamma,
 )
 from .transversality import (
     TangencyQuery,
@@ -81,7 +81,7 @@ def _csv_text(payload: dict) -> str:
 
 def _emit(payload: dict, args) -> None:
     if args.format == "json":
-        text = json.dumps(payload, sort_keys=True, indent=2)
+        text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     elif args.format == "csv":
         text = _csv_text(payload)
     else:
@@ -93,13 +93,20 @@ def _emit(payload: dict, args) -> None:
             elif k != "config":
                 lines.append(f"{k}: {payload[k]}")
         text = "\n".join(lines)
-    print(text)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 # argparse reports a ValueError from these type= functions as a usage error (exit 2).
+def _finite(raw: str) -> float:
+    v = float(raw)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return v
+
+
 def _word_digits(raw: str) -> tuple[int, ...]:
     """Digit word from "010" or "0,1,0"."""
     raw = raw.strip()
@@ -108,7 +115,7 @@ def _word_digits(raw: str) -> tuple[int, ...]:
 
 
 def _phases(raw: str) -> list[float]:
-    return [float(t) for t in raw.split(",") if t != ""]
+    return [_finite(t) for t in raw.split(",") if t != ""]
 
 
 def _b_range(raw: str) -> tuple[str, list[int]]:
@@ -370,12 +377,12 @@ def _reproduce_claims(perturb_eta: float):
                est.delta_hat > 0 and e == 1 and e < p.gamma * b,
                {"delta_hat": est.delta_hat, "e": e})
 
-    gammas = np.linspace(0.51, 0.99, 100)
-    worst = max(
-        abs(max(case_bounds_base2(g)) - transversality_defect_gamma(2, g))
-        for g in gammas
-    )
-    yield ("case_bounds_b2_match_gamma_defect", worst <= 1e-12, worst)
+    def case_gap(g):  # the worst case bound against the independent lambda form
+        ref = transversality_defect(2, 1.0 / (2.0 * g))
+        return abs(max(case_bounds_base2(g)) - ref) / max(1.0, abs(ref))
+
+    worst = max(case_gap(g) for g in np.linspace(0.51, 0.99, 100))
+    yield ("case_bounds_b2_match_gamma_defect", worst <= 1e-12, float(worst))
 
 
 def _cmd_reproduce(args) -> int:
@@ -412,13 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="evaluate one series value")
     pe.add_argument("--b", type=int, required=True)
-    pe.add_argument("--lambda", dest="lam", type=float, required=True)
-    pe.add_argument("--x", type=float, required=True)
+    pe.add_argument("--lambda", dest="lam", type=_finite, required=True)
+    pe.add_argument("--x", type=_finite, required=True)
     pe.add_argument("--what", choices=("f", "Y", "Ydx", "Ydgamma", "S"), default="f")
     pe.add_argument("--word", type=_word_digits, help="digit word, e.g. 010 or 0,1,2")
     pe.add_argument("--tail-seed", type=int, default=None,
                     help="random word tail; default is the all-zero tail")
-    pe.add_argument("--tol", type=float, default=1e-9)
+    pe.add_argument("--tol", type=_finite, default=1e-9)
     pe.add_argument("--phases", type=_phases,
                     help="comma separated per-term phase offsets (f only)")
     pe.add_argument("--phi", choices=sorted(_PHI_CHOICES), default="cos")
@@ -428,37 +435,37 @@ def build_parser() -> argparse.ArgumentParser:
 
     pt = sub.add_parser("thresholds", help="critical scales per base")
     pt.add_argument("--b-range", type=_b_range, default="2:12", help="lo:hi or comma list")
-    pt.add_argument("--tol", type=float, default=1e-12)
+    pt.add_argument("--tol", type=_finite, default=1e-12)
     add_common(pt)
     pt.set_defaults(func=_cmd_thresholds)
 
     ps = sub.add_parser("star-verify", help="verify or search a star certificate")
-    ps.add_argument("--beta", type=float)
+    ps.add_argument("--beta", type=_finite)
     ps.add_argument("--b", type=int)
-    ps.add_argument("--lambda0", type=float)
+    ps.add_argument("--lambda0", type=_finite)
     ps.add_argument("--k", type=int)
-    ps.add_argument("--eta", type=float)
-    ps.add_argument("--t", type=float)
+    ps.add_argument("--eta", type=_finite)
+    ps.add_argument("--t", type=_finite)
     ps.add_argument("--search", action="store_true")
-    ps.add_argument("--t-target", type=float)
+    ps.add_argument("--t-target", type=_finite)
     ps.add_argument("--k-max", type=int, default=6)
     add_common(ps)
     ps.set_defaults(func=_cmd_star_verify)
 
     pv = sub.add_parser("transversality", help="separation and tangency estimates")
     pv.add_argument("--b", type=int, required=True)
-    pv.add_argument("--lambda", dest="lam", type=float, default=0.9)
+    pv.add_argument("--lambda", dest="lam", type=_finite, default=0.9)
     pv.add_argument("--mode", choices=("delta", "two-var", "tangency"), default="delta")
     pv.add_argument("--x-grid", type=int, default=2000)
     pv.add_argument("--depth", type=int, default=30)
     pv.add_argument("--pair-budget", type=int, default=2048)
     pv.add_argument("--seed", type=int, default=0)
-    pv.add_argument("--eps-margin", type=float, default=0.05)
+    pv.add_argument("--eps-margin", type=_finite, default=0.05)
     pv.add_argument("--gamma-grid", type=int, default=24)
     pv.add_argument("--n", type=int, default=1)
     pv.add_argument("--m", type=int, default=1)
-    pv.add_argument("--eps", type=float)
-    pv.add_argument("--delta", type=float)
+    pv.add_argument("--eps", type=_finite)
+    pv.add_argument("--delta", type=_finite)
     pv.add_argument("--grid-per-interval", type=int, default=200)
     pv.add_argument("--random-tails", type=int, default=3)
     add_common(pv)
@@ -466,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pb = sub.add_parser("boxdim", help="box-counting dimension of the graph")
     pb.add_argument("--b", type=int, required=True)
-    pb.add_argument("--lambda", dest="lam", type=float, required=True)
+    pb.add_argument("--lambda", dest="lam", type=_finite, required=True)
     pb.add_argument("--levels", type=int, default=12)
     pb.add_argument("--samples-per-column", type=int, default=32)
     pb.add_argument("--drop-coarsest", type=int, default=2)
@@ -477,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("measure", help="sample a pushforward measure")
     pm.add_argument("--kind", choices=("transversal", "sbr", "graph"), required=True)
     pm.add_argument("--b", type=int, required=True)
-    pm.add_argument("--lambda", dest="lam", type=float, required=True)
-    pm.add_argument("--x", type=float, default=0.0)
+    pm.add_argument("--lambda", dest="lam", type=_finite, required=True)
+    pm.add_argument("--x", type=_finite, default=0.0)
     pm.add_argument("--count", type=int, default=10000)
     pm.add_argument("--depth", type=int, default=None)
     pm.add_argument("--seed", type=int, default=0)
@@ -490,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.set_defaults(func=_cmd_measure)
 
     pr = sub.add_parser("reproduce", help="re-run the package's numeric claims")
-    pr.add_argument("--perturb-eta", type=float, default=0.0,
+    pr.add_argument("--perturb-eta", type=_finite, default=0.0,
                     help="perturb the base-3 certificate eta (sanity check)")
     add_common(pr)
     pr.set_defaults(func=_cmd_reproduce)
@@ -506,6 +513,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an unwritable --out or --out-csv
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
+from .parallel import WorkBudgetError
 from .series import (
     COSINE_DERIV,
     Params,
@@ -30,6 +31,20 @@ from .series import (
     tail_bound_geometric,
     tail_bound_slope,
 )
+
+
+_MAX_SAMPLE_BYTES = 1 << 28  # bytes of sample points one SampleSet may hold
+
+
+def _check_count(count: int, columns: int) -> None:
+    """Refuse a count below 1, or one whose count x columns result is over budget."""
+    if count < 1:
+        raise ValueError("count must be positive")
+    if count * 8 * columns > _MAX_SAMPLE_BYTES:
+        raise WorkBudgetError(
+            f"{count} samples need {count * 8 * columns:.2e} bytes, over the "
+            f"budget of {_MAX_SAMPLE_BYTES:.2e}; reduce the count"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +133,7 @@ def sample_transversal(
     seed: int = 0,
 ) -> SampleSet:
     """Draw `count` stable-slope values at x with i.i.d. uniform digits."""
-    if count < 1:
-        raise ValueError("count must be positive")
+    _check_count(count, 1)
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     gamma = p.gamma
@@ -149,8 +163,7 @@ def sample_sbr(
     psi is summed in closed form, so adding a constant c to psi translates
     every sample by exactly c/(1-gamma).
     """
-    if count < 1:
-        raise ValueError("count must be positive")
+    _check_count(count, 2)
     gamma = p.gamma
     tail = partial(tail_bound_geometric, gamma, psi.oscillating_sup())
     depth = _terms_for(1e-9, tail, 1) if depth is None else _check_depth(depth)
@@ -175,8 +188,7 @@ def sample_graph_lift(
     abs_tol: float = 1e-9,
 ) -> SampleSet:
     """Sample the lift of Lebesgue measure to the graph: pairs (x, f(x))."""
-    if count < 1:
-        raise ValueError("count must be positive")
+    _check_count(count, 2)
     xs = rng.uniform_vector(seed, rng.STREAM_GRAPH_X, count)
     sv = eval_weierstrass(p, phi, xs, abs_tol=abs_tol)
     return SampleSet(

@@ -242,6 +242,8 @@ def _frac_mod1(x):
     """Exact fractional part of x as (numerator, power-of-two denominator); an
     array must hold multiples of 2^-53 in [0, 1) and gets uint64 numerators."""
     if not isinstance(x, np.ndarray):
+        if isinstance(x, float) and not math.isfinite(x):
+            raise ValueError(f"x must be finite, got {x!r}")
         f = Fraction(x) % 1
         return f.numerator, f.denominator
     scaled = x * 2.0 ** 53

@@ -43,6 +43,8 @@ from .thresholds import (
     transversality_defect,
 )
 
+_MAX_TANGENCY_WORK = 5e7  # b^(2n) b^m grid reps^2 comparisons per tangency count
+
 
 @dataclass(frozen=True)
 class TangencyQuery:
@@ -157,6 +159,14 @@ def _pair_words(
     return np.vstack(words), pairs
 
 
+def _pair_chunks(fn, pairs, cells_per_pair: int) -> list:
+    """fn(c, i, j) on the worker pool, in pair order, over chunks of about
+    _SLOPE_CHUNK_CELLS cells of the (n, 2) `pairs`; c is a chunk's first index."""
+    idx = np.asarray(pairs, dtype=np.int64)
+    rows = max(1, _SLOPE_CHUNK_CELLS // cells_per_pair)
+    return map_ordered(lambda c: fn(c, *idx[c : c + rows].T), range(0, len(idx), rows))
+
+
 def _min_separation(
     b: int, gamma: float, xs: np.ndarray, words: np.ndarray,
     pairs: list[tuple[int, int]], depth: int, with_dgamma: bool,
@@ -165,18 +175,14 @@ def _min_separation(
 
     The score is max(|dY| - 2 tY, |dY_x| [+ |dY_gamma|] - 2 tD), tD being the
     Y_x tail bound plus, `with_dgamma`, the Y_gamma one; slack = 2 max(tY, tD).
-    Pair chunks of about _SLOPE_CHUNK_CELLS cells run on the worker pool.
     """
     y, ydx, ydg = slope_grid(b, gamma, xs, words, want_dgamma=with_dgamma)
     t_y = tail_bound_slope(gamma, depth)
     t_d = tail_bound_slope_dx(b, gamma, depth)
     if with_dgamma:
         t_d += tail_bound_slope_dgamma(gamma, depth)
-    idx = np.array(pairs, dtype=np.int64)
-    rows = max(1, _SLOPE_CHUNK_CELLS // xs.size)
 
-    def score_chunk(c):
-        si, sj = idx[c : c + rows].T
+    def score_chunk(c, si, sj):
         d = np.abs(ydx[si] - ydx[sj])
         if with_dgamma:
             d += np.abs(ydg[si] - ydg[sj])
@@ -187,8 +193,7 @@ def _min_separation(
         k = int(np.argmin(score))
         return float(score.flat[k]), c * xs.size + k
 
-    score, flat = min(map_ordered(score_chunk, range(0, len(pairs), rows)),
-                      key=lambda r: r[0])
+    score, flat = min(_pair_chunks(score_chunk, pairs, xs.size), key=lambda r: r[0])
     k, x_idx = divmod(flat, xs.size)
     return score, pairs[k], float(xs[x_idx]), 2.0 * max(t_y, t_d)
 
@@ -230,9 +235,7 @@ def empirical_delta(
     return _estimate(words, _min_separation(b, gamma, xs, words, pairs, depth, False))
 
 
-def tangency_count(
-    p: Params, q: TangencyQuery, seed: int = 0, max_work: float = 5e7
-) -> int:
+def tangency_count(p: Params, q: TangencyQuery, seed: int = 0) -> int:
     """Conservative estimate of the tangency count e(n, m; eps, delta).
 
     Enumerates all cylinder-prefix pairs of length n, represents each
@@ -246,10 +249,10 @@ def tangency_count(
     b, gamma = p.b, p.gamma
     reps = 1 + q.random_tails
     work = b ** (2 * q.n) * b ** q.m * q.grid_per_interval * reps * reps
-    if work > max_work:
+    if work > _MAX_TANGENCY_WORK:
         raise WorkBudgetError(
             f"tangency enumeration needs ~{work:.2e} comparisons, over the "
-            f"budget of {max_work:.2e}; reduce n, m or the grid"
+            f"budget of {_MAX_TANGENCY_WORK:.2e}; reduce n, m or the grid"
         )
     depth = max(q.depth, q.n + 1)
     n_cyl = b ** q.n
@@ -268,23 +271,18 @@ def tangency_count(
     y, ydx, _ = slope_grid(b, gamma, xs, digits)
     thr_y = gamma * q.eps + 2.0 * tail_bound_slope(gamma, depth)
     thr_ydx = gamma * q.delta + 2.0 * tail_bound_slope_dx(b, gamma, depth)
+    y, ydx = y.reshape(n_cyl, reps, -1), ydx.reshape(n_cyl, reps, -1)
+    table = np.zeros((n_cyl, n_cyl, n_int), dtype=bool)
 
-    def tangent_table(ci: int) -> np.ndarray:
-        rows_i = y[ci * reps : (ci + 1) * reps]
-        rows_i_dx = ydx[ci * reps : (ci + 1) * reps]
-        table = np.zeros((n_cyl, n_int), dtype=bool)
-        for cj in range(n_cyl):
-            rows_j = y[cj * reps : (cj + 1) * reps]
-            rows_j_dx = ydx[cj * reps : (cj + 1) * reps]
-            d_y = np.abs(rows_i[:, None, :] - rows_j[None, :, :])
-            d_ydx = np.abs(rows_i_dx[:, None, :] - rows_j_dx[None, :, :])
-            near = ((d_y < thr_y) & (d_ydx < thr_ydx)).any(axis=(0, 1))
-            table[cj] = near.reshape(n_int, g).any(axis=1)
-        return table
+    def near_chunk(c, ci, cj):
+        d_y = np.abs(y[ci][:, :, None] - y[cj][:, None])
+        d_ydx = np.abs(ydx[ci][:, :, None] - ydx[cj][:, None])
+        near = ((d_y < thr_y) & (d_ydx < thr_ydx)).any(axis=(1, 2))
+        table[ci, cj] = table[cj, ci] = near.reshape(-1, n_int, g).any(axis=2)
 
-    tables = map_ordered(tangent_table, range(n_cyl))
-    counts = np.stack([t.sum(axis=0) for t in tables])
-    return int(counts.max())
+    # each unordered pair once, as |y_i - y_j| is symmetric; a cylinder meets itself
+    _pair_chunks(near_chunk, np.transpose(np.triu_indices(n_cyl)), reps * reps * xs.size)
+    return int(table.sum(axis=1).max())
 
 
 def two_var_delta(

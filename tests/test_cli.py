@@ -77,9 +77,15 @@ class TestEval:
         bad_word = ["eval", "--b", "2", "--lambda", "0.9", "--x", "0", "--what", "Y", "--word"]
         bad_phases = ["eval", "--b", "2", "--lambda", "0.9", "--x", "0", "--phases"]
         bad_range = ["thresholds", "--b-range"]
+        star = ["star-verify", "--k", "1", "--t", "0.5"]
         for argv in (["eval", "--b", "2"], bad_word + ["0a1"], bad_word + ["0,1,x"],
                      bad_phases + ["0.1,zz"], bad_range + ["2:x"], bad_range + ["5:2"],
-                     bad_range + ["2:3:4"], bad_range + ["2,,3"]):
+                     bad_range + ["2:3:4"], bad_range + ["2,,3"],
+                     # non-finite numbers, which JSON cannot carry
+                     ["eval", "--b", "2", "--lambda", "0.9", "--x", "inf"],
+                     bad_phases + ["0.1,nan"], star + ["--beta", "nan", "--eta", "0.1"],
+                     star + ["--beta", "1.0", "--eta", "nan"],
+                     ["reproduce", "--perturb-eta", "nan"]):
             with pytest.raises(SystemExit) as exc:
                 main(argv)
             assert exc.value.code == 2, argv
@@ -166,6 +172,8 @@ class TestEstimators:
         ("boxdim", "--b", "2", "--lambda", "0.9", "--levels", "40"),
         ("transversality", "--b", "2", "--mode", "two-var", "--x-grid", "0"),
         ("transversality", "--b", "2", "--mode", "two-var", "--gamma-grid", "-1"),
+        ("measure", "--kind", "transversal", "--b", "2", "--lambda", "0.9",
+         "--count", str(10 ** 11)),
     ])
     def test_out_of_range_exit_code(self, capsys, argv):
         code, out = run_cli(capsys, *argv)
@@ -197,6 +205,13 @@ class TestEstimators:
         )
         assert code == 0
         assert sum(m for _, m in payload["histogram"]) == pytest.approx(1.0, abs=1e-12)
+
+    def test_unwritable_output_usage_error(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing" / "out")
+        for argv in (("eval", "--b", "2", "--lambda", "0.9", "--x", "0.1", "--out", missing),
+                     ("measure", "--kind", "sbr", "--b", "2", "--lambda", "0.9",
+                      "--count", "50", "--out-csv", missing)):
+            assert run_cli(capsys, *argv) == (2, "")
 
     def test_measure_graph_depth_usage_error(self, capsys):
         code, out = run_cli(
@@ -242,6 +257,18 @@ class TestReproduce:
         assert code == 1
         failing = [r["claim"] for r in payload["rows"] if not r["pass"]]
         assert failing == ["certificate_b3_valid"]
+
+    def test_case_bounds_checked_independently(self, capsys, monkeypatch):
+        # the case bounds and the gamma-form defect share _defect_gamma_base2;
+        # shifting it must fail the row, which compares with the lambda form
+        from weierdim import thresholds, transversality
+        shifted = lambda g, f=thresholds._defect_gamma_base2: f(g) + 1e-6  # noqa: E731
+        monkeypatch.setattr(thresholds, "_defect_gamma_base2", shifted)
+        monkeypatch.setattr(transversality, "_defect_gamma_base2", shifted)
+        code, payload = run_json(capsys, "reproduce")
+        assert code == 1
+        failing = [r["claim"] for r in payload["rows"] if not r["pass"]]
+        assert failing == ["case_bounds_b2_match_gamma_defect"]
 
     def test_csv_format(self, capsys):
         for argv, first, keys in (

@@ -13,6 +13,7 @@ from weierdim import (
     Params,
     PhiSpec,
     SampleSet,
+    WorkBudgetError,
     box_count,
     density_histogram,
     dimension_from_transversal,
@@ -25,6 +26,14 @@ from weierdim import (
 )
 from weierdim import rng
 from weierdim.measures import _linear_fit
+
+
+def test_sample_budget_before_any_draw():
+    p = Params(2, 0.9)
+    for sample in (lambda n: sample_transversal(p, 0.5, n), lambda n: sample_sbr(p, count=n),
+                   lambda n: sample_graph_lift(p, COSINE, n)):
+        with pytest.raises(WorkBudgetError, match="budget"):
+            sample(10 ** 11)
 
 
 class TestTransversalSampler:

@@ -171,6 +171,11 @@ class TestWeierstrassSeries:
                     assert v == one.value
                 assert (sv.tail_bound, sv.terms_used) == (one.tail_bound, one.terms_used)
 
+    def test_non_finite_scalar_rejected(self):
+        for x in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                eval_weierstrass((2, 0.9), COSINE, x)
+
     def test_off_grid_array_rejected(self):
         for xs in ([0.1], [0.5, 0.1], [[0.5]], [1.0], [-0.5], [np.nan], 0.5):
             with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Transversality estimators: separation, tangency counts, two-variable."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from weierdim import (
     transversality_defect_gamma,
     two_var_delta,
 )
-from weierdim import parallel, transversality
+from weierdim import parallel, rng, transversality
+from weierdim.series import slope_grid
 from weierdim.transversality import _pair_words
 
 
@@ -215,17 +217,20 @@ def test_pair_words_match_loop_reference(b, pair_budget):
 class TestPairChunks:
     """The first minimiser does not depend on where the pair chunks break."""
 
-    @pytest.mark.parametrize("estimate, x_grid", [
+    @pytest.mark.parametrize("estimate, small", [
         (lambda: empirical_delta(2, Params(2, 0.95).gamma, x_grid=300, depth=30,
-                                 pair_budget=2048, seed=1), 300),
+                                 pair_budget=2048, seed=1), 3 * 300),
         (lambda: empirical_delta(3, Params(3, 0.8).gamma, x_grid=200, depth=20,
-                                 pair_budget=1024, seed=2), 200),
+                                 pair_budget=1024, seed=2), 3 * 200),
         (lambda: two_var_delta(2, 0.05, x_grid=100, gamma_grid=5, pair_budget=300,
-                               seed=4), 100),
-    ], ids=("delta-b2", "delta-b3", "two-var-b2"))
-    def test_chunk_size_independent(self, monkeypatch, estimate, x_grid):
+                               seed=4), 3 * 100),
+        (lambda: tangency_count(Params(2, 0.95), TangencyQuery(
+            n=3, m=2, eps=0.5, delta=0.5, depth=20, grid_per_interval=20,
+            random_tails=2), seed=3), 1),
+    ], ids=("delta-b2", "delta-b3", "two-var-b2", "tangency-b2"))
+    def test_chunk_size_independent(self, monkeypatch, estimate, small):
         ests = [estimate()]
-        for cells in (3 * x_grid, 2 ** 30):
+        for cells in (small, 2 ** 30):
             monkeypatch.setattr(transversality, "_SLOPE_CHUNK_CELLS", cells)
             ests.append(estimate())
         assert ests[0] == ests[1] == ests[2]
@@ -255,6 +260,30 @@ class TestScaleIdentity:
             rhs = p.gamma ** n * abs(sa.value - sb.value)
             tol = ya.tail_bound + yb.tail_bound + p.gamma ** n * (sa.tail_bound + sb.tail_bound)
             assert abs(lhs - rhs) <= tol + 1e-12
+
+
+def _reference_tangency(p, q, seed):
+    """tangency_count as one task per cylinder with a loop over every other one."""
+    b, gamma, reps = p.b, p.gamma, 1 + q.random_tails
+    depth, n_cyl, g, n_int = max(q.depth, q.n + 1), b ** q.n, q.grid_per_interval, b ** q.m
+    digits = rng.digit_matrix(seed, rng.STREAM_TANGENCY_TAILS, n_cyl * reps, depth, b)
+    for c, pref in enumerate(itertools.product(range(b), repeat=q.n)):
+        digits[c * reps : (c + 1) * reps, : q.n] = pref
+        digits[c * reps, q.n :] = 0
+    xs = np.concatenate([np.linspace(k / n_int, (k + 1) / n_int, g) for k in range(n_int)])
+    y, ydx, _ = slope_grid(b, gamma, xs, digits)
+    thr_y = gamma * q.eps + 2.0 * tail_bound_slope(gamma, depth)
+    thr_ydx = gamma * q.delta + 2.0 * tail_bound_slope_dx(b, gamma, depth)
+    counts = np.zeros((n_cyl, n_int), dtype=np.int64)
+    for ci in range(n_cyl):
+        rows_i, rows_i_dx = y[ci * reps : (ci + 1) * reps], ydx[ci * reps : (ci + 1) * reps]
+        for cj in range(n_cyl):
+            rows_j, rows_j_dx = y[cj * reps : (cj + 1) * reps], ydx[cj * reps : (cj + 1) * reps]
+            d_y = np.abs(rows_i[:, None, :] - rows_j[None, :, :])
+            d_ydx = np.abs(rows_i_dx[:, None, :] - rows_j_dx[None, :, :])
+            near = ((d_y < thr_y) & (d_ydx < thr_ydx)).any(axis=(0, 1))
+            counts[ci] += near.reshape(n_int, g).any(axis=1)
+    return int(counts.max())
 
 
 class TestTangencyCount:
@@ -287,6 +316,26 @@ class TestTangencyCount:
             for e, d in ((0.01, 0.01), (0.5, 0.01), (0.5, 3.0), (8.0, 8.0))
         ]
         assert all(a <= b for a, b in zip(es, es[1:]))
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_matches_per_cylinder_loop(self, monkeypatch, threads):
+        monkeypatch.setenv("WEIERDIM_THREADS", threads)
+        rnd = np.random.default_rng(8)
+        counts = []
+        for _ in range(100):
+            b = int(rnd.integers(2, 5))
+            p = Params(b, float(rnd.uniform(1.0 / b + 0.02, 0.98)))
+            q = TangencyQuery(
+                n=int(rnd.integers(1, 6 - b)), m=int(rnd.integers(1, 3)),
+                eps=float(10 ** rnd.uniform(-3, 1)), delta=float(10 ** rnd.uniform(-3, 1)),
+                depth=int(rnd.integers(5, 30)), grid_per_interval=int(rnd.integers(5, 20)),
+                random_tails=int(rnd.integers(0, 3)),
+            )
+            seed = int(rnd.integers(0, 10))
+            e = tangency_count(p, q, seed=seed)
+            assert e == _reference_tangency(p, q, seed), (p, q, seed)
+            counts.append(e)
+        assert len(set(counts)) > 3  # the sweep is not all ones
 
     def test_budget_guard(self):
         p = Params(2, 0.9)
