@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DimFit, _linear_fit
+from .measures import DimFit, _check_scales, _linear_fit
 from .parallel import WorkBudgetError, map_ordered
-from .series import Params, PhiSpec
+from .series import Params, PhiSpec, _check_int
 
 _MAX_GRID = 1 << 26
 _CHUNK = 1 << 18
@@ -35,9 +35,7 @@ class BoxCountTable:
     samples_per_column: int
 
     def __post_init__(self):
-        eps = [e for e, _ in self.levels]
-        if any(b >= a for a, b in zip(eps, eps[1:])):
-            raise ValueError("epsilon levels must be strictly decreasing")
+        _check_scales("epsilon levels", [e for e, _ in self.levels], 0)
 
 
 def theoretical_dimension(p: Params) -> float:
@@ -106,10 +104,8 @@ def box_count(
     density is the next power of b).  A coarser column's closed x-range is
     the union of its b children's, so its min and max are theirs.
     """
-    if levels < 4:
-        raise ValueError("need at least 4 levels for a meaningful table")
-    if samples_per_column < 2:
-        raise ValueError("samples_per_column must be at least 2")
+    levels = _check_int("levels", levels, 4)
+    samples_per_column = _check_int("samples_per_column", samples_per_column, 2)
     b = p.b
     extra = 1
     while b ** extra < samples_per_column:
@@ -138,12 +134,9 @@ def fit_box_dimension(table: BoxCountTable, drop_coarsest: int = 2) -> DimFit:
     The coarsest drop_coarsest levels are excluded (transient scales bias
     the fit); at least 4 levels must remain.
     """
-    if drop_coarsest < 0:
-        raise ValueError(f"drop_coarsest must be at least 0, got {drop_coarsest}")
-    rows = table.levels[drop_coarsest:]
-    if len(rows) < 4:
-        raise ValueError("too few levels left after dropping the coarsest")
+    rows = table.levels[_check_int("drop_coarsest", drop_coarsest, 0):]
     eps = np.array([e for e, _ in rows])
+    _check_scales("levels left after dropping the coarsest", eps)
     hits = np.array([h for _, h in rows], dtype=np.float64)
     slope, intercept, stderr = _linear_fit(np.log(1.0 / eps), np.log(hits))
     return DimFit(

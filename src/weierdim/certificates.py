@@ -17,8 +17,20 @@ from typing import Optional
 
 import numpy as np
 
+from .series import _check_int
+
 #: Validity requires g > SIGN_MARGIN and g' < -SIGN_MARGIN.
 SIGN_MARGIN = 1e-9
+
+
+def _check_beta(beta: float) -> None:
+    if not (beta >= 1.0):
+        raise ValueError(f"beta must be >= 1, got {beta!r}")
+
+
+def _check_unit(name: str, t: float) -> None:
+    if not (0.0 < t < 1.0):
+        raise ValueError(f"{name} must lie in (0, 1), got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -29,13 +41,9 @@ class StarCertificate:
     t: float
 
     def __post_init__(self):
-        if self.beta < 1.0:
-            raise ValueError(f"beta must be >= 1, got {self.beta!r}")
-        if int(self.k) != self.k or self.k < 1:
-            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
-        object.__setattr__(self, "k", int(self.k))
-        if not (0.0 < self.t < 1.0):
-            raise ValueError(f"t must lie in (0, 1), got {self.t!r}")
+        _check_beta(self.beta)
+        object.__setattr__(self, "k", _check_int("k", self.k, 1))
+        _check_unit("t", self.t)
 
 
 @dataclass(frozen=True)
@@ -97,24 +105,21 @@ def search_certificate(
     t_target: float,
     k_max: int = 6,
     eta_grid: int = 4001,
-    t_step: float = 1e-4,
 ) -> Optional[StarCertificate]:
     """Grid search for a valid certificate with t >= t_target.
 
     Scans k in 1..k_max, eta over eta_grid uniform points in [-2 beta, 2 beta]
-    and t over [t_target, 1) with step t_step, returning the first hit in
+    and t over [t_target, 1) with step 1e-4, returning the first hit in
     lexicographic (k, eta index, t index) order.  Returns None when the grid
     holds no certificate, which is a normal outcome (for beta in the
     closed-form regime no t above 1/(1+sqrt(beta)) can ever verify).
     """
-    if beta < 1.0:
-        raise ValueError(f"beta must be >= 1, got {beta!r}")
-    if not (0.0 < t_target < 1.0):
-        raise ValueError(f"t_target must lie in (0, 1), got {t_target!r}")
-    ts = np.arange(t_target, 1.0, t_step)
-    ts = ts[ts < 1.0]
-    if ts.size == 0:
-        return None
+    _check_beta(beta)
+    _check_unit("t_target", t_target)
+    k_max = _check_int("k_max", k_max, 1)
+    eta_grid = _check_int("eta_grid", eta_grid, 1)
+    ts = np.arange(t_target, 1.0, 1e-4)
+    ts = ts[ts < 1.0]  # never empty: it starts at t_target < 1
     etas = np.linspace(-2.0 * beta, 2.0 * beta, eta_grid)
     # pre-filter on the grid with a doubled margin, then confirm exactly
     grid_margin = 2.0 * SIGN_MARGIN

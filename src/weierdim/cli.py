@@ -458,7 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--mode", choices=("delta", "two-var", "tangency"), default="delta")
     pv.add_argument("--x-grid", type=int, default=2000)
     pv.add_argument("--depth", type=int, default=30)
-    pv.add_argument("--pair-budget", type=int, default=2048)
+    pv.add_argument("--pair-budget", type=int, default=2048,
+                    help="ordered word pairs; the depth-1 prefix pairs are always scored")
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--eps-margin", type=_finite, default=0.05)
     pv.add_argument("--gamma-grid", type=int, default=24)

@@ -18,33 +18,32 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import rng
-from .parallel import WorkBudgetError
+from .parallel import _check_bytes
 from .series import (
+    _TAIL_TARGET,
     COSINE_DERIV,
     Params,
     PhiSpec,
-    _check_depth,
+    _check_int,
     _orbit_sums,
     _terms_for,
-    default_depth,
     eval_weierstrass,
     tail_bound_geometric,
     tail_bound_slope,
 )
 
 
-_MAX_SAMPLE_BYTES = 1 << 28  # bytes of sample points one SampleSet may hold
+def _check_count(count: int, columns: int) -> int:
+    """count as an int, refused below 1 or when the count x columns result is over budget."""
+    count = _check_int("count", count, 1)
+    _check_bytes(count * 8 * columns, f"{count} samples")
+    return count
 
 
-def _check_count(count: int, columns: int) -> None:
-    """Refuse a count below 1, or one whose count x columns result is over budget."""
-    if count < 1:
-        raise ValueError("count must be positive")
-    if count * 8 * columns > _MAX_SAMPLE_BYTES:
-        raise WorkBudgetError(
-            f"{count} samples need {count * 8 * columns:.2e} bytes, over the "
-            f"budget of {_MAX_SAMPLE_BYTES:.2e}; reduce the count"
-        )
+def _check_scales(name: str, scales: Sequence[float], least: int = 4) -> None:
+    """Refuse fewer than `least` scales, or scales that do not strictly decrease."""
+    if len(scales) < least or any(b >= a for a, b in zip(scales, scales[1:])):
+        raise ValueError(f"{name} must be >= {least} strictly decreasing scales, got {scales!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,10 +101,7 @@ class DimFit:
     values: tuple[float, ...]  # mean ball masses, or box counts
 
     def __post_init__(self):
-        if len(self.radii) < 4:
-            raise ValueError("a dimension fit needs at least 4 scales")
-        if any(b >= a for a, b in zip(self.radii, self.radii[1:])):
-            raise ValueError("radii must be strictly decreasing")
+        _check_scales("radii", self.radii)
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -133,11 +129,11 @@ def sample_transversal(
     seed: int = 0,
 ) -> SampleSet:
     """Draw `count` stable-slope values at x with i.i.d. uniform digits."""
-    _check_count(count, 1)
+    count = _check_count(count, 1)
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     gamma = p.gamma
-    depth = default_depth(gamma) if depth is None else _check_depth(depth)
+    depth = _terms_for(_TAIL_TARGET, partial(tail_bound_slope, gamma), 1, depth, "depth")
     columns = rng.digit_columns(seed, rng.STREAM_TRANSVERSAL, count, depth, p.b)
     return SampleSet(
         points=_orbit_sums(np.full(count, float(x)), p.b, gamma, columns, ("y",))["y"],
@@ -163,10 +159,10 @@ def sample_sbr(
     psi is summed in closed form, so adding a constant c to psi translates
     every sample by exactly c/(1-gamma).
     """
-    _check_count(count, 2)
+    count = _check_count(count, 2)
     gamma = p.gamma
     tail = partial(tail_bound_geometric, gamma, psi.oscillating_sup())
-    depth = _terms_for(1e-9, tail, 1) if depth is None else _check_depth(depth)
+    depth = _terms_for(_TAIL_TARGET, tail, 1, depth, "depth")
     xs = rng.uniform_vector(seed, rng.STREAM_SBR_X, count)
     columns = rng.digit_columns(seed, rng.STREAM_SBR_DIGITS, count, depth, p.b)
     vals = _orbit_sums(xs, p.b, gamma, columns, ("s",), psi)["s"]
@@ -185,12 +181,11 @@ def sample_graph_lift(
     phi: PhiSpec,
     count: int,
     seed: int = 0,
-    abs_tol: float = 1e-9,
 ) -> SampleSet:
-    """Sample the lift of Lebesgue measure to the graph: pairs (x, f(x))."""
-    _check_count(count, 2)
+    """Sample the lift of Lebesgue measure to the graph: pairs (x, f(x)), tail <= 1e-9."""
+    count = _check_count(count, 2)
     xs = rng.uniform_vector(seed, rng.STREAM_GRAPH_X, count)
-    sv = eval_weierstrass(p, phi, xs, abs_tol=abs_tol)
+    sv = eval_weierstrass(p, phi, xs, abs_tol=_TAIL_TARGET)
     return SampleSet(
         points=np.column_stack([xs, sv.value]),
         seed=seed,
@@ -215,17 +210,13 @@ def local_dim_estimate(
     must stay well above the truncation tail of the sample set.
     """
     radii = [float(r) for r in radii]
-    if len(radii) < 4:
-        raise ValueError("need at least 4 radii")
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly decreasing")
+    _check_scales("radii", radii)
     if s.tail_bound > 0.0 and radii[-1] < 10.0 * s.tail_bound:
         raise ValueError(
             f"smallest radius {radii[-1]} is below the resolvable scale "
             f"(10 x tail bound {s.tail_bound})"
         )
-    if centers < 1:
-        raise ValueError("centers must be positive")
+    centers = _check_int("centers", centers, 1)
     pts = s.points
     n = s.count
     idx = np.array(
@@ -264,8 +255,7 @@ def dimension_from_transversal(dim_nu: float, p: Params) -> float:
 
 def density_histogram(s: SampleSet, bins: int) -> list[tuple[float, float]]:
     """Normalized histogram of the measure coordinate: (bin center, mass)."""
-    if bins < 2:
-        raise ValueError("bins must be at least 2")
+    bins = _check_int("bins", bins, 2)
     vals = s.values()
     if vals.size == 0:
         raise ValueError("empty sample set")

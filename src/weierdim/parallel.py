@@ -20,6 +20,15 @@ class WorkBudgetError(ValueError):
     """Requested work exceeds the allowed budget."""
 
 
+_MAX_BYTES = 1 << 28  # bytes one sample set, digit matrix or slope grid may hold
+
+
+def _check_bytes(nbytes: int, what: str) -> None:
+    """Refuse `what` when its arrays, sized from the arithmetic alone, need over _MAX_BYTES."""
+    if nbytes > _MAX_BYTES:
+        raise WorkBudgetError(f"{what} need {nbytes:.2e} bytes, over the budget of {_MAX_BYTES:.2e}")
+
+
 def worker_count() -> int:
     raw = os.environ.get("WEIERDIM_THREADS", "").strip()
     if not raw:

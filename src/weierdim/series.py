@@ -38,19 +38,15 @@ from .parallel import WorkBudgetError, map_ordered
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 _MAX_TERMS = 10_000_000
+_TAIL_TARGET = 1e-9  # series tail of default_depth and of the samplers' default depths
 _SLOPE_CHUNK_CELLS = 1 << 16  # (word, point) cells per slope_grid task
 
 
-def _check_base(b) -> int:
-    if int(b) != b or b < 2:
-        raise ValueError(f"base must be an integer >= 2, got {b!r}")
-    return int(b)
-
-
-def _check_depth(depth) -> int:
-    if int(depth) != depth or depth < 1:
-        raise ValueError(f"depth must be an integer >= 1, got {depth!r}")
-    return int(depth)
+def _check_int(name: str, value, least: int) -> int:
+    """value as an int; a non-integral value or one below least is refused."""
+    if int(value) != value or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -66,7 +62,7 @@ class Params:
     lam: float
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _check_base(self.b))
+        object.__setattr__(self, "b", _check_int("base", self.b, 2))
         if not (1.0 / self.b < self.lam < 1.0):
             raise ValueError(
                 f"lam must lie in (1/{self.b}, 1), got {self.lam!r}"
@@ -96,8 +92,7 @@ class PhiSpec:
 
     def __post_init__(self):
         for k, _ in (*self.cosine_coeffs, *self.sine_coeffs):
-            if int(k) != k or k < 1:
-                raise ValueError(f"frequencies must be integers >= 1, got {k!r}")
+            _check_int("frequency", k, 1)
 
     def oscillating(self, x):
         """Trigonometric part only (no constant); accepts scalars or arrays."""
@@ -147,10 +142,8 @@ class DigitWord:
     tail_offset: int = 0
 
     def __post_init__(self):
-        for d in self.digits:
-            if int(d) != d or d < 0:
-                raise ValueError(f"digits must be nonnegative integers, got {d!r}")
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
+        object.__setattr__(self, "digits", tuple(_check_int("digit", d, 0) for d in self.digits))
+        object.__setattr__(self, "tail_offset", _check_int("tail_offset", self.tail_offset, 0))
 
     def validate_base(self, b: int) -> None:
         if self.digits and max(self.digits) >= b:
@@ -174,8 +167,7 @@ class DigitWord:
 
     def shifted(self, k: int = 1) -> "DigitWord":
         """Drop the first k digits (the left shift sigma^k)."""
-        if k < 0:
-            raise ValueError("shift must be nonnegative")
+        k = _check_int("shift", k, 0)
         if k <= len(self.digits):
             return DigitWord(self.digits[k:], self.tail_seed, self.tail_offset)
         return DigitWord((), self.tail_seed, self.tail_offset + k - len(self.digits))
@@ -204,12 +196,19 @@ def eval_phi_prime(phi: PhiSpec, x: float) -> float:
     return float(phi.derivative().eval(x))
 
 
-def _terms_for(abs_tol: float, tail: Callable[[int], float], least: int = 0) -> int:
-    """Least term count n >= least with tail(n) <= abs_tol, for a decreasing tail.
+def _terms_for(abs_tol: Optional[float], tail: Optional[Callable[[int], float]], least: int = 0,
+               terms: Optional[int] = None, name: str = "terms") -> int:
+    """Every term count: the explicit `terms` (an integer >= least), else the
+    least n >= least with tail(n) <= abs_tol, for a decreasing tail.
 
-    The cap is checked before any series work.  A subnormal abs_tol is
-    refused: tails that small underflow and are not monotone in n.
+    Either is refused over _MAX_TERMS before any series work.  A subnormal
+    abs_tol is refused: tails that small underflow and are not monotone in n.
     """
+    if terms is not None:
+        terms = _check_int(name, terms, least)
+        if terms > _MAX_TERMS:
+            raise WorkBudgetError(f"{name} {terms} is over the cap of {_MAX_TERMS} terms")
+        return terms
     if not (abs_tol >= sys.float_info.min):
         raise ValueError(f"abs_tol must be a positive normal float, got {abs_tol!r}")
     if tail(_MAX_TERMS) > abs_tol:
@@ -277,7 +276,7 @@ def _series_scale(p) -> tuple[int, float]:
     if isinstance(p, Params):
         return p.b, p.lam
     b, lam = p
-    b = _check_base(b)
+    b = _check_int("base", b, 2)
     if not (0.0 < lam < 1.0):
         raise ValueError(f"lam must lie in (0, 1), got {lam!r}")
     return b, float(lam)
@@ -301,7 +300,7 @@ def eval_weierstrass(
     phases : optional per-term offsets theta_n; terms beyond the list use 0.
     abs_tol : requested bound on the omitted tail; the number of terms is the
         minimal N with sup|phi| * lam^N / (1 - lam) <= abs_tol.
-    terms : explicit term count overriding the tolerance-driven choice.
+    terms : explicit term count (at most _MAX_TERMS) overriding the tolerance-driven choice.
 
     The argument b^n x is reduced mod 1 exactly (integer arithmetic on the
     dyadic representation of x), so every summed term is accurate to rounding.
@@ -309,7 +308,7 @@ def eval_weierstrass(
     b, lam = _series_scale(p)
     sup = phi.sup_bound()
     tail = partial(tail_bound_geometric, lam, sup)
-    n_terms = int(terms) if terms is not None else _terms_for(abs_tol, tail)
+    n_terms = _terms_for(abs_tol, tail, 0, terms)
     acc, _ = _graph_sum(*_frac_mod1(x), b, lam, phi, n_terms, phases)
     return SeriesValue(acc if acc.ndim else float(acc), tail(n_terms), n_terms)
 
@@ -369,7 +368,7 @@ def _orbit_sums(
 def _word_series(p, word, x, key, tail, abs_tol, terms, psi=None) -> SeriesValue:
     """The orbit sum `key` of _orbit_sums along word from x, with n terms:
     terms if given, else the least n >= 1 with tail(n) <= abs_tol."""
-    n = int(terms) if terms is not None else _terms_for(abs_tol, tail, 1)
+    n = _terms_for(abs_tol, tail, 1, terms)
     value = _orbit_sums(x, p.b, p.gamma, word.digit_array(n, p.b), (key,), psi)[key]
     return SeriesValue(float(value), tail(n), n)
 
@@ -433,9 +432,9 @@ def eval_fiber_sum(
     return _word_series(p, word, x, "s", tail, abs_tol, terms, psi)
 
 
-def default_depth(gamma: float, tail_target: float = 1e-9) -> int:
-    """Truncation depth making the slope-series tail at most tail_target."""
-    return _terms_for(tail_target, partial(tail_bound_slope, gamma), 1)
+def default_depth(gamma: float) -> int:
+    """Truncation depth making the slope-series tail at most _TAIL_TARGET (1e-9)."""
+    return _terms_for(_TAIL_TARGET, partial(tail_bound_slope, gamma), 1)
 
 
 def slope_grid(

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .certificates import StarCertificate, search_certificate, verify_certificate
-from .series import _check_base
+from .certificates import StarCertificate, _check_beta, search_certificate, verify_certificate
+from .series import _check_int
 
 #: Above this coefficient bound the double-root value is exactly 1/(1+sqrt(beta)).
 CLOSED_FORM_BETA = 3.0 + math.sqrt(8.0)
@@ -69,9 +69,18 @@ class AeCriticalBound:
     certificate: Optional[StarCertificate] = None
 
 
-def _check_lambda(b: int, lam: float) -> None:
+def _check_lambda(b: int, lam: float) -> int:
+    b = _check_int("base", b, 2)
     if not (1.0 / b < lam <= 1.0):
         raise ValueError(f"lam must lie in (1/{b}, 1], got {lam!r}")
+    return b
+
+
+def _check_gamma(b: int, gamma: float) -> int:
+    b = _check_int("base", b, 2)
+    if not (1.0 / b < gamma < 1.0):
+        raise ValueError(f"gamma must lie in (1/{b}, 1), got {gamma!r}")
+    return b
 
 
 def transversality_defect(b: int, lam: float) -> float:
@@ -80,8 +89,7 @@ def transversality_defect(b: int, lam: float) -> float:
     Negative value means the stable-slope transversality condition holds at
     this (b, lam).
     """
-    b = _check_base(b)
-    _check_lambda(b, lam)
+    b = _check_lambda(b, lam)
     if b == 2:
         return (
             1.0 / (4.0 * lam ** 2 * (2.0 * lam - 1.0) ** 2)
@@ -114,9 +122,7 @@ def transversality_defect_gamma(b: int, gamma: float) -> float:
     Satisfies transversality_defect_gamma(b, 1/(b*lam)) ==
     transversality_defect(b, lam) up to rounding.
     """
-    b = _check_base(b)
-    if not (1.0 / b < gamma < 1.0):
-        raise ValueError(f"gamma must lie in (1/{b}, 1), got {gamma!r}")
+    b = _check_gamma(b, gamma)
     if b == 2:
         return _defect_gamma_base2(gamma)
     return (
@@ -128,8 +134,7 @@ def transversality_defect_gamma(b: int, gamma: float) -> float:
 
 def defect_majorant(b: int, lam: float) -> float:
     """Majorant H with defect < H/b^2; strictly decreasing in the base."""
-    b = _check_base(b)
-    _check_lambda(b, lam)
+    b = _check_lambda(b, lam)
     return (
         1.0 / (lam - 1.0 / b) ** 2
         + 1.0 / (b * lam - 1.0 / b) ** 2
@@ -145,8 +150,7 @@ def ae_defect(b: int, lam: float) -> float:
     coefficient bound there is at least CLOSED_FORM_BETA; negative sign at
     lam certifies lam as an upper bound in every case.
     """
-    b = _check_base(b)
-    _check_lambda(b, lam)
+    b = _check_lambda(b, lam)
     return (
         1.0 / (b * lam - 1.0) ** 4
         + 1.0 / (b ** 2 * lam - 1.0) ** 2
@@ -156,8 +160,7 @@ def ae_defect(b: int, lam: float) -> float:
 
 def ae_defect_majorant(b: int, lam: float) -> float:
     """Majorant of the almost-everywhere defect, decreasing in the base."""
-    b = _check_base(b)
-    _check_lambda(b, lam)
+    b = _check_lambda(b, lam)
     rb = math.sqrt(b)
     return (
         1.0 / (rb * lam - 1.0 / rb) ** 4
@@ -169,8 +172,7 @@ def ae_defect_majorant(b: int, lam: float) -> float:
 
 def coeff_bound(b: int, lam: float) -> float:
     """Coefficient bound beta(lam) > 1 for the double-root machinery."""
-    b = _check_base(b)
-    _check_lambda(b, lam)
+    b = _check_lambda(b, lam)
     radicand = math.sin(math.pi / b) ** 2 - 1.0 / (b ** 2 * lam - 1.0) ** 2
     if radicand <= 0.0:
         raise ValueError(f"coefficient bound undefined at b={b}, lam={lam}")
@@ -179,7 +181,7 @@ def coeff_bound(b: int, lam: float) -> float:
 
 def coeff_bound_to_lambda(b: int, beta: float) -> Optional[float]:
     """Inverse of coeff_bound in lam; None when beta is out of range for b."""
-    b = _check_base(b)
+    b = _check_int("base", b, 2)
     radicand = math.sin(math.pi / b) ** 2 - 1.0 / beta ** 2
     if radicand <= 0.0:
         return None
@@ -189,17 +191,20 @@ def coeff_bound_to_lambda(b: int, beta: float) -> Optional[float]:
     return lam
 
 
-def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 400) -> RootBracket:
-    f_lo, f_hi = f(lo), f(hi)
+def _bisect(defect, b: int, tol: float) -> RootBracket:
+    if not (tol > 0.0):
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    lo, hi = 1.0 / b + 1e-12 * (1.0 - 1.0 / b), 1.0  # inside (1/b, 1]
+    f_lo, f_hi = defect(b, lo), defect(b, hi)
     if not (f_lo > 0.0 > f_hi or f_lo < 0.0 < f_hi):
         raise ValueError("no sign change on the bracketing interval")
-    for _ in range(max_iter):
+    for _ in range(400):  # a safety cap: halving reaches adjacent floats in about 60 steps
         if hi - lo <= tol:
             break
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        f_mid = f(mid)
+        f_mid = defect(b, mid)
         if (f_mid > 0.0) == (f_lo > 0.0):
             lo, f_lo = mid, f_mid
         else:
@@ -213,11 +218,8 @@ def solve_critical_lambda(b: int, tol: float = 1e-12) -> RootBracket:
     The defect decreases strictly from +inf (at lam just above 1/b) to a
     negative value at lam = 1, so the bracket is correct by monotonicity.
     """
-    b = _check_base(b)
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
-    lo = 1.0 / b + 1e-12 * (1.0 - 1.0 / b)
-    return _bisect(lambda t: transversality_defect(b, t), lo, 1.0, tol)
+    b = _check_int("base", b, 2)
+    return _bisect(transversality_defect, b, tol)
 
 
 def double_root_bounds(
@@ -231,8 +233,7 @@ def double_root_bounds(
     raises the lower bound to its t (monotonicity transfers it downward).
     No upper bound below 1 is fabricated outside these mechanisms.
     """
-    if beta < 1.0:
-        raise ValueError(f"beta must be >= 1, got {beta!r}")
+    _check_beta(beta)
     generic = 1.0 / (1.0 + math.sqrt(beta))
     if beta >= CLOSED_FORM_BETA:
         return DoubleRootBounds(beta, generic, generic, "closed-form")
@@ -254,7 +255,7 @@ def double_root_bounds(
 
 def builtin_certificate(b: int) -> Optional[tuple[float, StarCertificate]]:
     """Published certificate (lambda0, certificate) for bases 2, 3, 4."""
-    params = _BUILTIN_CERT_PARAMS.get(_check_base(b))
+    params = _BUILTIN_CERT_PARAMS.get(_check_int("base", b, 2))
     if params is None:
         return None
     lam0, k, eta, t = params
@@ -266,14 +267,10 @@ def _default_certificates(b: int) -> tuple[StarCertificate, ...]:
     built = builtin_certificate(b)
     if built is not None:
         return (built[1],)
-    # for larger bases, try to certify the 1.04/sqrt(b) scale
+    # for larger bases, try to certify the 1.04/sqrt(b) scale; for b >= 5 it lies in
+    # (1/b, 1) and sin(pi/b)^2 >= 4/b^2 > 1/(b^2 lam0 - 1)^2, so beta is defined
     lam0 = 1.04 / math.sqrt(b)
-    if not (1.0 / b < lam0 < 1.0):
-        return ()
-    try:
-        beta = coeff_bound(b, lam0)
-    except ValueError:
-        return ()
+    beta = coeff_bound(b, lam0)
     if beta >= CLOSED_FORM_BETA:
         return ()
     found = search_certificate(beta, 1.0 / (b * lam0), k_max=6, eta_grid=801)
@@ -296,13 +293,10 @@ def solve_ae_critical_lambda(
     double-root bound), or from the critical scale itself (the
     almost-everywhere threshold always sits strictly below it).
     """
-    b = _check_base(b)
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    b = _check_int("base", b, 2)
     bracket = None
     if ae_defect(b, 1.0) < 0.0:
-        lo = 1.0 / b + 1e-12 * (1.0 - 1.0 / b)
-        bracket = _bisect(lambda t: ae_defect(b, t), lo, 1.0, tol)
+        bracket = _bisect(ae_defect, b, tol)
         if (
             coeff_bound(b, bracket.lo) >= CLOSED_FORM_BETA
             and coeff_bound(b, bracket.hi) >= CLOSED_FORM_BETA

@@ -25,25 +25,27 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .parallel import WorkBudgetError, map_ordered
+from .parallel import WorkBudgetError, _check_bytes, map_ordered
 from .series import (
     _SLOPE_CHUNK_CELLS,
     DigitWord,
     Params,
-    _check_base,
-    _check_depth,
+    _check_int,
+    _terms_for,
     slope_grid,
     tail_bound_slope,
     tail_bound_slope_dgamma,
     tail_bound_slope_dx,
 )
 from .thresholds import (
+    _check_gamma,
     _defect_gamma_base2,
     solve_ae_critical_lambda,
     transversality_defect,
 )
 
 _MAX_TANGENCY_WORK = 5e7  # b^(2n) b^m grid reps^2 comparisons per tangency count
+_PAIR_BYTES = 128  # per budgeted pair: its index tuple and pool-mask share (75-86 B measured)
 
 
 @dataclass(frozen=True)
@@ -65,14 +67,11 @@ class TangencyQuery:
     random_tails: int = 3
 
     def __post_init__(self):
-        for name in ("n", "m", "depth", "grid_per_interval"):
-            v = getattr(self, name)
-            if int(v) != v or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        for name, least in (("n", 1), ("m", 1), ("grid_per_interval", 1), ("random_tails", 0)):
+            object.__setattr__(self, name, _check_int(name, getattr(self, name), least))
+        object.__setattr__(self, "depth", _terms_for(None, None, 1, self.depth, "depth"))
         if not (self.eps > 0.0 and self.delta > 0.0):
             raise ValueError("eps and delta must be positive")
-        if self.random_tails < 0:
-            raise ValueError("random_tails must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -111,15 +110,20 @@ def case_bounds_base2(gamma: float) -> tuple[float, float, float, float]:
     return c_00, c_11, c_10, c_01
 
 
-def _exhaustive_depth(b: int, depth: int, pair_budget: int) -> int:
-    cap = max(1, min(depth, int(12 / math.log2(b))))
+def _pair_counts(b: int, depth: int, pair_budget: int, points: int = 0, outputs: int = 0):
+    """(exhaustive depth d, sampled ordered pairs, pool rows) of _pair_words, refused when
+    the word rows (rows x depth), pairs and a rows x points x outputs slope grid are over
+    the byte budget; the b^d prefixes hold b^(2d-1) (b-1) ordered distinct-first-digit pairs."""
     d_ex = 1
-    for d in range(1, cap + 1):
-        if b ** (2 * d - 1) * (b - 1) <= pair_budget:
-            d_ex = d
-        else:
+    for d in range(2, min(depth, int(12 / math.log2(b))) + 1):
+        if b ** (2 * d - 1) * (b - 1) > pair_budget:
             break
-    return d_ex
+        d_ex = d
+    n_sampled = max(0, pair_budget - b ** (2 * d_ex - 1) * (b - 1))
+    pool = math.ceil(math.sqrt(n_sampled / (1.0 - 1.0 / b))) + 1 if n_sampled else 0
+    _check_bytes(8 * (b ** d_ex + pool) * (depth + points * outputs) + _PAIR_BYTES * pair_budget,
+                 "the separation scan's words, pairs and slope grid")
+    return d_ex, n_sampled, pool
 
 
 def _pair_words(
@@ -131,11 +135,12 @@ def _pair_words(
     come first, completed by zeros; the remaining budget is filled with pairs
     drawn from a pool of counter-sampled full-depth words whose first digits
     cycle through the alphabet, so distinct-first-digit pairs always exist.
-    The budget counts ordered pairs in row-major order.  Only the i < j
-    member of each is returned: the separation scores are symmetric, and that
+    The budget counts ordered pairs in row-major order; the depth-1 prefix
+    pairs are always scored, even above the budget.  Only the i < j member
+    of each is returned: the separation scores are symmetric, and that
     member comes first, so the first minimiser is unchanged.
     """
-    d_ex = _exhaustive_depth(b, depth, pair_budget)
+    d_ex, n_sampled, pool = _pair_counts(b, depth, pair_budget)
     prefixes = list(itertools.product(range(b), repeat=d_ex))
     n_ex = len(prefixes)
     words = [np.zeros((n_ex, depth), dtype=np.int64)]
@@ -146,9 +151,7 @@ def _pair_words(
         for j in range(i + 1, n_ex)
         if prefixes[i][0] != prefixes[j][0]
     ]
-    n_sampled = max(0, pair_budget - 2 * len(pairs))
     if n_sampled:
-        pool = math.ceil(math.sqrt(n_sampled / (1.0 - 1.0 / b))) + 1
         raw = rng.digit_matrix(seed, rng.STREAM_PAIR_WORDS, pool, depth, b)
         raw[:, 0] = np.arange(pool, dtype=np.int64) % b
         ii, jj = np.nonzero(raw[:, :1] != raw[None, :, 0])
@@ -159,12 +162,11 @@ def _pair_words(
     return np.vstack(words), pairs
 
 
-def _pair_chunks(fn, pairs, cells_per_pair: int) -> list:
-    """fn(c, i, j) on the worker pool, in pair order, over chunks of about
-    _SLOPE_CHUNK_CELLS cells of the (n, 2) `pairs`; c is a chunk's first index."""
-    idx = np.asarray(pairs, dtype=np.int64)
+def _pair_chunks(fn, n_pairs: int, cells_per_pair: int) -> list:
+    """fn(chunk) on the worker pool, in pair order, over index ranges `chunk` of
+    the n_pairs pairs that hold about _SLOPE_CHUNK_CELLS cells each."""
     rows = max(1, _SLOPE_CHUNK_CELLS // cells_per_pair)
-    return map_ordered(lambda c: fn(c, *idx[c : c + rows].T), range(0, len(idx), rows))
+    return map_ordered(lambda c: fn(np.arange(c, min(c + rows, n_pairs))), range(0, n_pairs, rows))
 
 
 def _min_separation(
@@ -181,8 +183,10 @@ def _min_separation(
     t_d = tail_bound_slope_dx(b, gamma, depth)
     if with_dgamma:
         t_d += tail_bound_slope_dgamma(gamma, depth)
+    ii, jj = np.asarray(pairs, dtype=np.int64).T
 
-    def score_chunk(c, si, sj):
+    def score_chunk(chunk):
+        si, sj = ii[chunk], jj[chunk]
         d = np.abs(ydx[si] - ydx[sj])
         if with_dgamma:
             d += np.abs(ydg[si] - ydg[sj])
@@ -191,9 +195,9 @@ def _min_separation(
         score -= 2.0 * t_y
         np.maximum(score, d, out=score)
         k = int(np.argmin(score))
-        return float(score.flat[k]), c * xs.size + k
+        return float(score.flat[k]), int(chunk[0]) * xs.size + k
 
-    score, flat = min(_pair_chunks(score_chunk, pairs, xs.size), key=lambda r: r[0])
+    score, flat = min(_pair_chunks(score_chunk, len(pairs), xs.size), key=lambda r: r[0])
     k, x_idx = divmod(flat, xs.size)
     return score, pairs[k], float(xs[x_idx]), 2.0 * max(t_y, t_d)
 
@@ -224,12 +228,13 @@ def empirical_delta(
     distinct first digits and a uniform x grid on [0, 1], clamped at zero.
     The subtracted terms are the truncation tail bounds at `depth`, so any
     positive value is a sound separation for the sampled representatives.
+    The depth-1 prefix pairs are always scored, even above pair_budget.
     """
-    b, depth = _check_base(b), _check_depth(depth)
-    if not (1.0 / b < gamma < 1.0):
-        raise ValueError(f"gamma must lie in (1/{b}, 1), got {gamma!r}")
-    if x_grid < 2:
-        raise ValueError("x_grid must be at least 2")
+    b = _check_gamma(b, gamma)
+    depth = _terms_for(None, None, 1, depth, "depth")
+    x_grid = _check_int("x_grid", x_grid, 2)
+    pair_budget = _check_int("pair_budget", pair_budget, 0)
+    _pair_counts(b, depth, pair_budget, x_grid, 2)  # the byte budget, before any draw
     words, pairs = _pair_words(b, depth, pair_budget, seed)
     xs = np.linspace(0.0, 1.0, x_grid)
     return _estimate(words, _min_separation(b, gamma, xs, words, pairs, depth, False))
@@ -248,14 +253,15 @@ def tangency_count(p: Params, q: TangencyQuery, seed: int = 0) -> int:
     """
     b, gamma = p.b, p.gamma
     reps = 1 + q.random_tails
-    work = b ** (2 * q.n) * b ** q.m * q.grid_per_interval * reps * reps
+    n_cyl, n_int, g = b ** q.n, b ** q.m, q.grid_per_interval
+    work = n_cyl * n_cyl * n_int * g * reps * reps
     if work > _MAX_TANGENCY_WORK:
         raise WorkBudgetError(
             f"tangency enumeration needs ~{work:.2e} comparisons, over the "
             f"budget of {_MAX_TANGENCY_WORK:.2e}; reduce n, m or the grid"
         )
     depth = max(q.depth, q.n + 1)
-    n_cyl = b ** q.n
+    _check_bytes(8 * n_cyl * reps * (depth + 2 * n_int * g), "the tangency words and slope grid")
     prefixes = list(itertools.product(range(b), repeat=q.n))
     digits = rng.digit_matrix(
         seed, rng.STREAM_TANGENCY_TAILS, n_cyl * reps, depth, b
@@ -263,8 +269,6 @@ def tangency_count(p: Params, q: TangencyQuery, seed: int = 0) -> int:
     for c, pref in enumerate(prefixes):
         digits[c * reps : (c + 1) * reps, : q.n] = pref
         digits[c * reps, q.n :] = 0
-    g = q.grid_per_interval
-    n_int = b ** q.m
     xs = np.concatenate(
         [np.linspace(k / n_int, (k + 1) / n_int, g) for k in range(n_int)]
     )
@@ -273,15 +277,18 @@ def tangency_count(p: Params, q: TangencyQuery, seed: int = 0) -> int:
     thr_ydx = gamma * q.delta + 2.0 * tail_bound_slope_dx(b, gamma, depth)
     y, ydx = y.reshape(n_cyl, reps, -1), ydx.reshape(n_cyl, reps, -1)
     table = np.zeros((n_cyl, n_cyl, n_int), dtype=bool)
+    # pairs ci <= cj (|y_i - y_j| is symmetric) in row-major order, row ci's from starts[ci]
+    starts = np.concatenate([[0], np.cumsum(np.arange(n_cyl, 1, -1))])
 
-    def near_chunk(c, ci, cj):
+    def near_chunk(chunk):
+        ci = np.searchsorted(starts, chunk, side="right") - 1
+        cj = ci + (chunk - starts[ci])
         d_y = np.abs(y[ci][:, :, None] - y[cj][:, None])
         d_ydx = np.abs(ydx[ci][:, :, None] - ydx[cj][:, None])
         near = ((d_y < thr_y) & (d_ydx < thr_ydx)).any(axis=(1, 2))
         table[ci, cj] = table[cj, ci] = near.reshape(-1, n_int, g).any(axis=2)
 
-    # each unordered pair once, as |y_i - y_j| is symmetric; a cylinder meets itself
-    _pair_chunks(near_chunk, np.transpose(np.triu_indices(n_cyl)), reps * reps * xs.size)
+    _pair_chunks(near_chunk, n_cyl * (n_cyl + 1) // 2, reps * reps * xs.size)
     return int(table.sum(axis=1).max())
 
 
@@ -303,19 +310,18 @@ def two_var_delta(
     over a lattice anchored at 1/b whose step ignores eps_margin, so grids
     for nested margins are themselves nested.
     """
-    b, depth = _check_base(b), _check_depth(depth)
+    b = _check_int("base", b, 2)
+    depth = _terms_for(None, None, 1, depth, "depth")
     if not (eps_margin > 0.0):
         raise ValueError("eps_margin must be positive")
-    if x_grid < 1 or gamma_grid < 1:
-        raise ValueError("x_grid and gamma_grid must be at least 1")
+    x_grid = _check_int("x_grid", x_grid, 1)
+    gamma_grid = _check_int("gamma_grid", gamma_grid, 1)
+    pair_budget = _check_int("pair_budget", pair_budget, 0)
+    _pair_counts(b, depth, pair_budget, x_grid, 3)  # the byte budget, before any draw
     ae = solve_ae_critical_lambda(b)
     gamma_top = 1.0 / (b * ae.hi)
     lo = 1.0 / b + eps_margin
     hi = gamma_top - eps_margin
-    if lo >= hi:
-        raise ValueError(
-            f"empty gamma interval: ({lo}, {hi}) for b={b}, eps={eps_margin}"
-        )
     step = (gamma_top - 1.0 / b) / (gamma_grid + 1.0)
     gammas = [
         1.0 / b + j * step
@@ -323,7 +329,7 @@ def two_var_delta(
         if lo <= 1.0 / b + j * step <= hi
     ]
     if not gammas:
-        raise ValueError("gamma lattice has no points inside the margin window")
+        raise ValueError(f"no gamma lattice point in [{lo}, {hi}] for b={b}, eps={eps_margin}")
     xs = (np.arange(x_grid) + 0.5) / x_grid
     words, pairs = _pair_words(b, depth, pair_budget, seed)
     # min keeps the first gamma on a tie

@@ -1,14 +1,24 @@
-"""Point `python -m weierdim.cli` subprocesses at the package under test.
+"""Point `python -m weierdim.cli` subprocesses at the package under test, and
+cap the address space so that a guard regression fails a test with
+MemoryError instead of exhausting the host.
 
 pytest's `pythonpath` setting reaches only its own process, so a plain
 `pytest` run from a checkout exports the same source root to children.
+Children also inherit the address-space limit.
 """
 
 import os
+import resource
 
 import weierdim
+
+_MAX_ADDRESS_SPACE = 4 << 30  # bytes; the heaviest test modules peak near 0.55 GB
 
 
 def pytest_configure(config):
     src = os.path.dirname(os.path.dirname(os.path.abspath(weierdim.__file__)))
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    # lower the soft limit only: never above the hard limit or an existing soft limit
+    cap = min([_MAX_ADDRESS_SPACE, *(v for v in (soft, hard) if v != resource.RLIM_INFINITY)])
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))

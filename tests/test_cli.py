@@ -174,6 +174,17 @@ class TestEstimators:
         ("transversality", "--b", "2", "--mode", "two-var", "--gamma-grid", "-1"),
         ("measure", "--kind", "transversal", "--b", "2", "--lambda", "0.9",
          "--count", str(10 ** 11)),
+        ("measure", "--kind", "transversal", "--b", "2", "--lambda", "0.9", "--count", "10",
+         "--depth", "100000000"),
+        ("transversality", "--b", "2", "--depth", "100000000"),
+        ("transversality", "--b", "2", "--lambda", "0.95", "--mode", "tangency",
+         "--eps", "0.5", "--delta", "0.5", "--depth", "10000000"),
+        ("transversality", "--b", "2", "--lambda", "0.95", "--x-grid", "100000000",
+         "--pair-budget", "16"),
+        ("transversality", "--b", "2", "--lambda", "0.95", "--mode", "two-var",
+         "--x-grid", "100000000", "--pair-budget", "16"),
+        ("star-verify", "--b", "3", "--lambda0", "0.55", "--search", "--t-target", "0.6",
+         "--k-max", "0"),
     ])
     def test_out_of_range_exit_code(self, capsys, argv):
         code, out = run_cli(capsys, *argv)

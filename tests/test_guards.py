@@ -1,0 +1,79 @@
+"""One guard path: every integer argument is checked before any series, RNG or grid work."""
+
+import numpy as np
+import pytest
+
+import weierdim as w
+from weierdim import COSINE, DigitWord, Params, SampleSet
+
+P = Params(2, 0.9)
+SYNTHETIC = SampleSet(points=np.zeros(10), seed=0, depth=0, kind="synthetic")
+RADII = (0.5, 0.25, 0.125, 0.0625)
+TABLE = w.BoxCountTable(tuple((2.0 ** -j, 2 ** j) for j in range(1, 9)), P, 8)
+
+# (parameter, entry point called with the bad value, non-integral value, value below the least)
+GUARDS = [
+    ("base", lambda v: Params(v, 0.9), 2.5, 1),
+    ("frequency", lambda v: w.PhiSpec(cosine_coeffs=((v, 1.0),)), 1.5, 0),
+    ("digit", lambda v: DigitWord((1, v)), 0.5, -1),
+    ("shift", lambda v: DigitWord((1, 0)).shifted(v), 1.5, -1),
+    ("tail_offset", lambda v: DigitWord((1, 0), tail_seed=3, tail_offset=v), 1.5, -1),
+    ("base", lambda v: w.eval_weierstrass((v, 0.9), COSINE, 0.3), 2.5, 1),
+    ("terms", lambda v: w.eval_weierstrass(P, COSINE, 0.3, terms=v), 2.7, -3),
+    ("terms", lambda v: w.eval_stable_slope(P, DigitWord(), 0.3, terms=v), 2.7, 0),
+    ("terms", lambda v: w.eval_stable_slope_dx(P, DigitWord(), 0.3, terms=v), 2.7, 0),
+    ("terms", lambda v: w.eval_stable_slope_dgamma(P, DigitWord(), 0.3, terms=v), 2.7, 0),
+    ("terms", lambda v: w.eval_fiber_sum(P, w.COSINE_DERIV, DigitWord(), 0.3, terms=v), 2.7, 0),
+    ("count", lambda v: w.sample_transversal(P, 0.5, v), 2.5, 0),
+    ("depth", lambda v: w.sample_transversal(P, 0.5, 10, depth=v), 2.5, 0),
+    ("count", lambda v: w.sample_sbr(P, count=v), 2.5, 0),
+    ("depth", lambda v: w.sample_sbr(P, count=10, depth=v), 2.5, 0),
+    ("count", lambda v: w.sample_graph_lift(P, COSINE, v), 2.5, 0),
+    ("centers", lambda v: w.local_dim_estimate(SYNTHETIC, RADII, centers=v), 2.5, 0),
+    ("bins", lambda v: w.density_histogram(SYNTHETIC, v), 2.5, 1),
+    ("levels", lambda v: w.box_count(P, COSINE, levels=v), 4.5, 3),
+    ("samples_per_column", lambda v: w.box_count(P, COSINE, samples_per_column=v), 2.5, 1),
+    ("drop_coarsest", lambda v: w.fit_box_dimension(TABLE, v), 1.5, -1),
+    ("k", lambda v: w.StarCertificate(2.0, v, 0.5, 0.6), 1.5, 0),
+    ("k_max", lambda v: w.search_certificate(2.0, 0.6, k_max=v), 1.5, 0),
+    ("eta_grid", lambda v: w.search_certificate(2.0, 0.6, eta_grid=v), 1.5, 0),
+    ("base", lambda v: w.transversality_defect(v, 0.9), 2.5, 1),
+    ("base", lambda v: w.transversality_defect_gamma(v, 0.6), 2.5, 1),
+    ("base", lambda v: w.defect_majorant(v, 0.9), 2.5, 1),
+    ("base", lambda v: w.ae_defect(v, 0.9), 2.5, 1),
+    ("base", lambda v: w.ae_defect_majorant(v, 0.9), 2.5, 1),
+    ("base", lambda v: w.coeff_bound(v, 0.9), 2.5, 1),
+    ("base", lambda v: w.coeff_bound_to_lambda(v, 3.0), 2.5, 1),
+    ("base", lambda v: w.solve_critical_lambda(v), 2.5, 1),
+    ("base", lambda v: w.solve_ae_critical_lambda(v), 2.5, 1),
+    ("base", lambda v: w.builtin_certificate(v), 2.5, 1),
+    ("base", lambda v: w.analytic_transversality_check(v, 0.9), 2.5, 1),
+    *((name, lambda v, name=name: w.TangencyQuery(**{"n": 1, "m": 1, "eps": 0.5, "delta": 0.5,
+                                                      name: v}), 1.5, least - 1)
+      for name, least in (("n", 1), ("m", 1), ("depth", 1), ("grid_per_interval", 1),
+                          ("random_tails", 0))),
+    ("base", lambda v: w.empirical_delta(v, 0.6), 2.5, 1),
+    ("x_grid", lambda v: w.empirical_delta(2, 0.6, x_grid=v), 2.5, 1),
+    ("depth", lambda v: w.empirical_delta(2, 0.6, depth=v), 2.5, 0),
+    ("pair_budget", lambda v: w.empirical_delta(2, 0.6, pair_budget=v), 2.5, -1),
+    ("base", lambda v: w.two_var_delta(v, 0.05), 2.5, 1),
+    ("x_grid", lambda v: w.two_var_delta(2, 0.05, x_grid=v), 2.5, 0),
+    ("gamma_grid", lambda v: w.two_var_delta(2, 0.05, gamma_grid=v), 2.5, 0),
+    ("depth", lambda v: w.two_var_delta(2, 0.05, depth=v), 2.5, 0),
+    ("pair_budget", lambda v: w.two_var_delta(2, 0.05, pair_budget=v), 2.5, -1),
+]
+CASES = [(name, call, bad) for name, call, *bads in GUARDS for bad in bads]
+
+
+@pytest.mark.parametrize("name, call, bad", CASES,
+                         ids=[f"{i}-{name}={bad}" for i, (name, _, bad) in enumerate(CASES)])
+def test_integer_arguments_checked_before_any_work(monkeypatch, name, call, bad):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work before the argument check")
+
+    for target in ("series._orbit_sums", "measures._orbit_sums", "series._graph_sum",
+                   "rng.digit_matrix", "rng.digit_columns", "rng.uniform_vector",
+                   "boxdim._grid_values", "certificates._g", "thresholds._bisect"):
+        monkeypatch.setattr(f"weierdim.{target}", no_work)
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+        call(bad)

@@ -30,8 +30,9 @@ from weierdim import (
     tail_bound_slope_dgamma,
     tail_bound_slope_dx,
 )
-from weierdim.measures import sample_transversal
+from weierdim.measures import sample_sbr, sample_transversal
 from weierdim.parallel import WorkBudgetError
+from weierdim.transversality import TangencyQuery, empirical_delta, two_var_delta
 from weierdim.series import (
     _MAX_TERMS,
     _SLOPE_CHUNK_CELLS,
@@ -434,16 +435,27 @@ class TestTermSearch:
         def no_work(*args, **kwargs):
             raise AssertionError("series work before the budget check")
 
-        for target in ("_graph_sum", "_orbit_sums"):
-            monkeypatch.setattr(f"weierdim.series.{target}", no_work)
+        for target in ("series._graph_sum", "series._orbit_sums", "measures._orbit_sums",
+                       "rng.digit_matrix", "rng.digit_columns"):
+            monkeypatch.setattr(f"weierdim.{target}", no_work)
         monkeypatch.setattr(DigitWord, "digit_array", no_work)
         p, word, psi = Params(2, 0.5000001), DigitWord(), COSINE_DERIV
+        over = _MAX_TERMS + 1  # an explicit count over the cap
         calls = (
             lambda: eval_weierstrass((2, 0.9999999), COSINE, 0.3, abs_tol=1e-12),
             lambda: eval_stable_slope(p, word, 0.3),
             lambda: eval_stable_slope_dgamma(p, word, 0.3),
             lambda: eval_fiber_sum(p, psi, word, 0.3),
             lambda: default_depth(1 - 2e-7),
+            lambda: eval_weierstrass((2, 0.9), COSINE, 0.3, terms=over),
+            lambda: eval_stable_slope(p, word, 0.3, terms=over),
+            lambda: eval_stable_slope_dx(p, word, 0.3, terms=over),
+            lambda: eval_fiber_sum(p, psi, word, 0.3, terms=over),
+            lambda: sample_transversal(p, 0.3, 10, depth=over),
+            lambda: sample_sbr(p, count=10, depth=over),
+            lambda: empirical_delta(2, 0.6, depth=over),
+            lambda: two_var_delta(2, 0.05, depth=over),
+            lambda: TangencyQuery(n=1, m=1, eps=0.5, delta=0.5, depth=over),
         )
         for call in calls:
             with pytest.raises(WorkBudgetError, match=str(_MAX_TERMS)):

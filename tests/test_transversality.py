@@ -210,7 +210,7 @@ def _reference_pairs(words, n_ex, pair_budget):
 @pytest.mark.parametrize("pair_budget", (7, 513, 5000))
 def test_pair_words_match_loop_reference(b, pair_budget):
     words, pairs = _pair_words(b, 12, pair_budget, 3)
-    n_ex = b ** transversality._exhaustive_depth(b, 12, pair_budget)
+    n_ex = b ** transversality._pair_counts(b, 12, pair_budget)[0]
     assert pairs == _reference_pairs(words, n_ex, pair_budget)
 
 
@@ -345,6 +345,28 @@ class TestTangencyCount:
         # one budget error type for every estimator, still a ValueError
         assert WorkBudgetError is transversality.WorkBudgetError is parallel.WorkBudgetError
         assert issubclass(WorkBudgetError, ValueError)
+
+
+def test_scan_bytes_before_any_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work before the byte budget")
+
+    for target in ("_pair_words", "slope_grid"):
+        monkeypatch.setattr(transversality, target, no_work)
+    monkeypatch.setattr(rng, "digit_matrix", no_work)
+    p = Params(2, 0.95)
+    calls = (
+        lambda: empirical_delta(2, p.gamma, x_grid=10 ** 8, pair_budget=16),
+        lambda: two_var_delta(2, 0.05, x_grid=10 ** 8, pair_budget=16),
+        lambda: empirical_delta(2, p.gamma, pair_budget=10 ** 7),
+        lambda: tangency_count(p, TangencyQuery(n=1, m=1, eps=0.5, delta=0.5, depth=10 ** 7)),
+    )
+    for call in calls:
+        with pytest.raises(WorkBudgetError, match="over the budget"):
+            call()
+    # the largest benchmark scan, 257 words x 8000 points x 2 grids, fits
+    d_ex, _, pool = transversality._pair_counts(2, 30, 16384, 8000, 2)
+    assert 2 ** d_ex + pool == 257
 
 
 class TestTwoVariable:
