@@ -2,10 +2,11 @@
 
 Samplers draw digit words (and base points) from the counter-based generator,
 so a SampleSet is a pure function of (params, seed, depth, count) and is
-identical for any worker count.  Local dimension is estimated by a finite
-ladder of radii with a least-squares slope of log-mass against log-radius;
-no convergence claim is attached, the estimates are regression-stable
-diagnostics with a reported standard error.
+identical for any worker count: rows run in chunks on the worker pool, each
+chunk a pure function of (seed, stream, row range).  Local dimension is
+estimated by a finite ladder of radii with a least-squares slope of log-mass
+against log-radius; no convergence claim is attached, the estimates are
+regression-stable diagnostics with a reported standard error.
 """
 
 from __future__ import annotations
@@ -13,18 +14,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from . import rng
-from .parallel import _check_bytes
+from .parallel import _check_bytes, map_ordered
 from .series import (
+    _CHUNK_CELLS,
     _TAIL_TARGET,
     COSINE_DERIV,
     Params,
     PhiSpec,
     _check_int,
+    _graph_terms,
     _orbit_sums,
     _terms_for,
     eval_weierstrass,
@@ -38,6 +41,18 @@ def _check_count(count: int, columns: int) -> int:
     count = _check_int("count", count, 1)
     _check_bytes(count * 8 * columns, f"{count} samples")
     return count
+
+
+def _pooled_rows(out: np.ndarray, rows: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """out, with out[r0:r1] = rows(r0, r1) over consecutive ranges of _CHUNK_CELLS rows on the
+    worker pool.  Every row is its own counter-RNG stream and its arithmetic is elementwise,
+    so the bits do not depend on the chunking."""
+    def task(r0):
+        r1 = min(r0 + _CHUNK_CELLS, len(out))
+        out[r0:r1] = rows(r0, r1)
+
+    map_ordered(task, range(0, len(out), _CHUNK_CELLS))
+    return out
 
 
 def _check_scales(name: str, scales: Sequence[float], least: int = 4) -> None:
@@ -72,8 +87,14 @@ class SampleSet:
         return self.points if self.points.ndim == 1 else self.points[:, 1]
 
     def to_csv(self, path) -> None:
+        """One row per sample, each value as %.17g, in blocks of _CHUNK_CELLS rows."""
         cols = 1 if self.points.ndim == 1 else self.points.shape[1]
-        np.savetxt(path, self.points, delimiter=",", fmt=["%.17g"] * cols)
+        pts = self.points.reshape(-1, cols)
+        row = ",".join(["%.17g"] * cols) + "\n"
+        with open(path, "w") as fh:
+            for r0 in range(0, self.count, _CHUNK_CELLS):
+                block = pts[r0 : r0 + _CHUNK_CELLS]
+                fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
     def summary(self) -> dict:
         vals = self.values()
@@ -130,13 +151,18 @@ def sample_transversal(
 ) -> SampleSet:
     """Draw `count` stable-slope values at x with i.i.d. uniform digits."""
     count = _check_count(count, 1)
+    seed = _check_int("seed", seed)
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     gamma = p.gamma
     depth = _terms_for(_TAIL_TARGET, partial(tail_bound_slope, gamma), 1, depth, "depth")
-    columns = rng.digit_columns(seed, rng.STREAM_TRANSVERSAL, count, depth, p.b)
+
+    def slopes(r0, r1):
+        columns = rng.digit_columns(seed, rng.STREAM_TRANSVERSAL, r1 - r0, depth, p.b, r0)
+        return _orbit_sums(np.full(r1 - r0, float(x)), p.b, gamma, columns, ("y",))["y"]
+
     return SampleSet(
-        points=_orbit_sums(np.full(count, float(x)), p.b, gamma, columns, ("y",))["y"],
+        points=_pooled_rows(np.empty(count), slopes),
         seed=seed,
         depth=depth,
         kind="transversal",
@@ -160,14 +186,21 @@ def sample_sbr(
     every sample by exactly c/(1-gamma).
     """
     count = _check_count(count, 2)
+    seed = _check_int("seed", seed)
     gamma = p.gamma
     tail = partial(tail_bound_geometric, gamma, psi.oscillating_sup())
     depth = _terms_for(_TAIL_TARGET, tail, 1, depth, "depth")
-    xs = rng.uniform_vector(seed, rng.STREAM_SBR_X, count)
-    columns = rng.digit_columns(seed, rng.STREAM_SBR_DIGITS, count, depth, p.b)
-    vals = _orbit_sums(xs, p.b, gamma, columns, ("s",), psi)["s"]
+    points = np.empty((count, 2))
+    xs = points[:, 0]
+    xs[:] = rng.uniform_vector(seed, rng.STREAM_SBR_X, count)
+
+    def fibers(r0, r1):
+        columns = rng.digit_columns(seed, rng.STREAM_SBR_DIGITS, r1 - r0, depth, p.b, r0)
+        return _orbit_sums(xs[r0:r1], p.b, gamma, columns, ("s",), psi)["s"]
+
+    _pooled_rows(points[:, 1], fibers)
     return SampleSet(
-        points=np.column_stack([xs, vals]),
+        points=points,
         seed=seed,
         depth=depth,
         kind="sbr",
@@ -182,17 +215,27 @@ def sample_graph_lift(
     count: int,
     seed: int = 0,
 ) -> SampleSet:
-    """Sample the lift of Lebesgue measure to the graph: pairs (x, f(x)), tail <= 1e-9."""
+    """Sample the lift of Lebesgue measure to the graph: pairs (x, f(x)), tail <= 1e-9.
+
+    terms x count over the graph series' term budget is refused before any draw."""
     count = _check_count(count, 2)
-    xs = rng.uniform_vector(seed, rng.STREAM_GRAPH_X, count)
-    sv = eval_weierstrass(p, phi, xs, abs_tol=_TAIL_TARGET)
+    seed = _check_int("seed", seed)
+    terms, tail = _graph_terms(p.lam, phi, count, _TAIL_TARGET)
+    points = np.empty((count, 2))
+    xs = points[:, 0]
+    xs[:] = rng.uniform_vector(seed, rng.STREAM_GRAPH_X, count)
+
+    def heights(r0, r1):
+        return eval_weierstrass(p, phi, xs[r0:r1], terms=terms).value
+
+    _pooled_rows(points[:, 1], heights)
     return SampleSet(
-        points=np.column_stack([xs, sv.value]),
+        points=points,
         seed=seed,
-        depth=sv.terms_used,
+        depth=terms,
         kind="graph",
         params=p,
-        tail_bound=sv.tail_bound,
+        tail_bound=tail,
     )
 
 
@@ -217,6 +260,7 @@ def local_dim_estimate(
             f"(10 x tail bound {s.tail_bound})"
         )
     centers = _check_int("centers", centers, 1)
+    seed = _check_int("seed", seed)
     pts = s.points
     n = s.count
     idx = np.array(

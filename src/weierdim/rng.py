@@ -75,9 +75,10 @@ def digit_matrix(seed: int, stream: int, rows: int, cols: int, base: int) -> np.
     return _digits(_finalize_np(_hashes(seed, stream, 0, rows)[:, None] + c), base)
 
 
-def digit_columns(seed: int, stream: int, rows: int, cols: int, base: int):
-    """Yield the columns of digit_matrix(seed, stream, rows, cols, base), hashing rows once."""
-    h = _hashes(seed, stream, 0, rows)
+def digit_columns(seed: int, stream: int, rows: int, cols: int, base: int, start: int = 0):
+    """Yield columns 0 .. cols-1 of rows start .. start+rows-1: row r of column c is
+    value64(seed, stream, start + r, c) % base, as in digit_matrix.  Rows are hashed once."""
+    h = _hashes(seed, stream, start, rows)
     for c in range(cols):
         yield _digits(_finalize_np(h + np.uint64((c * _GOLDEN) & _MASK)), base)
 

@@ -39,13 +39,15 @@ TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 _MAX_TERMS = 10_000_000
 _TAIL_TARGET = 1e-9  # series tail of default_depth and of the samplers' default depths
-_SLOPE_CHUNK_CELLS = 1 << 16  # (word, point) cells per slope_grid task
+_MAX_TERM_POINTS = 1 << 30  # terms x points one graph-series evaluation may sum
+_CHUNK_CELLS = 1 << 16  # cells per pooled task: slope-grid (word, point) cells, sampler rows
 
 
-def _check_int(name: str, value, least: int) -> int:
-    """value as an int; a non-integral value or one below least is refused."""
-    if int(value) != value or value < least:
-        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_int(name: str, value, least: Optional[int] = None) -> int:
+    """value as an int; a non-integral value, or one below least when given, is refused."""
+    if int(value) != value or (least is not None and value < least):
+        bound = "" if least is None else f" >= {least}"
+        raise ValueError(f"{name} must be an integer{bound}, got {value!r}")
     return int(value)
 
 
@@ -144,6 +146,8 @@ class DigitWord:
     def __post_init__(self):
         object.__setattr__(self, "digits", tuple(_check_int("digit", d, 0) for d in self.digits))
         object.__setattr__(self, "tail_offset", _check_int("tail_offset", self.tail_offset, 0))
+        if self.tail_seed is not None:
+            object.__setattr__(self, "tail_seed", _check_int("tail_seed", self.tail_seed))
 
     def validate_base(self, b: int) -> None:
         if self.digits and max(self.digits) >= b:
@@ -282,6 +286,19 @@ def _series_scale(p) -> tuple[int, float]:
     return b, float(lam)
 
 
+def _graph_terms(lam: float, phi: PhiSpec, points: int, abs_tol: Optional[float],
+                 terms: Optional[int] = None) -> tuple[int, float]:
+    """(n, tail(n)): the graph series' term count by _terms_for and its tail bound.
+
+    n x points is refused over _MAX_TERM_POINTS before any series work."""
+    tail = partial(tail_bound_geometric, lam, phi.sup_bound())
+    n = _terms_for(abs_tol, tail, 0, terms)
+    if n * points > _MAX_TERM_POINTS:
+        raise WorkBudgetError(f"{points} points x {n} terms is over the budget of "
+                              f"{_MAX_TERM_POINTS:.2e} term evaluations")
+    return n, tail(n)
+
+
 def eval_weierstrass(
     p,
     phi: PhiSpec,
@@ -301,16 +318,15 @@ def eval_weierstrass(
     abs_tol : requested bound on the omitted tail; the number of terms is the
         minimal N with sup|phi| * lam^N / (1 - lam) <= abs_tol.
     terms : explicit term count (at most _MAX_TERMS) overriding the tolerance-driven choice.
+        Terms x points over _MAX_TERM_POINTS is refused with WorkBudgetError.
 
     The argument b^n x is reduced mod 1 exactly (integer arithmetic on the
     dyadic representation of x), so every summed term is accurate to rounding.
     """
     b, lam = _series_scale(p)
-    sup = phi.sup_bound()
-    tail = partial(tail_bound_geometric, lam, sup)
-    n_terms = _terms_for(abs_tol, tail, 0, terms)
+    n_terms, tail = _graph_terms(lam, phi, np.size(x), abs_tol, terms)
     acc, _ = _graph_sum(*_frac_mod1(x), b, lam, phi, n_terms, phases)
-    return SeriesValue(acc if acc.ndim else float(acc), tail(n_terms), n_terms)
+    return SeriesValue(acc if acc.ndim else float(acc), tail, n_terms)
 
 
 def _orbit_sums(
@@ -453,7 +469,7 @@ def slope_grid(
     elementwise, so the bits do not depend on the chunking.
     """
     want = ("y", "ydx", "ydgamma") if want_dgamma else ("y", "ydx")
-    rows = max(1, _SLOPE_CHUNK_CELLS // max(1, x.size))
+    rows = max(1, _CHUNK_CELLS // max(1, x.size))
 
     def chunk_sums(r0):
         part = digits[r0 : r0 + rows]

@@ -27,7 +27,7 @@ import numpy as np
 from . import rng
 from .parallel import WorkBudgetError, _check_bytes, map_ordered
 from .series import (
-    _SLOPE_CHUNK_CELLS,
+    _CHUNK_CELLS,
     DigitWord,
     Params,
     _check_int,
@@ -164,8 +164,8 @@ def _pair_words(
 
 def _pair_chunks(fn, n_pairs: int, cells_per_pair: int) -> list:
     """fn(chunk) on the worker pool, in pair order, over index ranges `chunk` of
-    the n_pairs pairs that hold about _SLOPE_CHUNK_CELLS cells each."""
-    rows = max(1, _SLOPE_CHUNK_CELLS // cells_per_pair)
+    the n_pairs pairs that hold about _CHUNK_CELLS cells each."""
+    rows = max(1, _CHUNK_CELLS // cells_per_pair)
     return map_ordered(lambda c: fn(np.arange(c, min(c + rows, n_pairs))), range(0, n_pairs, rows))
 
 
@@ -234,6 +234,7 @@ def empirical_delta(
     depth = _terms_for(None, None, 1, depth, "depth")
     x_grid = _check_int("x_grid", x_grid, 2)
     pair_budget = _check_int("pair_budget", pair_budget, 0)
+    seed = _check_int("seed", seed)
     _pair_counts(b, depth, pair_budget, x_grid, 2)  # the byte budget, before any draw
     words, pairs = _pair_words(b, depth, pair_budget, seed)
     xs = np.linspace(0.0, 1.0, x_grid)
@@ -251,6 +252,7 @@ def tangency_count(p: Params, q: TangencyQuery, seed: int = 0) -> int:
     so the decision errs toward tangency.  The thresholds apply to the fiber
     sums; their slope-series equivalents are gamma * eps and gamma * delta.
     """
+    seed = _check_int("seed", seed)
     b, gamma = p.b, p.gamma
     reps = 1 + q.random_tails
     n_cyl, n_int, g = b ** q.n, b ** q.m, q.grid_per_interval
@@ -317,6 +319,7 @@ def two_var_delta(
     x_grid = _check_int("x_grid", x_grid, 1)
     gamma_grid = _check_int("gamma_grid", gamma_grid, 1)
     pair_budget = _check_int("pair_budget", pair_budget, 0)
+    seed = _check_int("seed", seed)
     _pair_counts(b, depth, pair_budget, x_grid, 3)  # the byte budget, before any draw
     ae = solve_ae_critical_lambda(b)
     gamma_top = 1.0 / (b * ae.hi)

@@ -185,6 +185,7 @@ class TestEstimators:
          "--x-grid", "100000000", "--pair-budget", "16"),
         ("star-verify", "--b", "3", "--lambda0", "0.55", "--search", "--t-target", "0.6",
          "--k-max", "0"),
+        ("measure", "--kind", "graph", "--b", "2", "--lambda", "0.99999", "--count", "10000"),
     ])
     def test_out_of_range_exit_code(self, capsys, argv):
         code, out = run_cli(capsys, *argv)
@@ -317,6 +318,11 @@ class TestDeterminism:
         ("boxdim", "--b", "2", "--lambda", "0.9", "--levels", "13", "--samples-per-column", "64"),
         ("transversality", "--b", "3", "--mode", "two-var", "--pair-budget", "2048"),
         ("boxdim", "--b", "5", "--lambda", "0.7", "--levels", "6", "--samples-per-column", "30"),
+        # counts above one pooled sampler chunk (2^16 rows)
+        ("measure", "--kind", "sbr", "--b", "3", "--lambda", "0.6", "--count", "140000",
+         "--bins", "16", "--seed", "2"),
+        ("measure", "--kind", "graph", "--b", "2", "--lambda", "0.6", "--count", "140000",
+         "--bins", "16", "--seed", "4"),
     ])
     def test_worker_pool_output_independent_of_threads(self, capsys, monkeypatch, argv):
         outs = []

@@ -64,16 +64,46 @@ GUARDS = [
 ]
 CASES = [(name, call, bad) for name, call, *bads in GUARDS for bad in bads]
 
+# Seeds have no lower bound: each seeded entry point refuses only a non-integral seed.
+QUERY = w.TangencyQuery(n=1, m=1, eps=0.5, delta=0.5)
+SEEDED = {
+    "sample_transversal": lambda v: w.sample_transversal(P, 0.5, 10, seed=v),
+    "sample_sbr": lambda v: w.sample_sbr(P, count=10, seed=v),
+    "sample_graph_lift": lambda v: w.sample_graph_lift(P, COSINE, 10, seed=v),
+    "local_dim_estimate": lambda v: w.local_dim_estimate(SYNTHETIC, RADII, centers=2, seed=v),
+    "empirical_delta": lambda v: w.empirical_delta(2, 0.6, x_grid=10, pair_budget=4, seed=v),
+    "two_var_delta": lambda v: w.two_var_delta(2, 0.05, x_grid=10, pair_budget=4, seed=v),
+    "tangency_count": lambda v: w.tangency_count(P, QUERY, seed=v),
+    "DigitWord": lambda v: DigitWord((1, 0), tail_seed=v),
+}
 
-@pytest.mark.parametrize("name, call, bad", CASES,
-                         ids=[f"{i}-{name}={bad}" for i, (name, _, bad) in enumerate(CASES)])
-def test_integer_arguments_checked_before_any_work(monkeypatch, name, call, bad):
+
+def _forbid_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work before the argument check")
 
     for target in ("series._orbit_sums", "measures._orbit_sums", "series._graph_sum",
-                   "rng.digit_matrix", "rng.digit_columns", "rng.uniform_vector",
+                   "rng.digit_matrix", "rng.digit_columns", "rng.uniform_vector", "rng.value64",
                    "boxdim._grid_values", "certificates._g", "thresholds._bisect"):
         monkeypatch.setattr(f"weierdim.{target}", no_work)
+
+
+@pytest.mark.parametrize("name, call, bad", CASES,
+                         ids=[f"{i}-{name}={bad}" for i, (name, _, bad) in enumerate(CASES)])
+def test_integer_arguments_checked_before_any_work(monkeypatch, name, call, bad):
+    _forbid_work(monkeypatch)
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
         call(bad)
+
+
+@pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED.keys())
+def test_seeds_checked_before_any_work(monkeypatch, call):
+    _forbid_work(monkeypatch)
+    with pytest.raises(ValueError, match=r"^(tail_)?seed must be an integer, got 1\.5$"):
+        call(1.5)
+
+
+def test_negative_seed_is_its_64_bit_residue():
+    a = w.sample_transversal(P, 0.5, 50, depth=8, seed=-1)
+    b = w.sample_transversal(P, 0.5, 50, depth=8, seed=2 ** 64 - 1)
+    assert a.points.tobytes() == b.points.tobytes()

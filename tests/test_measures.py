@@ -26,6 +26,7 @@ from weierdim import (
 )
 from weierdim import rng
 from weierdim.measures import _linear_fit
+from weierdim.series import _CHUNK_CELLS, _orbit_sums
 
 
 def test_sample_budget_before_any_draw():
@@ -34,6 +35,52 @@ def test_sample_budget_before_any_draw():
                    lambda n: sample_graph_lift(p, COSINE, n)):
         with pytest.raises(WorkBudgetError, match="budget"):
             sample(10 ** 11)
+
+
+C = _CHUNK_CELLS  # rows per pooled sampler task
+
+
+class TestPooledRows:
+    """Each sampler's rows, run in chunks on the worker pool, match one whole-count evaluation."""
+
+    @pytest.mark.parametrize("threads", ("1", "2"))
+    @pytest.mark.parametrize("count", (1, C - 1, C, C + 1, 3 * C + 1))
+    def test_matches_whole_count_reference(self, monkeypatch, threads, count):
+        monkeypatch.setenv("WEIERDIM_THREADS", threads)
+        p, depth, seed = Params(3, 0.6), 9, 5
+        s = sample_transversal(p, 0.3, count, depth=depth, seed=seed)
+        digits = rng.digit_matrix(seed, rng.STREAM_TRANSVERSAL, count, depth, p.b)
+        ref = _orbit_sums(np.full(count, 0.3), p.b, p.gamma, digits.T, ("y",))["y"]
+        assert s.points.tobytes() == ref.tobytes()
+
+        s = sample_sbr(p, COSINE_DERIV, count, depth=depth, seed=seed)
+        xs = rng.uniform_vector(seed, rng.STREAM_SBR_X, count)
+        digits = rng.digit_matrix(seed, rng.STREAM_SBR_DIGITS, count, depth, p.b)
+        ref = _orbit_sums(xs, p.b, p.gamma, digits.T, ("s",), COSINE_DERIV)["s"]
+        assert s.points.tobytes() == np.column_stack([xs, ref]).tobytes()
+
+        s = sample_graph_lift(p, COSINE, count, seed=seed)
+        xs = rng.uniform_vector(seed, rng.STREAM_GRAPH_X, count)
+        ref = eval_weierstrass(p, COSINE, xs, abs_tol=1e-9)
+        assert s.points.tobytes() == np.column_stack([xs, ref.value]).tobytes()
+        assert (s.depth, s.tail_bound) == (ref.terms_used, ref.tail_bound)
+
+
+class TestCsv:
+    @pytest.mark.parametrize("sample", (
+        lambda: sample_transversal(Params(2, 0.95), 0.3, C + 3, depth=12, seed=1),
+        lambda: sample_sbr(Params(3, 0.6), count=C + 3, depth=12, seed=2),
+        lambda: SampleSet(points=np.array([[0.0, -0.0], [np.nan, np.inf], [5e-324, -1e300],
+                                           [1.0 / 3, 2.0 ** 60]]), seed=0, depth=0,
+                          kind="synthetic"),
+        lambda: SampleSet(points=np.array([]), seed=0, depth=0, kind="synthetic"),
+    ), ids=("1-D", "2-D", "edge-values", "empty"))
+    def test_bytes_match_savetxt(self, tmp_path, sample):
+        s = sample()
+        s.to_csv(tmp_path / "got.csv")
+        cols = 1 if s.points.ndim == 1 else s.points.shape[1]
+        np.savetxt(tmp_path / "ref.csv", s.points, delimiter=",", fmt=["%.17g"] * cols)
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestTransversalSampler:

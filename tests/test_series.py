@@ -30,12 +30,12 @@ from weierdim import (
     tail_bound_slope_dgamma,
     tail_bound_slope_dx,
 )
-from weierdim.measures import sample_sbr, sample_transversal
+from weierdim.measures import sample_graph_lift, sample_sbr, sample_transversal
 from weierdim.parallel import WorkBudgetError
 from weierdim.transversality import TangencyQuery, empirical_delta, two_var_delta
 from weierdim.series import (
+    _CHUNK_CELLS,
     _MAX_TERMS,
-    _SLOPE_CHUNK_CELLS,
     FOUR_PI_SQ,
     _orbit_sums,
     _terms_for,
@@ -329,7 +329,7 @@ class TestSlopeGrid:
         monkeypatch.setenv("WEIERDIM_THREADS", "2")
         x = np.linspace(0.0, 1.0, 4000)
         d = rng.digit_matrix(4, rng.STREAM_PAIR_WORDS, 40, 20, 3)
-        assert d.shape[0] > 2 * (_SLOPE_CHUNK_CELLS // x.size)
+        assert d.shape[0] > 2 * (_CHUNK_CELLS // x.size)
         grids = slope_grid(3, 0.7, x, d, want_dgamma=want_dgamma)
         want = ("y", "ydx", "ydgamma") if want_dgamma else ("y", "ydx")
         ref = _orbit_sums(np.broadcast_to(x, (40, x.size)), 3, 0.7, d.T[:, :, None], want)
@@ -460,6 +460,32 @@ class TestTermSearch:
         for call in calls:
             with pytest.raises(WorkBudgetError, match=str(_MAX_TERMS)):
                 call()
+
+    def test_graph_work_budget_before_any_series_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("series work before the budget check")
+
+        for target in ("series._graph_sum", "series._frac_mod1", "rng.uniform_vector"):
+            monkeypatch.setattr(f"weierdim.{target}", no_work)
+        calls = (
+            # about 3.2e6 terms per point at the 1e-9 tail
+            lambda: sample_graph_lift(Params(2, 0.99999), COSINE, 10_000),
+            lambda: eval_weierstrass((2, 0.99), COSINE, np.zeros(1_000_000)),
+        )
+        for call in calls:
+            with pytest.raises(WorkBudgetError, match="term evaluations"):
+                call()
+
+    def test_graph_work_budget_is_terms_times_points(self, monkeypatch):
+        p = Params(2, 0.6)
+        terms = eval_weierstrass(p, COSINE, 0.3).terms_used
+        monkeypatch.setattr("weierdim.series._MAX_TERM_POINTS", 10 * terms)
+        assert sample_graph_lift(p, COSINE, 10).depth == terms
+        assert eval_weierstrass(p, COSINE, np.zeros(10)).terms_used == terms
+        with pytest.raises(WorkBudgetError, match=f"11 points x {terms} terms"):
+            sample_graph_lift(p, COSINE, 11)
+        with pytest.raises(WorkBudgetError, match=f"11 points x {terms} terms"):
+            eval_weierstrass(p, COSINE, np.zeros(11))
 
 
 class TestDigitWord:

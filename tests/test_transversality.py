@@ -231,7 +231,7 @@ class TestPairChunks:
     def test_chunk_size_independent(self, monkeypatch, estimate, small):
         ests = [estimate()]
         for cells in (small, 2 ** 30):
-            monkeypatch.setattr(transversality, "_SLOPE_CHUNK_CELLS", cells)
+            monkeypatch.setattr(transversality, "_CHUNK_CELLS", cells)
             ests.append(estimate())
         assert ests[0] == ests[1] == ests[2]
 
