@@ -129,10 +129,15 @@ def search_certificate(
         base_p = _g_prime(beta, k, 0.0, ts)
         eta_lo = (grid_margin - base) / ts ** k
         eta_hi = (-grid_margin - base_p) / (k * ts ** (k - 1))
-        hit = (etas[:, None] > eta_lo[None, :]) & (etas[:, None] < eta_hi[None, :])
-        rows = hit.any(axis=1)
-        for e in np.flatnonzero(rows):
-            for j in np.flatnonzero(hit[e]):
+        # etas ascend, so t index j hits the eta indices start[j] <= e < stop[j]
+        start = np.searchsorted(etas, eta_lo, side="right")
+        stop = np.searchsorted(etas, eta_hi, side="left")
+        live = start < stop
+        edges = np.bincount(start[live], minlength=eta_grid + 1)
+        edges -= np.bincount(stop[live], minlength=eta_grid + 1)
+        cover = np.cumsum(edges[:-1])  # how many t indices each eta index hits
+        for e in np.flatnonzero(cover):
+            for j in np.flatnonzero((start <= e) & (e < stop)):
                 cand = StarCertificate(beta, k, float(etas[e]), float(ts[j]))
                 if verify_certificate(cand).valid:
                     return cand

@@ -112,8 +112,10 @@ def case_bounds_base2(gamma: float) -> tuple[float, float, float, float]:
 
 def _pair_counts(b: int, depth: int, pair_budget: int, points: int = 0, outputs: int = 0):
     """(exhaustive depth d, sampled ordered pairs, pool rows) of _pair_words, refused when
-    the word rows (rows x depth), pairs and a rows x points x outputs slope grid are over
-    the byte budget; the b^d prefixes hold b^(2d-1) (b-1) ordered distinct-first-digit pairs."""
+    the word rows (rows x depth) and pairs, plus a work bound of one grid cell per row,
+    point and output, are over the byte budget.  The scan holds one x block of that grid at
+    a time, so its term bounds work, not resident bytes.  The b^d prefixes hold
+    b^(2d-1) (b-1) ordered distinct-first-digit pairs."""
     d_ex = 1
     for d in range(2, min(depth, int(12 / math.log2(b))) + 1):
         if b ** (2 * d - 1) * (b - 1) > pair_budget:
@@ -177,28 +179,38 @@ def _min_separation(
 
     The score is max(|dY| - 2 tY, |dY_x| [+ |dY_gamma|] - 2 tD), tD being the
     Y_x tail bound plus, `with_dgamma`, the Y_gamma one; slack = 2 max(tY, tD).
+    Each pool task sums the slope grid of every word on one x block of about
+    _CHUNK_CELLS (word, point) cells and scores every pair on it, as many
+    pairs at a time as there are words; the least (score, pair index,
+    x index) over all blocks is the first minimiser, and the full grid is
+    never held.
     """
-    y, ydx, ydg = slope_grid(b, gamma, xs, words, want_dgamma=with_dgamma)
     t_y = tail_bound_slope(gamma, depth)
     t_d = tail_bound_slope_dx(b, gamma, depth)
     if with_dgamma:
         t_d += tail_bound_slope_dgamma(gamma, depth)
     ii, jj = np.asarray(pairs, dtype=np.int64).T
+    rows = words.shape[0]
+    width = max(1, _CHUNK_CELLS // rows)
 
-    def score_chunk(chunk):
-        si, sj = ii[chunk], jj[chunk]
-        d = np.abs(ydx[si] - ydx[sj])
-        if with_dgamma:
-            d += np.abs(ydg[si] - ydg[sj])
-        d -= 2.0 * t_d
-        score = np.abs(y[si] - y[sj])
-        score -= 2.0 * t_y
-        np.maximum(score, d, out=score)
-        k = int(np.argmin(score))
-        return float(score.flat[k]), int(chunk[0]) * xs.size + k
+    def block_min(x0):
+        xb = xs[x0 : x0 + width]
+        y, ydx, ydg = slope_grid(b, gamma, xb, words, want_dgamma=with_dgamma)
+        best = []
+        for p0 in range(0, ii.size, rows):
+            si, sj = ii[p0 : p0 + rows], jj[p0 : p0 + rows]
+            d = np.abs(ydx[si] - ydx[sj])
+            if with_dgamma:
+                d += np.abs(ydg[si] - ydg[sj])
+            d -= 2.0 * t_d
+            score = np.abs(y[si] - y[sj])
+            score -= 2.0 * t_y
+            np.maximum(score, d, out=score)
+            k = int(np.argmin(score))
+            best.append((float(score.flat[k]), p0 + k // xb.size, x0 + k % xb.size))
+        return min(best)
 
-    score, flat = min(_pair_chunks(score_chunk, len(pairs), xs.size), key=lambda r: r[0])
-    k, x_idx = divmod(flat, xs.size)
+    score, k, x_idx = min(map_ordered(block_min, range(0, xs.size, width)))
     return score, pairs[k], float(xs[x_idx]), 2.0 * max(t_y, t_d)
 
 
@@ -320,7 +332,8 @@ def two_var_delta(
     gamma_grid = _check_int("gamma_grid", gamma_grid, 1)
     pair_budget = _check_int("pair_budget", pair_budget, 0)
     seed = _check_int("seed", seed)
-    _pair_counts(b, depth, pair_budget, x_grid, 3)  # the byte budget, before any draw
+    # the byte budget, before any draw or lattice: at most gamma_grid + 1 gammas in it
+    _pair_counts(b, depth, pair_budget, x_grid * (gamma_grid + 1), 3)
     ae = solve_ae_critical_lambda(b)
     gamma_top = 1.0 / (b * ae.hi)
     lo = 1.0 / b + eps_margin

@@ -5,14 +5,27 @@ MemoryError instead of exhausting the host.
 pytest's `pythonpath` setting reaches only its own process, so a plain
 `pytest` run from a checkout exports the same source root to children.
 Children also inherit the address-space limit.
+
+traced_peak is the memory tests' one probe: `from conftest import traced_peak`.
 """
 
 import os
 import resource
+import tracemalloc
 
 import weierdim
 
 _MAX_ADDRESS_SPACE = 4 << 30  # bytes; the heaviest test modules peak near 0.55 GB
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that Python and numpy allocations reach while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def pytest_configure(config):

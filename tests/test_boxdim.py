@@ -1,10 +1,10 @@
 """Box counting and dimension fits."""
 
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from weierdim import (
     COSINE,
@@ -168,12 +168,8 @@ class TestBoxCount:
 
     def test_streams_the_grid(self):
         # the 2^22-point grid alone would take 32 MB
-        tracemalloc.start()
-        try:
-            box_count(Params(2, 0.9), COSINE, levels=10, samples_per_column=2 ** 12)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: box_count(Params(2, 0.9), COSINE, levels=10,
+                                             samples_per_column=2 ** 12))
         assert peak < 32 * 2 ** 20
 
 

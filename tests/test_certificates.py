@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from weierdim import (
     CLOSED_FORM_BETA,
+    SIGN_MARGIN,
     StarCertificate,
     builtin_certificate,
     coeff_bound,
@@ -16,6 +18,7 @@ from weierdim import (
     search_certificate,
     verify_certificate,
 )
+from weierdim.certificates import _g, _g_prime
 
 
 def direct_series(cert, n_terms=1000):
@@ -150,3 +153,41 @@ class TestSearch:
             search_certificate(0.5, 0.3)
         with pytest.raises(ValueError):
             search_certificate(2.0, 1.5)
+
+
+def _reference_search(beta, t_target, k_max, eta_grid):
+    """search_certificate over the dense eta x t hit matrix of each k."""
+    ts = np.arange(t_target, 1.0, 1e-4)
+    ts = ts[ts < 1.0]
+    etas = np.linspace(-2.0 * beta, 2.0 * beta, eta_grid)
+    for k in range(1, k_max + 1):
+        eta_lo = (2.0 * SIGN_MARGIN - _g(beta, k, 0.0, ts)) / ts ** k
+        eta_hi = (-2.0 * SIGN_MARGIN - _g_prime(beta, k, 0.0, ts)) / (k * ts ** (k - 1))
+        hit = (etas[:, None] > eta_lo[None, :]) & (etas[:, None] < eta_hi[None, :])
+        for e in np.flatnonzero(hit.any(axis=1)):
+            for j in np.flatnonzero(hit[e]):
+                cand = StarCertificate(beta, k, float(etas[e]), float(ts[j]))
+                if verify_certificate(cand).valid:
+                    return cand
+    return None
+
+
+class TestIntervalSearch:
+    """Each t's eta interval visits the candidates of the dense hit matrix, in order."""
+
+    def test_matches_dense_search(self):
+        betas = (1.0, 2.0, coeff_bound(2, 0.81), coeff_bound(3, 0.55), coeff_bound(4, 0.44), 6.0)
+        cases = [(beta, t, k_max, eta_grid)
+                 for beta in betas
+                 for t in (0.3, 0.49, 0.56, 0.62, 0.9)
+                 for k_max, eta_grid in ((1, 1), (2, 2), (4, 401), (6, 1601))]
+        cases += [(coeff_bound(3, 0.55), 0.6, 6, 4001), (coeff_bound(4, 0.44), 0.56, 6, 4001)]
+        found = [search_certificate(*case) for case in cases]
+        assert found == [_reference_search(*case) for case in cases]
+        assert 20 < sum(f is None for f in found) < len(cases) - 20
+        assert any(f is not None for (_, _, _, eta_grid), f in zip(cases, found) if eta_grid == 1)
+
+    def test_holds_no_hit_matrix(self):
+        # the dense search held a 4001 x 4400 boolean matrix per k
+        peak = traced_peak(lambda: search_certificate(coeff_bound(4, 0.44), 0.56))
+        assert peak < 4 * 2 ** 20

@@ -186,6 +186,8 @@ class TestEstimators:
         ("star-verify", "--b", "3", "--lambda0", "0.55", "--search", "--t-target", "0.6",
          "--k-max", "0"),
         ("measure", "--kind", "graph", "--b", "2", "--lambda", "0.99999", "--count", "10000"),
+        ("transversality", "--b", "2", "--mode", "two-var", "--gamma-grid", "100000000",
+         "--x-grid", "2", "--pair-budget", "2"),
     ])
     def test_out_of_range_exit_code(self, capsys, argv):
         code, out = run_cli(capsys, *argv)

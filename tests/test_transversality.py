@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from weierdim import (
     DigitWord,
@@ -18,11 +19,12 @@ from weierdim import (
     solve_critical_lambda,
     tangency_count,
     tail_bound_slope,
+    tail_bound_slope_dgamma,
     tail_bound_slope_dx,
     transversality_defect_gamma,
     two_var_delta,
 )
-from weierdim import parallel, rng, transversality
+from weierdim import parallel, rng, series, transversality
 from weierdim.series import slope_grid
 from weierdim.transversality import _pair_words
 
@@ -236,6 +238,93 @@ class TestPairChunks:
         assert ests[0] == ests[1] == ests[2]
 
 
+def _reference_min_separation(b, gamma, xs, words, pairs, depth, with_dgamma):
+    """_min_separation as the whole slope grid, scored in pair chunks over every x."""
+    y, ydx, ydg = slope_grid(b, gamma, xs, words, want_dgamma=with_dgamma)
+    t_y = tail_bound_slope(gamma, depth)
+    t_d = tail_bound_slope_dx(b, gamma, depth)
+    if with_dgamma:
+        t_d += tail_bound_slope_dgamma(gamma, depth)
+    ii, jj = np.asarray(pairs, dtype=np.int64).T
+
+    def score_chunk(chunk):
+        si, sj = ii[chunk], jj[chunk]
+        d = np.abs(ydx[si] - ydx[sj])
+        if with_dgamma:
+            d += np.abs(ydg[si] - ydg[sj])
+        d -= 2.0 * t_d
+        score = np.abs(y[si] - y[sj])
+        score -= 2.0 * t_y
+        np.maximum(score, d, out=score)
+        k = int(np.argmin(score))
+        return float(score.flat[k]), int(chunk[0]) * xs.size + k
+
+    score, flat = min(transversality._pair_chunks(score_chunk, len(pairs), xs.size),
+                      key=lambda r: r[0])
+    k, x_idx = divmod(flat, xs.size)
+    return score, pairs[k], float(xs[x_idx]), 2.0 * max(t_y, t_d)
+
+
+def _separation_queries(count, seed):
+    """Random (b, gamma, xs, words, pairs, depth, with_dgamma) scans, the last one tied."""
+    rnd = np.random.default_rng(seed)
+    queries = []
+    for q in range(count):
+        b = int(rnd.integers(2, 6))
+        gamma = float(rnd.uniform(1.0 / b + 0.01, 0.99))
+        depth = int(rnd.integers(3, 31))
+        budget = 0 if q % 4 == 0 else int(rnd.integers(1, 400))
+        words, pairs = _pair_words(b, depth, budget, int(rnd.integers(0, 100)))
+        n_x = int(rnd.integers(2, 60))
+        xs = np.linspace(0.0, 1.0, n_x) if q % 2 else (np.arange(n_x) + 0.5) / n_x
+        queries.append((b, gamma, xs, words, pairs, depth, bool(rnd.integers(0, 2))))
+    # a tie: each word with its first digit raised by one scores at x - 1 as the
+    # word does at x, exactly so on a dyadic grid.  The raised pairs come first in
+    # pair order and their x - 1 copies come last in x order; in the first window
+    # of four grid points whose minimum is such a tie, the first minimiser in
+    # pair-major order comes after another one in x order.
+    words, pairs = _pair_words(3, 12, 300, 5)
+    low = [(i, j) for i, j in pairs if max(words[i, 0], words[j, 0]) == 1]
+    raised, n = words.copy(), words.shape[0]
+    raised[:, 0] += 1
+    tie_words, tie_pairs = np.vstack([words, raised]), [(i + n, j + n) for i, j in low] + low
+    for k in range(61):
+        xs = (k + np.arange(4)) / 64.0
+        tie = (3, 0.8, np.concatenate([xs, xs - 1.0]), tie_words, tie_pairs, 12, True)
+        _, (i, _), x, _ = _reference_min_separation(*tie)
+        if i >= n and x < 0.0:
+            return queries + [tie]
+    raise AssertionError("no tied window")
+
+
+class TestFusedScan:
+    """The x-block scan finds the minimiser that scoring the whole slope grid finds."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_matches_whole_grid_scan(self, monkeypatch, threads):
+        monkeypatch.setenv("WEIERDIM_THREADS", threads)
+        queries = _separation_queries(100, 11)
+        expect = [_reference_min_separation(*q) for q in queries]
+        tie = queries[-1]
+        assert expect[-1][1][0] >= tie[3].shape[0] // 2  # a raised pair, on the second half
+        assert expect[-1][0] == _reference_min_separation(*tie[:2], tie[2][:4], *tie[3:])[0]
+        assert len({e[1] for e in expect}) > 50  # the witnesses vary
+        rnd = np.random.default_rng(12)
+        for cells in (1, None, transversality._CHUNK_CELLS, 2 ** 30):
+            for q, want in zip(queries, expect):
+                # None: a block width that leaves a ragged last block
+                width = int(rnd.integers(2, 17)) if cells is None else 0
+                monkeypatch.setattr(transversality, "_CHUNK_CELLS",
+                                    cells or q[3].shape[0] * width + 1)
+                assert transversality._min_separation(*q) == want, (cells, q[:2], q[5:])
+
+    def test_streams_the_grid(self):
+        # the whole 257 x 8000 slope grid and its derivative alone would take 33 MB
+        peak = traced_peak(lambda: empirical_delta(2, 1 / 1.9, x_grid=8000, pair_budget=16384,
+                                                   seed=1))
+        assert peak < 16 * 2 ** 20
+
+
 class TestScaleIdentity:
     def test_shared_prefix_rescaling(self):
         rnd = np.random.default_rng(17)
@@ -351,13 +440,17 @@ def test_scan_bytes_before_any_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work before the byte budget")
 
-    for target in ("_pair_words", "slope_grid"):
+    # the scan's words, its pool, its block kernel and the orbit sums under it, and the
+    # critical scale that the gamma lattice is built from
+    for target in ("_pair_words", "map_ordered", "slope_grid", "solve_ae_critical_lambda"):
         monkeypatch.setattr(transversality, target, no_work)
+    monkeypatch.setattr(series, "_orbit_sums", no_work)
     monkeypatch.setattr(rng, "digit_matrix", no_work)
     p = Params(2, 0.95)
     calls = (
         lambda: empirical_delta(2, p.gamma, x_grid=10 ** 8, pair_budget=16),
         lambda: two_var_delta(2, 0.05, x_grid=10 ** 8, pair_budget=16),
+        lambda: two_var_delta(2, 0.05, x_grid=2, gamma_grid=10 ** 8, pair_budget=2),
         lambda: empirical_delta(2, p.gamma, pair_budget=10 ** 7),
         lambda: tangency_count(p, TangencyQuery(n=1, m=1, eps=0.5, delta=0.5, depth=10 ** 7)),
     )
