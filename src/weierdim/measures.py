@@ -58,7 +58,8 @@ def _pooled_rows(out: np.ndarray, rows: Callable[[int, int], np.ndarray]) -> np.
 def _check_scales(name: str, scales: Sequence[float], least: int = 4) -> None:
     """Refuse fewer than `least` scales, or scales that do not strictly decrease."""
     if len(scales) < least or any(b >= a for a, b in zip(scales, scales[1:])):
-        raise ValueError(f"{name} must be >= {least} strictly decreasing scales, got {scales!r}")
+        got = [float(s) for s in scales]
+        raise ValueError(f"{name} must be >= {least} strictly decreasing scales, got {got}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,7 +160,8 @@ def sample_transversal(
 
     def slopes(r0, r1):
         columns = rng.digit_columns(seed, rng.STREAM_TRANSVERSAL, r1 - r0, depth, p.b, r0)
-        return _orbit_sums(np.full(r1 - r0, float(x)), p.b, gamma, columns, ("y",))["y"]
+        # one start for every row: _orbit_sums runs each digit prefix's orbit once
+        return _orbit_sums(float(x), p.b, gamma, columns, ("y",))["y"]
 
     return SampleSet(
         points=_pooled_rows(np.empty(count), slopes),

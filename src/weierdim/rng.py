@@ -59,8 +59,12 @@ def _hashes(seed: int, stream: int, start: int, count: int) -> np.ndarray:
 
 
 def _digits(h: np.ndarray, base: int) -> np.ndarray:
-    """h % base in place, read as int64 (every digit is below 2**63)."""
-    h %= np.uint64(base)
+    """h % base in place, read as int64 (every digit is below 2**63); a power-of-two
+    base masks with base - 1, which gives the same integer without a division."""
+    if base & (base - 1):
+        h %= np.uint64(base)
+    else:
+        h &= np.uint64(base - 1)
     return h.view(np.int64)
 
 

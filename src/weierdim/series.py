@@ -22,6 +22,7 @@ not lose the fractional part to floating-point cancellation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from bisect import bisect_left
@@ -332,7 +333,7 @@ def eval_weierstrass(
 def _orbit_sums(
     u: np.ndarray,
     b: int,
-    gamma: float,
+    gamma,
     columns: Iterable,
     want: Collection[str],
     psi: Optional[PhiSpec] = None,
@@ -348,36 +349,72 @@ def _orbit_sums(
         "ydgamma"  2 pi sum n gamma^(n-1) sin(2 pi u_n)
         "s"        sum gamma^(n-1) psi(u_n), the constant of psi summed exactly
 
-    Every caller accumulates in this one order, so the slope grids, samplers
-    and single-word evaluators share their rounding.
+    A 1-D gamma stacks the sums on a leading axis, sharing each sin and cos.
+    A 0-d u with 1-D columns is one start for every row: rows with the same
+    first n digits share u_1 .. u_n, so the first floor(log_b rows) steps run
+    once per digit prefix, level by level, and each row then takes its
+    prefix's state.
+
+    Every path runs each cell through the one step body below in the same
+    order, so the slope grids, samplers and single-word evaluators share
+    their rounding.
     """
     u = np.array(u, dtype=np.float64)
-    acc = {k: np.zeros_like(u) for k in want}
-    sy, sdx, sdg, ss = map(acc.get, ("y", "ydx", "ydgamma", "s"))
+    columns = iter(columns)
+    first = next(columns, None) if u.ndim == 0 else None
+    rows = len(first) if np.ndim(first) == 1 else 0  # nonzero: one start for every row
+    if first is not None:
+        columns = itertools.chain([first], columns)
+    del first  # the chain frees the column once it is summed
+    if rows:
+        u = u.reshape(1)
+    lead = np.shape(gamma)
+    gamma = np.reshape(gamma, lead + (1,) * u.ndim) if lead else gamma
+    acc = {k: np.zeros(lead + u.shape) for k in want}
     g = 1.0  # gamma^(n-1) before the update below, gamma^n after it
     r = 1.0  # (gamma/b)^n
     n = 0
-    for digit in columns:
-        n += 1
-        u += digit
-        del digit  # free a sampler's column before the sums (enumerate would keep it)
-        u /= b
-        if ss is not None:
-            ss += g * psi.oscillating(u)
-        if sy is not None or sdg is not None:
-            sin_u = np.sin(TWO_PI * u)
-        if sdg is not None:
-            sdg += (n * g) * sin_u
-        g *= gamma
-        if sy is not None:
-            sy += g * sin_u
-        if sdx is not None:
-            r *= gamma / b
-            sdx += r * np.cos(TWO_PI * u)
+
+    def steps(u, acc, columns):
+        """Advance u and the sums in acc, in place, one orbit step per column."""
+        nonlocal g, r, n
+        sy, sdx, sdg, ss = map(acc.get, ("y", "ydx", "ydgamma", "s"))
+        for digit in columns:
+            n += 1
+            u += digit
+            del digit  # free a sampler's column before the sums (enumerate would keep it)
+            u /= b
+            if ss is not None:
+                ss += g * psi.oscillating(u)
+            if sy is not None or sdg is not None:
+                sin_u = np.sin(TWO_PI * u)
+            if sdg is not None:
+                sdg += (n * g) * sin_u
+            g *= gamma
+            if sy is not None:
+                sy += g * sin_u
+            if sdx is not None:
+                r *= gamma / b
+                sdx += r * np.cos(TWO_PI * u)
+
+    if rows:
+        idx = np.zeros(rows, dtype=np.int64)  # each row's digit prefix, read in base b
+        while u.size * b <= rows and (digit := next(columns, None)) is not None:
+            idx *= b
+            idx += digit
+            del digit
+            u = np.repeat(u, b)
+            acc = {k: np.repeat(v, b, axis=-1) for k, v in acc.items()}
+            # each prefix's last digit, in the narrowest dtype: it adds to u exactly
+            steps(u, acc, [np.tile(np.arange(b, dtype=np.min_scalar_type(b)), u.size // b)])
+        u = u[idx]
+        acc = {k: v[..., idx] for k, v in acc.items()}
+        del idx
+    steps(u, acc, columns)
     scale = {"y": TWO_PI, "ydx": FOUR_PI_SQ, "ydgamma": TWO_PI}
     out = {k: scale[k] * v for k, v in acc.items() if k != "s"}
-    if ss is not None:
-        out["s"] = ss + psi.constant / (1.0 - gamma)
+    if "s" in acc:
+        out["s"] = acc["s"] + psi.constant / (1.0 - gamma)
     return out
 
 
@@ -455,7 +492,7 @@ def default_depth(gamma: float) -> int:
 
 def slope_grid(
     b: int,
-    gamma: float,
+    gamma,
     x: np.ndarray,
     digits: np.ndarray,
     want_dgamma: bool = False,
@@ -463,13 +500,13 @@ def slope_grid(
     """Vectorized slope series for many words over a grid of x.
 
     digits has shape (words, depth); x has shape (points,).  Returns arrays of
-    shape (words, points): the slope, its x-derivative, and (optionally) its
-    gamma-derivative, each truncated at the full depth.  Rows are summed in
-    chunks of words on the worker pool; each cell's arithmetic is
-    elementwise, so the bits do not depend on the chunking.
+    shape (words, points), or (gammas, words, points) for a 1-D gamma: the
+    slope, its x- and (optionally) gamma-derivatives, truncated at the full
+    depth.  Rows are summed in chunks of words on the worker pool; each
+    cell's arithmetic is elementwise, so the bits do not depend on chunking.
     """
     want = ("y", "ydx", "ydgamma") if want_dgamma else ("y", "ydx")
-    rows = max(1, _CHUNK_CELLS // max(1, x.size))
+    rows = max(1, _CHUNK_CELLS // max(1, x.size * np.size(gamma)))
 
     def chunk_sums(r0):
         part = digits[r0 : r0 + rows]
@@ -478,5 +515,5 @@ def slope_grid(
 
     parts = map_ordered(chunk_sums, range(0, max(1, digits.shape[0]), rows))
     # pop drops each chunk's array once it is copied into the full grid
-    out = {k: np.concatenate([part.pop(k) for part in parts]) for k in want}
+    out = {k: np.concatenate([part.pop(k) for part in parts], axis=-2) for k in want}
     return out["y"], out["ydx"], out.get("ydgamma")

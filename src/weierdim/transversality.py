@@ -172,26 +172,28 @@ def _pair_chunks(fn, n_pairs: int, cells_per_pair: int) -> list:
 
 
 def _min_separation(
-    b: int, gamma: float, xs: np.ndarray, words: np.ndarray,
+    b: int, gamma, xs: np.ndarray, words: np.ndarray,
     pairs: list[tuple[int, int]], depth: int, with_dgamma: bool,
-) -> tuple[float, tuple[int, int], float, float]:
+) -> tuple:
     """(score, pair, x, slack) at the first minimiser in pair-major order.
 
     The score is max(|dY| - 2 tY, |dY_x| [+ |dY_gamma|] - 2 tD), tD being the
     Y_x tail bound plus, `with_dgamma`, the Y_gamma one; slack = 2 max(tY, tD).
-    Each pool task sums the slope grid of every word on one x block of about
-    _CHUNK_CELLS (word, point) cells and scores every pair on it, as many
-    pairs at a time as there are words; the least (score, pair index,
-    x index) over all blocks is the first minimiser, and the full grid is
-    never held.
+    A 1-D gamma appends the gamma index to the tuple.  Each pool task sums
+    the slope grids of every gamma and word on one x block of about
+    _CHUNK_CELLS cells and scores every pair on it, as many pairs at a time
+    as there are words; the least (score, gamma index, pair index, x index)
+    over all blocks is the first minimiser, and the full grid is never held.
     """
-    t_y = tail_bound_slope(gamma, depth)
-    t_d = tail_bound_slope_dx(b, gamma, depth)
+    gammas = np.atleast_1d(gamma).tolist()
+    tails = np.shape(gamma) + (1, 1)  # each gamma's tails, broadcast over (pair, x)
+    t_y = np.reshape([tail_bound_slope(g, depth) for g in gammas], tails)
+    t_d = np.reshape([tail_bound_slope_dx(b, g, depth) for g in gammas], tails)
     if with_dgamma:
-        t_d += tail_bound_slope_dgamma(gamma, depth)
+        t_d += np.reshape([tail_bound_slope_dgamma(g, depth) for g in gammas], tails)
     ii, jj = np.asarray(pairs, dtype=np.int64).T
     rows = words.shape[0]
-    width = max(1, _CHUNK_CELLS // rows)
+    width = max(1, _CHUNK_CELLS // (rows * len(gammas)))
 
     def block_min(x0):
         xb = xs[x0 : x0 + width]
@@ -199,19 +201,21 @@ def _min_separation(
         best = []
         for p0 in range(0, ii.size, rows):
             si, sj = ii[p0 : p0 + rows], jj[p0 : p0 + rows]
-            d = np.abs(ydx[si] - ydx[sj])
+            d = np.abs(ydx[..., si, :] - ydx[..., sj, :])
             if with_dgamma:
-                d += np.abs(ydg[si] - ydg[sj])
+                d += np.abs(ydg[..., si, :] - ydg[..., sj, :])
             d -= 2.0 * t_d
-            score = np.abs(y[si] - y[sj])
+            score = np.abs(y[..., si, :] - y[..., sj, :])
             score -= 2.0 * t_y
             np.maximum(score, d, out=score)
             k = int(np.argmin(score))
-            best.append((float(score.flat[k]), p0 + k // xb.size, x0 + k % xb.size))
+            g_i, c = divmod(k, si.size * xb.size)
+            best.append((float(score.flat[k]), g_i, p0 + c // xb.size, x0 + c % xb.size))
         return min(best)
 
-    score, k, x_idx = min(map_ordered(block_min, range(0, xs.size, width)))
-    return score, pairs[k], float(xs[x_idx]), 2.0 * max(t_y, t_d)
+    score, g_i, k, x_idx = min(map_ordered(block_min, range(0, xs.size, width)))
+    found = score, pairs[k], float(xs[x_idx]), 2.0 * float(max(t_y.flat[g_i], t_d.flat[g_i]))
+    return found + (g_i,) if np.ndim(gamma) else found
 
 
 def _estimate(words: np.ndarray, found, gamma: Optional[float] = None) -> DeltaEstimate:
@@ -339,18 +343,11 @@ def two_var_delta(
     lo = 1.0 / b + eps_margin
     hi = gamma_top - eps_margin
     step = (gamma_top - 1.0 / b) / (gamma_grid + 1.0)
-    gammas = [
-        1.0 / b + j * step
-        for j in range(1, int((gamma_top - 1.0 / b) / step) + 2)
-        if lo <= 1.0 / b + j * step <= hi
-    ]
-    if not gammas:
+    gammas = 1.0 / b + np.arange(1, int((gamma_top - 1.0 / b) / step) + 2) * step
+    gammas = gammas[(lo <= gammas) & (gammas <= hi)]
+    if not gammas.size:
         raise ValueError(f"no gamma lattice point in [{lo}, {hi}] for b={b}, eps={eps_margin}")
     xs = (np.arange(x_grid) + 0.5) / x_grid
     words, pairs = _pair_words(b, depth, pair_budget, seed)
-    # min keeps the first gamma on a tie
-    found, gamma = min(
-        ((_min_separation(b, g, xs, words, pairs, depth, True), g) for g in gammas),
-        key=lambda r: r[0][0],
-    )
-    return _estimate(words, found, gamma)
+    *found, g_i = _min_separation(b, gammas, xs, words, pairs, depth, True)
+    return _estimate(words, found, float(gammas[g_i]))

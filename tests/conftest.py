@@ -6,12 +6,15 @@ pytest's `pythonpath` setting reaches only its own process, so a plain
 `pytest` run from a checkout exports the same source root to children.
 Children also inherit the address-space limit.
 
-traced_peak is the memory tests' one probe: `from conftest import traced_peak`.
+traced_peak is the memory tests' one probe: `from conftest import traced_peak`;
+counted_trig is the work-count tests' one probe.
 """
 
 import os
 import resource
 import tracemalloc
+
+import numpy as np
 
 import weierdim
 
@@ -26,6 +29,17 @@ def traced_peak(fn) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def counted_trig(monkeypatch) -> dict:
+    """{"sin": n, "cos": n}: elements that np.sin and np.cos receive from here on."""
+    calls = {"sin": 0, "cos": 0}
+    for name, fn in [(name, getattr(np, name)) for name in calls]:
+        def counted(u, _fn=fn, _name=name):
+            calls[_name] += np.size(u)
+            return _fn(u)
+        monkeypatch.setattr(np, name, counted)
+    return calls
 
 
 def pytest_configure(config):

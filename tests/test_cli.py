@@ -194,6 +194,13 @@ class TestEstimators:
         assert code == 3
         assert out == ""
 
+    def test_scale_error_lists_plain_floats(self, capsys):
+        code = main(["boxdim", "--b", "2", "--lambda", "0.9", "--levels", "4",
+                     "--drop-coarsest", "1"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err.rstrip().endswith("strictly decreasing scales, got [0.25, 0.125, 0.0625]")
+
     def test_measure_mean(self, capsys):
         code, payload = run_json(
             capsys, "measure", "--kind", "transversal", "--b", "2",
@@ -325,6 +332,11 @@ class TestDeterminism:
          "--bins", "16", "--seed", "2"),
         ("measure", "--kind", "graph", "--b", "2", "--lambda", "0.6", "--count", "140000",
          "--bins", "16", "--seed", "4"),
+        # the pool under empirical_delta and tangency_count
+        ("reproduce",),
+        # a ragged last chunk, with a shallower digit-prefix tree than the full ones
+        ("measure", "--kind", "transversal", "--b", "3", "--lambda", "0.8", "--x", "0.5",
+         "--count", "140000", "--bins", "16"),
     ])
     def test_worker_pool_output_independent_of_threads(self, capsys, monkeypatch, argv):
         outs = []

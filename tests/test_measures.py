@@ -1,10 +1,12 @@
 """Measure samplers, local-dimension estimation and histograms."""
 
+import itertools
 import math
 import struct
 
 import numpy as np
 import pytest
+from conftest import counted_trig
 
 from weierdim import (
     COSINE,
@@ -64,6 +66,45 @@ class TestPooledRows:
         ref = eval_weierstrass(p, COSINE, xs, abs_tol=1e-9)
         assert s.points.tobytes() == np.column_stack([xs, ref.value]).tobytes()
         assert (s.depth, s.tail_bound) == (ref.terms_used, ref.tail_bound)
+
+
+def _prefix_levels(b, rows):
+    """T = floor(log_b rows), in integers: the shared-prefix steps of a chunk of rows."""
+    t = 0
+    while b ** (t + 1) <= rows:
+        t += 1
+    return t
+
+
+class TestSharedStart:
+    """The transversal sampler runs each digit prefix's orbit once, for rows that share
+    a start x; every sample keeps the bits of a start array with one entry per row,
+    which never shares (the TestPooledRows reference)."""
+
+    @pytest.mark.parametrize("b", (2, 3, 4, 5, 7))
+    def test_matches_per_row_orbits(self, monkeypatch, b):
+        p, seed, t = Params(b, 1.2 / b), 7, _prefix_levels(b, C)
+        counts = sorted({1, b, b + 1, b ** t - 1, b ** t, b ** t + 1, C - 1, C, C + 1, 3 * C + 1})
+        for x, depth in itertools.product((0.0, 0.3, 1.0), (3, t + 2)):  # depth below and above T
+            # row r of every count is the same counter stream, so one reference serves all
+            digits = rng.digit_matrix(seed, rng.STREAM_TRANSVERSAL, counts[-1], depth, b)
+            ref = _orbit_sums(np.full(counts[-1], x), b, p.gamma, digits.T, ("y",))["y"]
+            for count in counts:
+                for threads in ("1", "2") if count > C else ("1",):  # one chunk runs serially
+                    monkeypatch.setenv("WEIERDIM_THREADS", threads)
+                    s = sample_transversal(p, x, count, depth=depth, seed=seed)
+                    assert s.points.tobytes() == ref[:count].tobytes(), (x, count, depth, threads)
+
+    @pytest.mark.parametrize("b, depth", ((2, 36), (3, 25)))
+    def test_trig_count(self, monkeypatch, b, depth):
+        # one 2^16-row chunk: the b^n prefixes of the first T levels once each, then the
+        # later steps per row (at b = 2 a level fewer costs the same, at b = 3 it does not)
+        monkeypatch.setenv("WEIERDIM_THREADS", "1")
+        calls = counted_trig(monkeypatch)
+        sample_transversal(Params(b, 1.2 / b), 0.3, C, depth=depth, seed=1)
+        t = _prefix_levels(b, C)
+        assert t == {2: 16, 3: 10}[b]
+        assert calls == {"sin": sum(b ** n for n in range(1, t + 1)) + (depth - t) * C, "cos": 0}
 
 
 class TestCsv:

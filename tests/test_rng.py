@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from weierdim import rng
 
@@ -40,3 +41,14 @@ def test_uniform_range_and_rough_uniformity():
     digits = rng.digit_matrix(5, 2, 50_000, 4, 7).ravel()
     counts = np.bincount(digits, minlength=7) / digits.size
     assert np.all(np.abs(counts - 1 / 7) < 0.01)
+
+
+@pytest.mark.parametrize("base", (2, 4, 2 ** 20, 3, 5))  # masked, then divided
+def test_digits_are_hash_remainders(base):
+    m = rng.digit_matrix(8, 2, 5, 7, base)
+    assert m.tolist() == [[rng.value64(8, 2, r, c) % base for c in range(7)] for r in range(5)]
+    columns = list(rng.digit_columns(8, 2, 5, 7, base, start=3))
+    assert [col.tolist() for col in columns] == [
+        [rng.value64(8, 2, 3 + r, c) % base for r in range(5)] for c in range(7)]
+    assert rng.digit_vector(8, 2, 4, 9, base).tolist() == [
+        rng.value64(8, 2, 4 + i) % base for i in range(9)]

@@ -338,6 +338,36 @@ class TestSlopeGrid:
         assert (grids[2] is None) == (not want_dgamma)
 
 
+class TestGammaAxis:
+    """A gamma vector shares each orbit point's sin and cos; every gamma's sums keep
+    the bits of a call with that gamma alone."""
+
+    gammas = np.array([0.55, 0.6, 0.6, 0.7, 0.93])
+
+    @pytest.mark.parametrize("start", ("grid", "shared", "per-row"))
+    def test_orbit_sums_match_scalar_calls(self, start):
+        d = rng.digit_matrix(2, rng.STREAM_PAIR_WORDS, 40, 25, 3)
+        u, cols = {"grid": (np.broadcast_to(np.linspace(0.0, 1.0, 7), (40, 7)), d.T[:, :, None]),
+                   "shared": (0.3, d.T), "per-row": (np.full(40, 0.3), d.T)}[start]
+        want = ("y", "ydx", "ydgamma", "s")
+        got = _orbit_sums(u, 3, self.gammas, cols, want, COSINE_DERIV)
+        for k, g in enumerate(self.gammas.tolist()):
+            one = _orbit_sums(u, 3, g, cols, want, COSINE_DERIV)
+            for key in want:
+                assert got[key][k].tobytes() == one[key].tobytes(), (start, g, key)
+
+    def test_slope_grid_matches_scalar_calls(self, monkeypatch):
+        # 30 words x 500 points x 5 gammas span two row chunks
+        monkeypatch.setenv("WEIERDIM_THREADS", "2")
+        x = np.linspace(0.0, 1.0, 500)
+        d = rng.digit_matrix(6, rng.STREAM_PAIR_WORDS, 30, 20, 3)
+        grids = slope_grid(3, self.gammas, x, d, want_dgamma=True)
+        for k, g in enumerate(self.gammas.tolist()):
+            for grid, one in zip(grids, slope_grid(3, g, x, d, want_dgamma=True)):
+                assert grid.shape == (5, 30, 500)
+                assert grid[k].tobytes() == one.tobytes()
+
+
 class TestTailSoundness:
     def test_value_differences_within_tail(self):
         rnd = np.random.default_rng(4)

@@ -5,7 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import counted_trig, traced_peak
 
 from weierdim import (
     DigitWord,
@@ -478,6 +478,29 @@ class TestTwoVariable:
     def test_empty_interval(self):
         with pytest.raises(ValueError):
             two_var_delta(2, 0.2)
+
+    def test_first_gamma_on_ties(self):
+        words, pairs = _pair_words(2, 20, 200, 3)
+        xs = np.linspace(0.0, 1.0, 50)
+        one = transversality._min_separation(2, 0.6, xs, words, pairs, 20, True)
+        assert transversality._min_separation(2, np.array([0.6, 0.6]), xs, words, pairs, 20,
+                                              True) == one + (0,)
+
+    def test_one_orbit_for_every_gamma(self, monkeypatch):
+        # one sin and one cos per (word, x, step), however many gammas share the orbit
+        monkeypatch.setenv("WEIERDIM_THREADS", "1")
+        calls, blocks = counted_trig(monkeypatch), []
+
+        def spy(b, gamma, x, digits, want_dgamma=False):
+            blocks.append((np.size(gamma), digits.size * x.size))
+            return slope_grid(b, gamma, x, digits, want_dgamma)
+
+        monkeypatch.setattr(transversality, "slope_grid", spy)
+        two_var_delta(2, 0.05, x_grid=300, seed=1)
+        assert {g for g, _ in blocks} == {4}
+        cells = sum(c for _, c in blocks)  # words x points x depth
+        assert cells == 40 * 300 * _pair_words(2, 40, 512, 1)[0].shape[0]
+        assert calls == {"sin": cells, "cos": cells}
 
 
 class TestTailSlackAccounting:
