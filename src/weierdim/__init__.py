@@ -6,14 +6,11 @@ dimension fits, plus a reproduction harness for the package's headline
 numeric claims (the `weierdim reproduce` command).
 """
 
-from .boxdim import BoxCountTable, box_count, fit_box_dimension, theoretical_dimension
+from .boxdim import BoxCountTable, box_count, fit_box_dimension
 from .certificates import (
     SIGN_MARGIN,
     CertificateReport,
     StarCertificate,
-    g_star,
-    g_star_prime,
-    licenses_lower_bound,
     search_certificate,
     verify_certificate,
 )
@@ -34,10 +31,7 @@ from .series import (
     Params,
     PhiSpec,
     SeriesValue,
-    default_depth,
     eval_fiber_sum,
-    eval_phi,
-    eval_phi_prime,
     eval_stable_slope,
     eval_stable_slope_dgamma,
     eval_stable_slope_dx,
@@ -50,7 +44,6 @@ from .series import (
 from .thresholds import (
     CLOSED_FORM_BETA,
     AeCriticalBound,
-    DoubleRootBounds,
     RootBracket,
     ae_defect,
     ae_defect_majorant,
@@ -58,17 +51,14 @@ from .thresholds import (
     coeff_bound,
     coeff_bound_to_lambda,
     defect_majorant,
-    double_root_bounds,
     solve_ae_critical_lambda,
     solve_critical_lambda,
     transversality_defect,
-    transversality_defect_gamma,
 )
 from .transversality import (
     DeltaEstimate,
     TangencyQuery,
     WorkBudgetError,
-    analytic_transversality_check,
     case_bounds_base2,
     empirical_delta,
     tangency_count,

@@ -38,11 +38,6 @@ class BoxCountTable:
         _check_scales("epsilon levels", [e for e, _ in self.levels], 0)
 
 
-def theoretical_dimension(p: Params) -> float:
-    """The self-affinity exponent 2 + log(lam)/log(b)."""
-    return p.affinity_dim
-
-
 def _grid_values(p: Params, phi: PhiSpec, grid_depth: int, span: int) -> np.ndarray:
     """Min (row 0) and max (row 1) of f over each column of `span` steps of
     the grid x = t / b**grid_depth, both end points included, exactly.

@@ -71,33 +71,14 @@ def _g_prime(beta: float, k: int, eta: float, t):
     return -beta * head + eta * k * t ** (k - 1) + beta * tail
 
 
-def g_star(cert: StarCertificate) -> float:
-    """Closed form of the certificate series at t."""
-    return _g(cert.beta, cert.k, cert.eta, cert.t)
-
-
-def g_star_prime(cert: StarCertificate) -> float:
-    """Exact derivative of the closed form at t."""
-    return _g_prime(cert.beta, cert.k, cert.eta, cert.t)
-
-
 def verify_certificate(cert: StarCertificate) -> CertificateReport:
     """Check g > 0 and g' < 0 with margin; a valid report licenses y(beta) > t."""
-    g = g_star(cert)
-    gp = g_star_prime(cert)
+    g = _g(cert.beta, cert.k, cert.eta, cert.t)
+    gp = _g_prime(cert.beta, cert.k, cert.eta, cert.t)
     margin = min(g, -gp)
     valid = margin > SIGN_MARGIN
     note = "borderline" if 0.0 < margin <= SIGN_MARGIN else ""
     return CertificateReport(g, gp, valid, margin, note)
-
-
-def licenses_lower_bound(cert: StarCertificate, t: float) -> bool:
-    """Whether a verified certificate implies y(beta) > t.
-
-    A certificate at t0 bounds y(beta) above t0, hence above any t <= t0;
-    no re-validation at the smaller t is needed.
-    """
-    return t <= cert.t and verify_certificate(cert).valid
 
 
 def search_certificate(

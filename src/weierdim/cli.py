@@ -20,14 +20,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .boxdim import box_count, fit_box_dimension, theoretical_dimension
+from .boxdim import box_count, fit_box_dimension
 from .certificates import StarCertificate, search_certificate, verify_certificate
 from .measures import (
+    _check_bins,
     density_histogram,
     sample_graph_lift,
     sample_sbr,
     sample_transversal,
 )
+from .parallel import _check_bytes
 from .series import (
     COSINE,
     COSINE_DERIV,
@@ -56,6 +58,8 @@ from .transversality import (
     tangency_count,
     two_var_delta,
 )
+
+_ROW_BYTES = 2048  # per thresholds row: its dict and emitted text (1.4 kB measured as JSON)
 
 _PHI_CHOICES = {
     "cos": COSINE,
@@ -118,10 +122,10 @@ def _phases(raw: str) -> list[float]:
     return [_finite(t) for t in raw.split(",") if t != ""]
 
 
-def _b_range(raw: str) -> tuple[str, list[int]]:
-    """(raw, bases) from "lo:hi" or "2,3,5"; the raw string is echoed in config."""
+def _b_range(raw: str) -> tuple[str, range | list[int]]:
+    """(raw, bases) from "lo:hi" (a range) or "2,3,5"; the raw string is echoed in config."""
     lo, _, hi = raw.partition(":")
-    bases = list(range(int(lo), int(hi) + 1)) if hi else [int(t) for t in raw.split(",")]
+    bases = range(int(lo), int(hi) + 1) if hi else [int(t) for t in raw.split(",")]
     if not bases:
         raise ValueError(f"empty base range {raw!r}")
     return raw, bases
@@ -166,6 +170,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_thresholds(args) -> int:
     raw, bases = args.b_range
+    _check_bytes(len(bases) * _ROW_BYTES, f"{len(bases)} threshold rows")
     rows = []
     for b in bases:
         br = solve_critical_lambda(b, args.tol)
@@ -287,7 +292,7 @@ def _cmd_boxdim(args) -> int:
             "rows": rows,
             "slope": fit.slope,
             "stderr": fit.stderr,
-            "theoretical": theoretical_dimension(p),
+            "theoretical": p.affinity_dim,
             "note": "per-column oscillation bracketed by sampling; counts may undercount, never overcount",
             "config": {
                 "b": args.b, "lambda": args.lam, "levels": args.levels,
@@ -302,6 +307,8 @@ def _cmd_boxdim(args) -> int:
 
 def _cmd_measure(args) -> int:
     p = Params(args.b, args.lam)
+    if args.bins:
+        _check_bins(args.bins)  # before any draw
     if args.kind == "transversal":
         s = sample_transversal(p, args.x, args.count, depth=args.depth, seed=args.seed)
     elif args.kind == "sbr":

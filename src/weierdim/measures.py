@@ -36,11 +36,21 @@ from .series import (
 )
 
 
+_BIN_BYTES = 512  # per histogram bin: its arrays, output row and JSON text (410 B measured)
+
+
 def _check_count(count: int, columns: int) -> int:
     """count as an int, refused below 1 or when the count x columns result is over budget."""
     count = _check_int("count", count, 1)
     _check_bytes(count * 8 * columns, f"{count} samples")
     return count
+
+
+def _check_bins(bins: int) -> int:
+    """bins as an int, refused below 2 or when the histogram and its rows are over budget."""
+    bins = _check_int("bins", bins, 2)
+    _check_bytes(bins * _BIN_BYTES, f"{bins} histogram bins")
+    return bins
 
 
 def _pooled_rows(out: np.ndarray, rows: Callable[[int, int], np.ndarray]) -> np.ndarray:
@@ -301,7 +311,7 @@ def dimension_from_transversal(dim_nu: float, p: Params) -> float:
 
 def density_histogram(s: SampleSet, bins: int) -> list[tuple[float, float]]:
     """Normalized histogram of the measure coordinate: (bin center, mass)."""
-    bins = _check_int("bins", bins, 2)
+    bins = _check_bins(bins)
     vals = s.values()
     if vals.size == 0:
         raise ValueError("empty sample set")

@@ -39,7 +39,7 @@ from .parallel import WorkBudgetError, map_ordered
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 _MAX_TERMS = 10_000_000
-_TAIL_TARGET = 1e-9  # series tail of default_depth and of the samplers' default depths
+_TAIL_TARGET = 1e-9  # series tail of the samplers' default depths
 _MAX_TERM_POINTS = 1 << 30  # terms x points one graph-series evaluation may sum
 _CHUNK_CELLS = 1 << 16  # cells per pooled task: slope-grid (word, point) cells, sampler rows
 
@@ -151,6 +151,7 @@ class DigitWord:
             object.__setattr__(self, "tail_seed", _check_int("tail_seed", self.tail_seed))
 
     def validate_base(self, b: int) -> None:
+        b = _check_int("base", b, 2)
         if self.digits and max(self.digits) >= b:
             raise ValueError(f"word {self.digits} has digits >= base {b}")
 
@@ -189,16 +190,6 @@ class SeriesValue:
     def __post_init__(self):
         if self.tail_bound < 0:
             raise ValueError("tail_bound must be nonnegative")
-
-
-def eval_phi(phi: PhiSpec, x: float) -> float:
-    """Exact finite trigonometric sum phi(x)."""
-    return float(phi.eval(x))
-
-
-def eval_phi_prime(phi: PhiSpec, x: float) -> float:
-    """Term-wise derivative phi'(x)."""
-    return float(phi.derivative().eval(x))
 
 
 def _terms_for(abs_tol: Optional[float], tail: Optional[Callable[[int], float]], least: int = 0,
@@ -485,11 +476,6 @@ def eval_fiber_sum(
     return _word_series(p, word, x, "s", tail, abs_tol, terms, psi)
 
 
-def default_depth(gamma: float) -> int:
-    """Truncation depth making the slope-series tail at most _TAIL_TARGET (1e-9)."""
-    return _terms_for(_TAIL_TARGET, partial(tail_bound_slope, gamma), 1)
-
-
 def slope_grid(
     b: int,
     gamma,
@@ -505,6 +491,7 @@ def slope_grid(
     depth.  Rows are summed in chunks of words on the worker pool; each
     cell's arithmetic is elementwise, so the bits do not depend on chunking.
     """
+    b = _check_int("base", b, 2)
     want = ("y", "ydx", "ydgamma") if want_dgamma else ("y", "ydx")
     rows = max(1, _CHUNK_CELLS // max(1, x.size * np.size(gamma)))
 

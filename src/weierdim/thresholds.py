@@ -17,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
-from .certificates import StarCertificate, _check_beta, search_certificate, verify_certificate
+from .certificates import StarCertificate, search_certificate, verify_certificate
 from .series import _check_int
 
 #: Above this coefficient bound the double-root value is exactly 1/(1+sqrt(beta)).
@@ -49,37 +49,18 @@ class RootBracket:
 
 
 @dataclass(frozen=True)
-class DoubleRootBounds:
-    """Bounds on the smallest positive double-root value for one beta."""
-
-    beta: float
-    lower: float
-    upper: float
-    method: str  # "closed-form" | "generic-bound" | "certificate"
-
-
-@dataclass(frozen=True)
 class AeCriticalBound:
     """Enclosure of the almost-everywhere critical scale for one base."""
 
     lo: float
     hi: float
     method: str  # "closed-form" | "certificate" | "generic-bound" | "monotone"
-    bracket: Optional[RootBracket] = None
-    certificate: Optional[StarCertificate] = None
 
 
 def _check_lambda(b: int, lam: float) -> int:
     b = _check_int("base", b, 2)
     if not (1.0 / b < lam <= 1.0):
         raise ValueError(f"lam must lie in (1/{b}, 1], got {lam!r}")
-    return b
-
-
-def _check_gamma(b: int, gamma: float) -> int:
-    b = _check_int("base", b, 2)
-    if not (1.0 / b < gamma < 1.0):
-        raise ValueError(f"gamma must lie in (1/{b}, 1), got {gamma!r}")
     return b
 
 
@@ -101,33 +82,6 @@ def transversality_defect(b: int, lam: float) -> float:
     return (
         1.0 / (b * lam - 1.0) ** 2
         + 1.0 / (b ** 2 * lam - 1.0) ** 2
-        - math.sin(math.pi / b) ** 2
-    )
-
-
-def _defect_gamma_base2(gamma: float) -> float:
-    # shared with the base-2 case bounds; the worst case equals this expression
-    return (
-        gamma ** 4 / (1.0 - gamma) ** 2
-        + gamma ** 4 / (4.0 * (2.0 - gamma) ** 2)
-        - gamma ** 2 / 2.0
-        + math.sqrt(2.0) * gamma
-        - 1.0
-    )
-
-
-def transversality_defect_gamma(b: int, gamma: float) -> float:
-    """The defect written in the contraction ratio gamma = 1/(b*lam).
-
-    Satisfies transversality_defect_gamma(b, 1/(b*lam)) ==
-    transversality_defect(b, lam) up to rounding.
-    """
-    b = _check_gamma(b, gamma)
-    if b == 2:
-        return _defect_gamma_base2(gamma)
-    return (
-        gamma ** 2 / (1.0 - gamma) ** 2
-        + gamma ** 2 / (b - gamma) ** 2
         - math.sin(math.pi / b) ** 2
     )
 
@@ -222,37 +176,6 @@ def solve_critical_lambda(b: int, tol: float = 1e-12) -> RootBracket:
     return _bisect(transversality_defect, b, tol)
 
 
-def double_root_bounds(
-    beta: float, certs: Sequence[StarCertificate] = ()
-) -> DoubleRootBounds:
-    """Tightest available bounds on the smallest double-root value y(beta).
-
-    Known facts: y is strictly decreasing with y(2) = 1/2, always satisfies
-    1 > y(beta) >= 1/(1+sqrt(beta)), and equals the generic bound once beta is
-    at least CLOSED_FORM_BETA.  A verified certificate for beta' >= beta
-    raises the lower bound to its t (monotonicity transfers it downward).
-    No upper bound below 1 is fabricated outside these mechanisms.
-    """
-    _check_beta(beta)
-    generic = 1.0 / (1.0 + math.sqrt(beta))
-    if beta >= CLOSED_FORM_BETA:
-        return DoubleRootBounds(beta, generic, generic, "closed-form")
-    lower, method = generic, "generic-bound"
-    if beta <= 2.0:
-        lower = max(lower, 0.5)
-    upper = 0.5 if beta >= 2.0 else 1.0
-    for cert in certs:
-        if cert.beta < beta - 1e-9:
-            continue
-        if cert.t > lower and verify_certificate(cert).valid:
-            lower, method = cert.t, "certificate"
-    if lower > upper:
-        raise ValueError(
-            f"inconsistent bounds for beta={beta}: lower {lower} > upper {upper}"
-        )
-    return DoubleRootBounds(beta, lower, upper, method)
-
-
 def builtin_certificate(b: int) -> Optional[tuple[float, StarCertificate]]:
     """Published certificate (lambda0, certificate) for bases 2, 3, 4."""
     params = _BUILTIN_CERT_PARAMS.get(_check_int("base", b, 2))
@@ -277,11 +200,7 @@ def _default_certificates(b: int) -> tuple[StarCertificate, ...]:
     return (found,) if found is not None else ()
 
 
-def solve_ae_critical_lambda(
-    b: int,
-    tol: float = 1e-12,
-    certs: Optional[Sequence[StarCertificate]] = None,
-) -> AeCriticalBound:
+def solve_ae_critical_lambda(b: int, tol: float = 1e-12) -> AeCriticalBound:
     """Enclose the almost-everywhere critical scale for one base.
 
     When the coefficient bound stays at or above CLOSED_FORM_BETA across the
@@ -294,26 +213,22 @@ def solve_ae_critical_lambda(
     almost-everywhere threshold always sits strictly below it).
     """
     b = _check_int("base", b, 2)
-    bracket = None
+    candidates: list[tuple[float, str]] = []
     if ae_defect(b, 1.0) < 0.0:
         bracket = _bisect(ae_defect, b, tol)
         if (
             coeff_bound(b, bracket.lo) >= CLOSED_FORM_BETA
             and coeff_bound(b, bracket.hi) >= CLOSED_FORM_BETA
         ):
-            return AeCriticalBound(bracket.lo, bracket.hi, "closed-form", bracket=bracket)
-
-    candidates: list[tuple[float, str, Optional[StarCertificate]]] = []
-    if bracket is not None:
-        candidates.append((bracket.hi, "generic-bound", None))
+            return AeCriticalBound(bracket.lo, bracket.hi, "closed-form")
+        candidates.append((bracket.hi, "generic-bound"))
     lam_crit = solve_critical_lambda(b, tol)
-    candidates.append((lam_crit.hi, "monotone", None))
-    cert_list = tuple(certs) if certs is not None else _default_certificates(b)
-    for cert in cert_list:
+    candidates.append((lam_crit.hi, "monotone"))
+    for cert in _default_certificates(b):
         lam0 = coeff_bound_to_lambda(b, cert.beta)
         if lam0 is None or not (1.0 / b < lam0 < 1.0):
             continue
         if cert.t >= 1.0 / (b * lam0) and verify_certificate(cert).valid:
-            candidates.append((lam0, "certificate", cert))
-    hi, method, cert = min(candidates, key=lambda c: c[0])
-    return AeCriticalBound(1.0 / b, hi, method, bracket=bracket, certificate=cert)
+            candidates.append((lam0, "certificate"))
+    hi, method = min(candidates, key=lambda c: c[0])
+    return AeCriticalBound(1.0 / b, hi, method)

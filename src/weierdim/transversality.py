@@ -37,12 +37,7 @@ from .series import (
     tail_bound_slope_dgamma,
     tail_bound_slope_dx,
 )
-from .thresholds import (
-    _check_gamma,
-    _defect_gamma_base2,
-    solve_ae_critical_lambda,
-    transversality_defect,
-)
+from .thresholds import solve_ae_critical_lambda
 
 _MAX_TANGENCY_WORK = 5e7  # b^(2n) b^m grid reps^2 comparisons per tangency count
 _PAIR_BYTES = 128  # per budgeted pair: its index tuple and pool-mask share (75-86 B measured)
@@ -85,15 +80,6 @@ class DeltaEstimate:
     argmin_gamma: Optional[float] = None
 
 
-def analytic_transversality_check(b: int, lam: float) -> tuple[bool, float]:
-    """Closed-form transversality test: holds iff the defect is negative.
-
-    Returns (holds, margin) with margin the negated defect.
-    """
-    d = transversality_defect(b, lam)
-    return d < 0.0, -d
-
-
 def case_bounds_base2(gamma: float) -> tuple[float, float, float, float]:
     """Upper bounds for the four second-digit cases of the base-2 analysis.
 
@@ -106,7 +92,7 @@ def case_bounds_base2(gamma: float) -> tuple[float, float, float, float]:
     c_00 = core - gamma ** 2 / 8.0 + gamma / 2.0 - 1.0
     c_11 = core - gamma ** 2 / 8.0 + gamma / 2.0 - 1.0
     c_10 = core - 5.0 * gamma ** 2 / 16.0 - gamma / 2.0 - 1.0
-    c_01 = _defect_gamma_base2(gamma)
+    c_01 = core - gamma ** 2 / 2.0 + math.sqrt(2.0) * gamma - 1.0
     return c_00, c_11, c_10, c_01
 
 
@@ -228,6 +214,13 @@ def _estimate(words: np.ndarray, found, gamma: Optional[float] = None) -> DeltaE
         tail_slack=slack,
         argmin_gamma=gamma,
     )
+
+
+def _check_gamma(b: int, gamma: float) -> int:
+    b = _check_int("base", b, 2)
+    if not (1.0 / b < gamma < 1.0):
+        raise ValueError(f"gamma must lie in (1/{b}, 1), got {gamma!r}")
+    return b
 
 
 def empirical_delta(

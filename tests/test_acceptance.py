@@ -159,8 +159,9 @@ def test_criterion_5_transversality():
         rnd = np.random.default_rng(55)
         for _ in range(100):
             g = float(rnd.uniform(0.51, 0.999))
-            diff = abs(max(w.case_bounds_base2(g)) - w.transversality_defect_gamma(2, g))
-            check(bad, diff <= 1e-12, "case bounds match gamma defect")
+            ref = w.transversality_defect(2, 1.0 / (2.0 * g))
+            diff = abs(max(w.case_bounds_base2(g)) - ref) / max(1.0, abs(ref))
+            check(bad, diff <= 1e-12, "case bounds match the defect")
 
 
 def test_criterion_6_dimension_estimation():

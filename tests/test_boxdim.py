@@ -13,7 +13,6 @@ from weierdim import (
     PhiSpec,
     box_count,
     fit_box_dimension,
-    theoretical_dimension,
 )
 from weierdim import WorkBudgetError, boxdim
 from weierdim.boxdim import _grid_values
@@ -60,13 +59,13 @@ class _DepthRecorded(Exception):
 
 class TestTheoreticalDimension:
     def test_half_at_base4(self):
-        assert theoretical_dimension(Params(4, 0.5)) == pytest.approx(1.5, abs=1e-15)
+        assert Params(4, 0.5).affinity_dim == pytest.approx(1.5, abs=1e-15)
 
     def test_near_lower_boundary(self):
-        assert theoretical_dimension(Params(2, 0.5 + 1e-9)) == pytest.approx(1.0, abs=1e-8)
+        assert Params(2, 0.5 + 1e-9).affinity_dim == pytest.approx(1.0, abs=1e-8)
 
     def test_classic_point(self):
-        assert theoretical_dimension(Params(2, 0.9)) == pytest.approx(1.8480, abs=5e-5)
+        assert Params(2, 0.9).affinity_dim == pytest.approx(1.8480, abs=5e-5)
 
 
 class TestBoxCount:

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from weierdim import COSINE, Params, eval_weierstrass
+from weierdim import COSINE, Params, cli, eval_weierstrass
 from weierdim.cli import main
 from weierdim.parallel import worker_count
 
@@ -194,6 +194,23 @@ class TestEstimators:
         assert code == 3
         assert out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("thresholds", "--b-range", "2:1000000000000"),
+        ("measure", "--kind", "transversal", "--b", "2", "--lambda", "0.9", "--count", "10",
+         "--bins", "1000000000"),
+    ], ids=["thresholds-rows", "measure-bins"])
+    def test_output_rows_budgeted_before_any_work(self, capsys, monkeypatch, argv):
+        def no_work(*args, **kwargs):
+            raise AssertionError("solving or sampling before the budget check")
+
+        for name in ("solve_critical_lambda", "solve_ae_critical_lambda", "sample_transversal"):
+            monkeypatch.setattr(cli, name, no_work)
+        code = main(list(argv))
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert "over the budget" in err
+
     def test_scale_error_lists_plain_floats(self, capsys):
         code = main(["boxdim", "--b", "2", "--lambda", "0.9", "--levels", "4",
                      "--drop-coarsest", "1"])
@@ -280,12 +297,9 @@ class TestReproduce:
         assert failing == ["certificate_b3_valid"]
 
     def test_case_bounds_checked_independently(self, capsys, monkeypatch):
-        # the case bounds and the gamma-form defect share _defect_gamma_base2;
-        # shifting it must fail the row, which compares with the lambda form
-        from weierdim import thresholds, transversality
-        shifted = lambda g, f=thresholds._defect_gamma_base2: f(g) + 1e-6  # noqa: E731
-        monkeypatch.setattr(thresholds, "_defect_gamma_base2", shifted)
-        monkeypatch.setattr(transversality, "_defect_gamma_base2", shifted)
+        # the row compares the case bounds with the lambda form; shifting them must fail it
+        shifted = lambda g, f=cli.case_bounds_base2: tuple(c + 1e-6 for c in f(g))  # noqa: E731
+        monkeypatch.setattr(cli, "case_bounds_base2", shifted)
         code, payload = run_json(capsys, "reproduce")
         assert code == 1
         failing = [r["claim"] for r in payload["rows"] if not r["pass"]]

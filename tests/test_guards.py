@@ -38,7 +38,7 @@ GUARDS = [
     ("k_max", lambda v: w.search_certificate(2.0, 0.6, k_max=v), 1.5, 0),
     ("eta_grid", lambda v: w.search_certificate(2.0, 0.6, eta_grid=v), 1.5, 0),
     ("base", lambda v: w.transversality_defect(v, 0.9), 2.5, 1),
-    ("base", lambda v: w.transversality_defect_gamma(v, 0.6), 2.5, 1),
+    ("base", lambda v: w.slope_grid(v, 0.6, np.zeros(2), np.zeros((1, 3), int)), 2.5, 1),
     ("base", lambda v: w.defect_majorant(v, 0.9), 2.5, 1),
     ("base", lambda v: w.ae_defect(v, 0.9), 2.5, 1),
     ("base", lambda v: w.ae_defect_majorant(v, 0.9), 2.5, 1),
@@ -47,7 +47,7 @@ GUARDS = [
     ("base", lambda v: w.solve_critical_lambda(v), 2.5, 1),
     ("base", lambda v: w.solve_ae_critical_lambda(v), 2.5, 1),
     ("base", lambda v: w.builtin_certificate(v), 2.5, 1),
-    ("base", lambda v: w.analytic_transversality_check(v, 0.9), 2.5, 1),
+    ("base", lambda v: DigitWord((1, 0)).validate_base(v), 2.5, 1),
     *((name, lambda v, name=name: w.TangencyQuery(**{"n": 1, "m": 1, "eps": 0.5, "delta": 0.5,
                                                       name: v}), 1.5, least - 1)
       for name, least in (("n", 1), ("m", 1), ("depth", 1), ("grid_per_interval", 1),

@@ -18,8 +18,6 @@ from weierdim import (
     Params,
     PhiSpec,
     eval_fiber_sum,
-    eval_phi,
-    eval_phi_prime,
     eval_stable_slope,
     eval_stable_slope_dgamma,
     eval_stable_slope_dx,
@@ -39,7 +37,6 @@ from weierdim.series import (
     FOUR_PI_SQ,
     _orbit_sums,
     _terms_for,
-    default_depth,
     tail_bound_geometric,
 )
 
@@ -108,21 +105,21 @@ def s_oracle(b, gamma, x, digits, n, freq=2):
 
 class TestPhi:
     def test_classic_values(self):
-        assert eval_phi(COSINE, 0.0) == pytest.approx(1.0, abs=1e-15)
-        assert eval_phi(COSINE, 0.25) == pytest.approx(0.0, abs=1e-15)
-        assert eval_phi_prime(COSINE, 0.25) == pytest.approx(-TWO_PI, abs=1e-12)
+        assert COSINE.eval(0.0) == pytest.approx(1.0, abs=1e-15)
+        assert COSINE.eval(0.25) == pytest.approx(0.0, abs=1e-15)
+        assert COSINE.derivative().eval(0.25) == pytest.approx(-TWO_PI, abs=1e-12)
 
     def test_periodicity(self):
         phi = PhiSpec(cosine_coeffs=((1, 0.3), (3, -0.7)), sine_coeffs=((2, 1.1),), constant=0.4)
         for x in (0.0, 0.13, 0.77, -0.4):
-            assert eval_phi(phi, x) == pytest.approx(eval_phi(phi, x + 1.0), abs=1e-12)
+            assert phi.eval(x) == pytest.approx(phi.eval(x + 1.0), abs=1e-12)
 
     def test_derivative_matches_finite_difference(self):
         phi = PhiSpec(cosine_coeffs=((1, 0.5),), sine_coeffs=((2, -0.25),), constant=2.0)
         h = 1e-6
         for x in (0.1, 0.37, 0.62):
-            fd = (eval_phi(phi, x + h) - eval_phi(phi, x - h)) / (2 * h)
-            assert eval_phi_prime(phi, x) == pytest.approx(fd, abs=1e-7)
+            fd = (phi.eval(x + h) - phi.eval(x - h)) / (2 * h)
+            assert phi.derivative().eval(x) == pytest.approx(fd, abs=1e-7)
 
     def test_bad_frequency_rejected(self):
         with pytest.raises(ValueError):
@@ -476,7 +473,6 @@ class TestTermSearch:
             lambda: eval_stable_slope(p, word, 0.3),
             lambda: eval_stable_slope_dgamma(p, word, 0.3),
             lambda: eval_fiber_sum(p, psi, word, 0.3),
-            lambda: default_depth(1 - 2e-7),
             lambda: eval_weierstrass((2, 0.9), COSINE, 0.3, terms=over),
             lambda: eval_stable_slope(p, word, 0.3, terms=over),
             lambda: eval_stable_slope_dx(p, word, 0.3, terms=over),

@@ -11,15 +11,16 @@ from weierdim import (
     ae_defect,
     ae_defect_majorant,
     builtin_certificate,
+    case_bounds_base2,
     coeff_bound,
     coeff_bound_to_lambda,
     defect_majorant,
-    double_root_bounds,
     solve_ae_critical_lambda,
     solve_critical_lambda,
     transversality_defect,
-    transversality_defect_gamma,
+    verify_certificate,
 )
+from weierdim import thresholds
 
 
 class TestDefectSigns:
@@ -42,26 +43,16 @@ class TestDefectSigns:
             transversality_defect(2, 0.4)
         with pytest.raises(ValueError):
             transversality_defect(3, 1.2)
-        with pytest.raises(ValueError):
-            transversality_defect_gamma(3, 0.2)
         # a fractional base is rejected, not looked up as b = 2
         with pytest.raises(ValueError, match="integer >= 2"):
             builtin_certificate(2.7)
 
 
 class TestGammaFormIdentity:
-    def test_identity_on_random_pairs(self):
-        rnd = np.random.default_rng(50)
-        for _ in range(50):
-            b = int(rnd.integers(2, 10))
-            lam = float(rnd.uniform(1.0 / b + 0.1 * (1 - 1.0 / b), 0.999))
-            lhs = transversality_defect_gamma(b, 1.0 / (b * lam))
-            rhs = transversality_defect(b, lam)
-            assert lhs == pytest.approx(rhs, abs=1e-12)
-
     def test_sign_matches_at_published_point(self):
+        # the worst base-2 case bound is the defect in gamma = 1/(2 lam)
         g = 1.0 / (2 * 0.9352)
-        assert transversality_defect_gamma(2, g) < 0
+        assert max(case_bounds_base2(g)) < 0
 
 
 class TestMonotonicity:
@@ -117,33 +108,6 @@ class TestCoeffBound:
             assert coeff_bound_to_lambda(b, beta) == pytest.approx(lam, abs=1e-12)
 
 
-class TestDoubleRootBounds:
-    def test_known_point(self):
-        bd = double_root_bounds(2.0)
-        assert bd.lower == 0.5 and bd.upper == 0.5
-
-    def test_closed_form_regime(self):
-        bd = double_root_bounds(6.0)
-        assert bd.method == "closed-form"
-        assert bd.lower == bd.upper == pytest.approx(1.0 / (1.0 + math.sqrt(6.0)), abs=1e-15)
-
-    def test_certificate_raises_lower_bound(self):
-        beta = coeff_bound(2, 0.81)
-        _, cert = builtin_certificate(2)
-        bd = double_root_bounds(beta, [cert])
-        assert bd.method == "certificate"
-        assert bd.lower >= 0.62
-
-    def test_generic_bound_everywhere(self):
-        for beta in (1.0, 1.5, 3.0, 5.0, 10.0):
-            bd = double_root_bounds(beta)
-            assert 1.0 / (1.0 + math.sqrt(beta)) <= bd.lower <= bd.upper <= 1.0
-
-    def test_bad_beta(self):
-        with pytest.raises(ValueError):
-            double_root_bounds(0.5)
-
-
 class TestAeCritical:
     @pytest.mark.parametrize("b,bound", [(2, 0.81), (3, 0.55), (4, 0.44)])
     def test_published_certificate_bounds(self, b, bound):
@@ -169,14 +133,18 @@ class TestAeCritical:
         crit = solve_critical_lambda(b)
         assert ae.hi < crit.lo
 
-    def test_explicit_certificate_list(self):
+    def test_explicit_certificate_list(self, monkeypatch):
         _, cert = builtin_certificate(2)
-        ae = solve_ae_critical_lambda(2, certs=[cert])
+        monkeypatch.setattr(thresholds, "_default_certificates", lambda b: (cert,))
+        ae = solve_ae_critical_lambda(2)
+        assert ae.method == "certificate"
         assert ae.hi <= 0.81 + 1e-12
 
-    def test_rejects_non_licensing_certificate(self):
-        # a certificate whose t is below 1/(b*lambda0) proves nothing here
+    def test_rejects_non_licensing_certificate(self, monkeypatch):
+        # a valid certificate whose t is below 1/(b*lambda0) proves nothing here
         beta = coeff_bound(2, 0.81)
-        weak = StarCertificate(beta, 1, 0.0, 0.3)
-        ae = solve_ae_critical_lambda(2, certs=[weak])
+        weak = StarCertificate(beta, 1, -2.0, 0.3)
+        assert verify_certificate(weak).valid and weak.t < 1.0 / (2 * 0.81)
+        monkeypatch.setattr(thresholds, "_default_certificates", lambda b: (weak,))
+        ae = solve_ae_critical_lambda(2)
         assert ae.method == "monotone"

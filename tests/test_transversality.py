@@ -12,7 +12,6 @@ from weierdim import (
     Params,
     TangencyQuery,
     WorkBudgetError,
-    analytic_transversality_check,
     case_bounds_base2,
     empirical_delta,
     eval_stable_slope,
@@ -21,7 +20,7 @@ from weierdim import (
     tail_bound_slope,
     tail_bound_slope_dgamma,
     tail_bound_slope_dx,
-    transversality_defect_gamma,
+    transversality_defect,
     two_var_delta,
 )
 from weierdim import parallel, rng, series, transversality
@@ -30,29 +29,12 @@ from weierdim.transversality import _pair_words
 
 
 class TestAnalyticCheck:
-    def test_published_points(self):
-        holds, margin = analytic_transversality_check(2, 0.9352)
-        assert holds and margin > 0
-        holds, _ = analytic_transversality_check(2, 0.9)
-        assert not holds
-        assert analytic_transversality_check(3, 0.7269)[0]
-
-    def test_margin_is_negated_defect(self):
-        _, margin = analytic_transversality_check(2, 0.95)
-        assert margin == pytest.approx(-_defect(2, 0.95), abs=0)
-
     @pytest.mark.parametrize("b", (2, 3, 5))
     def test_agrees_with_bracket(self, b):
         br = solve_critical_lambda(b)
         gap = 10 * br.tol
-        assert analytic_transversality_check(b, br.hi + gap)[0]
-        assert not analytic_transversality_check(b, br.lo - gap)[0]
-
-
-def _defect(b, lam):
-    from weierdim import transversality_defect
-
-    return transversality_defect(b, lam)
+        assert transversality_defect(b, br.hi + gap) < 0
+        assert transversality_defect(b, br.lo - gap) > 0
 
 
 class TestCaseBounds:
@@ -61,7 +43,7 @@ class TestCaseBounds:
         for _ in range(100):
             g = float(rnd.uniform(0.51, 0.999))
             assert max(case_bounds_base2(g)) == pytest.approx(
-                transversality_defect_gamma(2, g), abs=1e-12
+                transversality_defect(2, 1.0 / (2.0 * g)), rel=1e-12
             )
 
     def test_matching_second_digit_cases_equal(self):
