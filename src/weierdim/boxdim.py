@@ -31,8 +31,6 @@ class BoxCountTable:
     """Counts of boxes of size eps hit by the graph, per level."""
 
     levels: tuple[tuple[float, int], ...]  # (eps, boxes_hit), eps decreasing
-    params: Params
-    samples_per_column: int
 
     def __post_init__(self):
         _check_scales("epsilon levels", [e for e, _ in self.levels], 0)
@@ -120,7 +118,7 @@ def box_count(
         rows.append((eps, int((k_max - k_min + 1).sum())))
         lo = lo.reshape(-1, b).min(axis=1)
         hi = hi.reshape(-1, b).max(axis=1)
-    return BoxCountTable(tuple(rows[::-1]), p, samples_per_column)
+    return BoxCountTable(tuple(rows[::-1]))
 
 
 def fit_box_dimension(table: BoxCountTable, drop_coarsest: int = 2) -> DimFit:

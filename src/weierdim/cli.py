@@ -136,7 +136,7 @@ def _cmd_eval(args) -> int:
     config = {
         "b": args.b, "lambda": args.lam, "x": args.x, "what": what,
         "tol": args.tol, "word": args.word, "tail_seed": args.tail_seed,
-        "phi": args.phi, "psi": args.psi,
+        "phi": args.phi, "psi": args.psi, "phases": args.phases,
     }
     if what == "f":
         phi = _PHI_CHOICES[args.phi]
@@ -259,7 +259,7 @@ def _cmd_transversality(args) -> int:
             "argmin_x": est.argmin_x,
             "argmin_gamma": est.argmin_gamma,
             "tail_slack": est.tail_slack,
-            "config": {**config, "eps_margin": args.eps_margin},
+            "config": {**config, "eps_margin": args.eps_margin, "gamma_grid": args.gamma_grid},
         }
     else:  # tangency
         p = Params(args.b, args.lam)
@@ -275,7 +275,9 @@ def _cmd_transversality(args) -> int:
         payload = {
             "e": e,
             "threshold_gamma_b_pow_n": (p.gamma * p.b) ** args.n,
-            "config": {**config, "n": args.n, "m": args.m, "eps": args.eps, "delta": args.delta},
+            "config": {**config, "n": args.n, "m": args.m, "eps": args.eps, "delta": args.delta,
+                       "grid_per_interval": args.grid_per_interval,
+                       "random_tails": args.random_tails},
         }
     _emit(payload, args)
     return 0
@@ -322,7 +324,7 @@ def _cmd_measure(args) -> int:
     payload["config"] = {
         "b": args.b, "lambda": args.lam, "kind": args.kind,
         "x": args.x, "count": args.count, "seed": args.seed,
-        "depth": args.depth, "bins": args.bins,
+        "depth": args.depth, "bins": args.bins, "phi": args.phi, "psi": args.psi,
     }
     if args.bins:
         payload["histogram"] = [[c, m] for c, m in density_histogram(s, args.bins)]

@@ -19,9 +19,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .parallel import _check_bytes, map_ordered
+from .parallel import _CHUNK_CELLS, _check_bytes, map_ordered
 from .series import (
-    _CHUNK_CELLS,
     _TAIL_TARGET,
     COSINE_DERIV,
     Params,
@@ -85,9 +84,7 @@ class SampleSet:
     seed: int
     depth: int
     kind: str
-    params: Optional[Params] = None
     tail_bound: float = 0.0
-    x: Optional[float] = None
 
     @property
     def count(self) -> int:
@@ -178,9 +175,7 @@ def sample_transversal(
         seed=seed,
         depth=depth,
         kind="transversal",
-        params=p,
         tail_bound=tail_bound_slope(gamma, depth),
-        x=float(x),
     )
 
 
@@ -216,7 +211,6 @@ def sample_sbr(
         seed=seed,
         depth=depth,
         kind="sbr",
-        params=p,
         tail_bound=tail(depth),
     )
 
@@ -246,7 +240,6 @@ def sample_graph_lift(
         seed=seed,
         depth=terms,
         kind="graph",
-        params=p,
         tail_bound=tail,
     )
 

@@ -3,6 +3,7 @@
 WEIERDIM_THREADS caps the number of worker threads (default 1); values above
 os.cpu_count() are lowered to it.  All callers chunk their work by index and
 reduce in a fixed order, so results are byte-identical for any worker count.
+A task never opens a pool of its own.
 Estimators that refuse work beyond a fixed budget raise WorkBudgetError.
 """
 
@@ -21,6 +22,7 @@ class WorkBudgetError(ValueError):
 
 
 _MAX_BYTES = 1 << 28  # bytes one sample set, digit matrix or slope grid may hold
+_CHUNK_CELLS = 1 << 16  # cells per pooled task: an x block's grid or comparison cells, sampler rows
 
 
 def _check_bytes(nbytes: int, what: str) -> None:

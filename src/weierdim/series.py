@@ -34,14 +34,13 @@ from typing import Callable, Collection, Iterable, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .parallel import WorkBudgetError, map_ordered
+from .parallel import WorkBudgetError
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI_SQ = 4.0 * math.pi ** 2
 _MAX_TERMS = 10_000_000
 _TAIL_TARGET = 1e-9  # series tail of the samplers' default depths
 _MAX_TERM_POINTS = 1 << 30  # terms x points one graph-series evaluation may sum
-_CHUNK_CELLS = 1 << 16  # cells per pooled task: slope-grid (word, point) cells, sampler rows
 
 
 def _check_int(name: str, value, least: Optional[int] = None) -> int:
@@ -488,19 +487,12 @@ def slope_grid(
     digits has shape (words, depth); x has shape (points,).  Returns arrays of
     shape (words, points), or (gammas, words, points) for a 1-D gamma: the
     slope, its x- and (optionally) gamma-derivatives, truncated at the full
-    depth.  Rows are summed in chunks of words on the worker pool; each
-    cell's arithmetic is elementwise, so the bits do not depend on chunking.
+    depth.  One _orbit_sums call with no pool: the estimators call it from
+    their own pool tasks, one x block each, and each cell's arithmetic is
+    elementwise, so the bits do not depend on the blocks.
     """
     b = _check_int("base", b, 2)
     want = ("y", "ydx", "ydgamma") if want_dgamma else ("y", "ydx")
-    rows = max(1, _CHUNK_CELLS // max(1, x.size * np.size(gamma)))
-
-    def chunk_sums(r0):
-        part = digits[r0 : r0 + rows]
-        u = np.broadcast_to(x, (part.shape[0], x.size))
-        return _orbit_sums(u, b, gamma, part.T[:, :, None], want)
-
-    parts = map_ordered(chunk_sums, range(0, max(1, digits.shape[0]), rows))
-    # pop drops each chunk's array once it is copied into the full grid
-    out = {k: np.concatenate([part.pop(k) for part in parts], axis=-2) for k in want}
+    u = np.broadcast_to(x, (digits.shape[0], x.size))
+    out = _orbit_sums(u, b, gamma, digits.T[:, :, None], want)
     return out["y"], out["ydx"], out.get("ydgamma")

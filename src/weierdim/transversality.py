@@ -25,9 +25,8 @@ from typing import Optional
 import numpy as np
 
 from . import rng
-from .parallel import WorkBudgetError, _check_bytes, map_ordered
+from .parallel import _CHUNK_CELLS, WorkBudgetError, _check_bytes, map_ordered
 from .series import (
-    _CHUNK_CELLS,
     DigitWord,
     Params,
     _check_int,
@@ -150,11 +149,12 @@ def _pair_words(
     return np.vstack(words), pairs
 
 
-def _pair_chunks(fn, n_pairs: int, cells_per_pair: int) -> list:
-    """fn(chunk) on the worker pool, in pair order, over index ranges `chunk` of
-    the n_pairs pairs that hold about _CHUNK_CELLS cells each."""
-    rows = max(1, _CHUNK_CELLS // cells_per_pair)
-    return map_ordered(lambda c: fn(np.arange(c, min(c + rows, n_pairs))), range(0, n_pairs, rows))
+def _x_blocks(fn, n_x: int, cells_per_x: int, step: int) -> list:
+    """fn(x0, x1) on the worker pool, in x order, over consecutive blocks [x0, x1) of
+    the n_x grid points: whole runs of `step` points, as many as hold about
+    _CHUNK_CELLS cells of cells_per_x per point, and at least one run."""
+    width = step * max(1, _CHUNK_CELLS // (cells_per_x * step))
+    return map_ordered(lambda x0: fn(x0, min(x0 + width, n_x)), range(0, n_x, width))
 
 
 def _min_separation(
@@ -165,8 +165,8 @@ def _min_separation(
 
     The score is max(|dY| - 2 tY, |dY_x| [+ |dY_gamma|] - 2 tD), tD being the
     Y_x tail bound plus, `with_dgamma`, the Y_gamma one; slack = 2 max(tY, tD).
-    A 1-D gamma appends the gamma index to the tuple.  Each pool task sums
-    the slope grids of every gamma and word on one x block of about
+    A 1-D gamma appends the gamma index to the tuple.  Each _x_blocks task
+    sums the slope grids of every gamma and word on one x block of about
     _CHUNK_CELLS cells and scores every pair on it, as many pairs at a time
     as there are words; the least (score, gamma index, pair index, x index)
     over all blocks is the first minimiser, and the full grid is never held.
@@ -179,10 +179,9 @@ def _min_separation(
         t_d += np.reshape([tail_bound_slope_dgamma(g, depth) for g in gammas], tails)
     ii, jj = np.asarray(pairs, dtype=np.int64).T
     rows = words.shape[0]
-    width = max(1, _CHUNK_CELLS // (rows * len(gammas)))
 
-    def block_min(x0):
-        xb = xs[x0 : x0 + width]
+    def block_min(x0, x1):
+        xb = xs[x0:x1]
         y, ydx, ydg = slope_grid(b, gamma, xb, words, want_dgamma=with_dgamma)
         best = []
         for p0 in range(0, ii.size, rows):
@@ -199,7 +198,7 @@ def _min_separation(
             best.append((float(score.flat[k]), g_i, p0 + c // xb.size, x0 + c % xb.size))
         return min(best)
 
-    score, g_i, k, x_idx = min(map_ordered(block_min, range(0, xs.size, width)))
+    score, g_i, k, x_idx = min(_x_blocks(block_min, xs.size, rows * len(gammas), 1))
     found = score, pairs[k], float(xs[x_idx]), 2.0 * float(max(t_y.flat[g_i], t_d.flat[g_i]))
     return found + (g_i,) if np.ndim(gamma) else found
 
@@ -260,6 +259,9 @@ def tangency_count(p: Params, q: TangencyQuery, seed: int = 0) -> int:
     derivative differences inside the thresholds, with truncation slack added
     so the decision errs toward tangency.  The thresholds apply to the fiber
     sums; their slope-series equivalents are gamma * eps and gamma * delta.
+    Each pool task sums the slope grids of every word on a block of whole
+    intervals and marks the pairs tangent on each, so the full grid is never
+    held.
     """
     seed = _check_int("seed", seed)
     b, gamma = p.b, p.gamma
@@ -272,6 +274,7 @@ def tangency_count(p: Params, q: TangencyQuery, seed: int = 0) -> int:
             f"budget of {_MAX_TANGENCY_WORK:.2e}; reduce n, m or the grid"
         )
     depth = max(q.depth, q.n + 1)
+    # the grid term bounds work, as in _pair_counts: a task holds one x block of it
     _check_bytes(8 * n_cyl * reps * (depth + 2 * n_int * g), "the tangency words and slope grid")
     prefixes = list(itertools.product(range(b), repeat=q.n))
     digits = rng.digit_matrix(
@@ -280,26 +283,23 @@ def tangency_count(p: Params, q: TangencyQuery, seed: int = 0) -> int:
     for c, pref in enumerate(prefixes):
         digits[c * reps : (c + 1) * reps, : q.n] = pref
         digits[c * reps, q.n :] = 0
-    xs = np.concatenate(
-        [np.linspace(k / n_int, (k + 1) / n_int, g) for k in range(n_int)]
-    )
-    y, ydx, _ = slope_grid(b, gamma, xs, digits)
     thr_y = gamma * q.eps + 2.0 * tail_bound_slope(gamma, depth)
     thr_ydx = gamma * q.delta + 2.0 * tail_bound_slope_dx(b, gamma, depth)
-    y, ydx = y.reshape(n_cyl, reps, -1), ydx.reshape(n_cyl, reps, -1)
     table = np.zeros((n_cyl, n_cyl, n_int), dtype=bool)
-    # pairs ci <= cj (|y_i - y_j| is symmetric) in row-major order, row ci's from starts[ci]
-    starts = np.concatenate([[0], np.cumsum(np.arange(n_cyl, 1, -1))])
 
-    def near_chunk(chunk):
-        ci = np.searchsorted(starts, chunk, side="right") - 1
-        cj = ci + (chunk - starts[ci])
-        d_y = np.abs(y[ci][:, :, None] - y[cj][:, None])
-        d_ydx = np.abs(ydx[ci][:, :, None] - ydx[cj][:, None])
-        near = ((d_y < thr_y) & (d_ydx < thr_ydx)).any(axis=(1, 2))
-        table[ci, cj] = table[cj, ci] = near.reshape(-1, n_int, g).any(axis=2)
+    def near_block(x0, x1):
+        k0, k1 = x0 // g, x1 // g  # the block's whole intervals
+        xb = np.concatenate([np.linspace(k / n_int, (k + 1) / n_int, g) for k in range(k0, k1)])
+        y, ydx, _ = slope_grid(b, gamma, xb, digits)
+        y, ydx = y.reshape(n_cyl, reps, -1), ydx.reshape(n_cyl, reps, -1)
+        for ci in range(n_cyl):  # the pairs ci <= cj: |y_i - y_j| is symmetric
+            d_y = np.abs(y[ci][:, None] - y[ci:, None])
+            d_ydx = np.abs(ydx[ci][:, None] - ydx[ci:, None])
+            near = ((d_y < thr_y) & (d_ydx < thr_ydx)).any(axis=(1, 2)).reshape(n_cyl - ci, -1, g)
+            table[ci, ci:, k0:k1] = table[ci:, ci, k0:k1] = near.any(axis=2)
 
-    _pair_chunks(near_chunk, n_cyl * (n_cyl + 1) // 2, reps * reps * xs.size)
+    # a task's largest arrays are one row's n_cyl x reps^2 comparisons per point
+    _x_blocks(near_block, n_int * g, n_cyl * reps * reps, g)
     return int(table.sum(axis=1).max())
 
 

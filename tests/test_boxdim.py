@@ -212,19 +212,19 @@ class TestGridValues:
 class TestFit:
     def test_synthetic_power_law(self):
         levels = tuple((2.0 ** -j, int(round(2 ** (1.5 * j)))) for j in range(4, 14))
-        table = BoxCountTable(levels, Params(2, 0.9), 8)
+        table = BoxCountTable(levels)
         fit = fit_box_dimension(table, drop_coarsest=0)
         assert abs(fit.slope - 1.5) < 2e-4
 
     def test_exact_power_law(self):
         levels = tuple((4.0 ** -j, 8 ** j) for j in range(1, 9))
-        table = BoxCountTable(levels, Params(4, 0.5), 8)
+        table = BoxCountTable(levels)
         fit = fit_box_dimension(table, drop_coarsest=0)
         assert abs(fit.slope - 1.5) < 1e-9
 
     def test_negative_drop_rejected(self):
         levels = tuple((2.0 ** -j, 2 ** j) for j in range(1, 13))
-        table = BoxCountTable(levels, Params(2, 0.9), 8)
+        table = BoxCountTable(levels)
         with pytest.raises(ValueError, match="drop_coarsest"):
             fit_box_dimension(table, drop_coarsest=-5)
 

@@ -283,6 +283,27 @@ class TestEstimators:
         assert code == 2
 
 
+TANGENCY = ("transversality", "--b", "2", "--lambda", "0.95", "--mode", "tangency",
+            "--n", "1", "--m", "1", "--eps", "0.5", "--delta", "0.5", "--grid-per-interval", "20")
+
+
+@pytest.mark.parametrize("argv, flag, a, b", [
+    (TANGENCY, "--grid-per-interval", "20", "10"),
+    (TANGENCY, "--random-tails", "3", "1"),
+    (("transversality", "--b", "2", "--mode", "two-var", "--x-grid", "10", "--pair-budget", "16"),
+     "--gamma-grid", "24", "30"),
+    (("measure", "--kind", "graph", "--b", "2", "--lambda", "0.9", "--count", "20"),
+     "--phi", "cos", "sin2"),
+    (("measure", "--kind", "sbr", "--b", "2", "--lambda", "0.9", "--count", "20"),
+     "--psi", "cos-deriv", "sin2"),
+    (("eval", "--b", "2", "--lambda", "0.9", "--x", "0.3"), "--phases", "0.1", "0.2"),
+], ids=["tangency-grid", "tangency-tails", "two-var-gamma-grid", "measure-phi", "measure-psi",
+        "eval-phases"])
+def test_config_names_every_option_of_the_result(capsys, argv, flag, a, b):
+    configs = [run_json(capsys, *argv, flag, v)[1]["config"] for v in (a, b)]
+    assert configs[0] != configs[1]
+
+
 class TestReproduce:
     def test_all_claims_pass(self, capsys):
         code, payload = run_json(capsys, "reproduce")

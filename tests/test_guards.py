@@ -9,7 +9,7 @@ from weierdim import COSINE, DigitWord, Params, SampleSet
 P = Params(2, 0.9)
 SYNTHETIC = SampleSet(points=np.zeros(10), seed=0, depth=0, kind="synthetic")
 RADII = (0.5, 0.25, 0.125, 0.0625)
-TABLE = w.BoxCountTable(tuple((2.0 ** -j, 2 ** j) for j in range(1, 9)), P, 8)
+TABLE = w.BoxCountTable(tuple((2.0 ** -j, 2 ** j) for j in range(1, 9)))
 
 # (parameter, entry point called with the bad value, non-integral value, value below the least)
 GUARDS = [

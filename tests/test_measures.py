@@ -28,7 +28,8 @@ from weierdim import (
 )
 from weierdim import rng
 from weierdim.measures import _linear_fit
-from weierdim.series import _CHUNK_CELLS, _orbit_sums
+from weierdim.parallel import _CHUNK_CELLS
+from weierdim.series import _orbit_sums
 
 
 def test_sample_budget_before_any_draw():

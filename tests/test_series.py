@@ -32,7 +32,6 @@ from weierdim.measures import sample_graph_lift, sample_sbr, sample_transversal
 from weierdim.parallel import WorkBudgetError
 from weierdim.transversality import TangencyQuery, empirical_delta, two_var_delta
 from weierdim.series import (
-    _CHUNK_CELLS,
     _MAX_TERMS,
     FOUR_PI_SQ,
     _orbit_sums,
@@ -320,20 +319,6 @@ class TestSlopeGrid:
                                  (ydg, eval_stable_slope_dgamma)):
                     assert grid[i, j] == fn(p, word, float(xj), terms=35).value
 
-    @pytest.mark.parametrize("want_dgamma", (False, True))
-    def test_row_chunks_match_one_orbit_call(self, monkeypatch, want_dgamma):
-        # 40 words over 4000 points span three row chunks, the last one short
-        monkeypatch.setenv("WEIERDIM_THREADS", "2")
-        x = np.linspace(0.0, 1.0, 4000)
-        d = rng.digit_matrix(4, rng.STREAM_PAIR_WORDS, 40, 20, 3)
-        assert d.shape[0] > 2 * (_CHUNK_CELLS // x.size)
-        grids = slope_grid(3, 0.7, x, d, want_dgamma=want_dgamma)
-        want = ("y", "ydx", "ydgamma") if want_dgamma else ("y", "ydx")
-        ref = _orbit_sums(np.broadcast_to(x, (40, x.size)), 3, 0.7, d.T[:, :, None], want)
-        for grid, key in zip(grids, want):
-            assert grid.tobytes() == ref[key].tobytes()
-        assert (grids[2] is None) == (not want_dgamma)
-
 
 class TestGammaAxis:
     """A gamma vector shares each orbit point's sin and cos; every gamma's sums keep
@@ -353,9 +338,7 @@ class TestGammaAxis:
             for key in want:
                 assert got[key][k].tobytes() == one[key].tobytes(), (start, g, key)
 
-    def test_slope_grid_matches_scalar_calls(self, monkeypatch):
-        # 30 words x 500 points x 5 gammas span two row chunks
-        monkeypatch.setenv("WEIERDIM_THREADS", "2")
+    def test_slope_grid_matches_scalar_calls(self):
         x = np.linspace(0.0, 1.0, 500)
         d = rng.digit_matrix(6, rng.STREAM_PAIR_WORDS, 30, 20, 3)
         grids = slope_grid(3, self.gammas, x, d, want_dgamma=True)

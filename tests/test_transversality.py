@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -199,7 +200,7 @@ def test_pair_words_match_loop_reference(b, pair_budget):
 
 
 class TestPairChunks:
-    """The first minimiser does not depend on where the pair chunks break."""
+    """The first minimiser, and the tangency count, do not depend on where the x blocks break."""
 
     @pytest.mark.parametrize("estimate, small", [
         (lambda: empirical_delta(2, Params(2, 0.95).gamma, x_grid=300, depth=30,
@@ -221,30 +222,22 @@ class TestPairChunks:
 
 
 def _reference_min_separation(b, gamma, xs, words, pairs, depth, with_dgamma):
-    """_min_separation as the whole slope grid, scored in pair chunks over every x."""
+    """_min_separation as the whole slope grid, every pair scored at once over every x."""
     y, ydx, ydg = slope_grid(b, gamma, xs, words, want_dgamma=with_dgamma)
     t_y = tail_bound_slope(gamma, depth)
     t_d = tail_bound_slope_dx(b, gamma, depth)
     if with_dgamma:
         t_d += tail_bound_slope_dgamma(gamma, depth)
     ii, jj = np.asarray(pairs, dtype=np.int64).T
-
-    def score_chunk(chunk):
-        si, sj = ii[chunk], jj[chunk]
-        d = np.abs(ydx[si] - ydx[sj])
-        if with_dgamma:
-            d += np.abs(ydg[si] - ydg[sj])
-        d -= 2.0 * t_d
-        score = np.abs(y[si] - y[sj])
-        score -= 2.0 * t_y
-        np.maximum(score, d, out=score)
-        k = int(np.argmin(score))
-        return float(score.flat[k]), int(chunk[0]) * xs.size + k
-
-    score, flat = min(transversality._pair_chunks(score_chunk, len(pairs), xs.size),
-                      key=lambda r: r[0])
-    k, x_idx = divmod(flat, xs.size)
-    return score, pairs[k], float(xs[x_idx]), 2.0 * max(t_y, t_d)
+    d = np.abs(ydx[ii] - ydx[jj])
+    if with_dgamma:
+        d += np.abs(ydg[ii] - ydg[jj])
+    d -= 2.0 * t_d
+    score = np.abs(y[ii] - y[jj])
+    score -= 2.0 * t_y
+    np.maximum(score, d, out=score)
+    k, x_idx = divmod(int(np.argmin(score)), xs.size)  # the first minimiser, pair-major
+    return float(score[k, x_idx]), pairs[k], float(xs[x_idx]), 2.0 * max(t_y, t_d)
 
 
 def _separation_queries(count, seed):
@@ -408,6 +401,17 @@ class TestTangencyCount:
             counts.append(e)
         assert len(set(counts)) > 3  # the sweep is not all ones
 
+    @pytest.mark.parametrize("q, table_bytes", [
+        # the whole 16 x 64000 slope grid with its pair differences took 40 MB
+        (TangencyQuery(n=2, m=6, eps=0.5, delta=0.5, grid_per_interval=1000), 0),
+        # at the work cap, 8.4M cylinder pairs: no pair index beside the 32 MB table
+        (TangencyQuery(n=12, m=1, eps=0.5, delta=0.5, grid_per_interval=1, random_tails=0),
+         2 ** 25),
+    ], ids=["n2-m6", "n12-m1"])
+    def test_streams_the_grid(self, q, table_bytes):
+        peak = traced_peak(lambda: tangency_count(Params(2, 0.95), q))
+        assert peak < table_bytes + 16 * 2 ** 20
+
     def test_budget_guard(self):
         p = Params(2, 0.9)
         q = TangencyQuery(n=10, m=10, eps=0.1, delta=0.1)
@@ -442,6 +446,25 @@ def test_scan_bytes_before_any_work(monkeypatch):
     # the largest benchmark scan, 257 words x 8000 points x 2 grids, fits
     d_ex, _, pool = transversality._pair_counts(2, 30, 16384, 8000, 2)
     assert 2 ** d_ex + pool == 257
+
+
+def test_no_pool_inside_a_pool(monkeypatch):
+    # the estimator that owns the work pools it; slope_grid, run in its tasks, does not
+    monkeypatch.setenv("WEIERDIM_THREADS", "2")
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
+    pools = []
+
+    class Probe(parallel.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(threading.current_thread() is threading.main_thread())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", Probe)
+    two_var_delta(2, 0.05, x_grid=4, gamma_grid=5000, pair_budget=16384)
+    empirical_delta(2, Params(2, 0.95).gamma, x_grid=2000, pair_budget=2048, seed=1)
+    tangency_count(Params(2, 0.95), TangencyQuery(n=3, m=3, eps=0.5, delta=0.5,
+                                                  grid_per_interval=200), seed=1)
+    assert pools and all(pools)  # pools ran, each from the main thread
 
 
 class TestTwoVariable:
