@@ -6,6 +6,11 @@ dimension fits, plus a reproduction harness for the package's headline
 numeric claims (the `weierdim reproduce` command).
 """
 
+import os
+
+# no BLAS work here: without this, numpy's OpenBLAS starts a spinning thread per extra core
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .boxdim import BoxCountTable, box_count, fit_box_dimension
 from .certificates import (
     SIGN_MARGIN,

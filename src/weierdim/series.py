@@ -22,14 +22,13 @@ not lose the fractional part to floating-point cancellation.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -320,6 +319,13 @@ def eval_weierstrass(
     return SeriesValue(acc if acc.ndim else float(acc), tail, n_terms)
 
 
+def _unread(held: list, rest: Iterator):
+    """held's items, then rest's; each is popped as it is yielded, so none stays referenced."""
+    while held:
+        yield held.pop()
+    yield from rest
+
+
 def _orbit_sums(
     u: np.ndarray,
     b: int,
@@ -340,10 +346,12 @@ def _orbit_sums(
         "s"        sum gamma^(n-1) psi(u_n), the constant of psi summed exactly
 
     A 1-D gamma stacks the sums on a leading axis, sharing each sin and cos.
-    A 0-d u with 1-D columns is one start for every row: rows with the same
-    first n digits share u_1 .. u_n, so the first floor(log_b rows) steps run
-    once per digit prefix, level by level, and each row then takes its
-    prefix's state.
+    A digit column with one more leading axis than u, of shape (rows, 1, .., 1),
+    is one start for every row (the transversal sampler's 0-d x, a slope
+    grid's x points).  Rows with the same first n digits share u_1 .. u_n, so
+    the first floor(log_b rows) steps run once per digit prefix, level by
+    level, on states of shape (prefix,) + u.shape, and each row then takes
+    its prefix's state.
 
     Every path runs each cell through the one step body below in the same
     order, so the slope grids, samplers and single-word evaluators share
@@ -351,13 +359,13 @@ def _orbit_sums(
     """
     u = np.array(u, dtype=np.float64)
     columns = iter(columns)
-    first = next(columns, None) if u.ndim == 0 else None
-    rows = len(first) if np.ndim(first) == 1 else 0  # nonzero: one start for every row
-    if first is not None:
-        columns = itertools.chain([first], columns)
-    del first  # the chain frees the column once it is summed
-    if rows:
-        u = u.reshape(1)
+    first = next(columns, None)  # read to see its shape; _unread hands it on without a reference
+    shared = np.ndim(first) > u.ndim
+    rows = len(first) if shared else 0
+    columns = _unread([first] if first is not None else [], columns)
+    del first
+    if shared:
+        u = u[None]
     lead = np.shape(gamma)
     gamma = np.reshape(gamma, lead + (1,) * u.ndim) if lead else gamma
     acc = {k: np.zeros(lead + u.shape) for k in want}
@@ -387,18 +395,24 @@ def _orbit_sums(
                 r *= gamma / b
                 sdx += r * np.cos(TWO_PI * u)
 
-    if rows:
-        idx = np.zeros(rows, dtype=np.int64)  # each row's digit prefix, read in base b
-        while u.size * b <= rows and (digit := next(columns, None)) is not None:
-            idx *= b
-            idx += digit
+    if shared:
+        idx = np.zeros(rows, dtype=np.int64)  # each row's digit prefix, read in its levels' radices
+        while len(u) * b <= rows and (digit := next(columns, None)) is not None:
+            radix = max(b, int(digit.max()) + 1)  # a branch for every digit value
+            if digit.min() < 0 or len(u) * radix > rows:
+                columns = _unread([digit], columns)
+                del digit
+                break
+            idx *= radix
+            idx += digit.reshape(rows)
             del digit
-            u = np.repeat(u, b)
-            acc = {k: np.repeat(v, b, axis=-1) for k, v in acc.items()}
+            u = np.repeat(u, radix, axis=0)
+            acc = {k: np.repeat(v, radix, axis=len(lead)) for k, v in acc.items()}
             # each prefix's last digit, in the narrowest dtype: it adds to u exactly
-            steps(u, acc, [np.tile(np.arange(b, dtype=np.min_scalar_type(b)), u.size // b)])
+            last = np.arange(radix, dtype=np.min_scalar_type(radix))
+            steps(u, acc, [np.tile(last, len(u) // radix).reshape((-1,) + (1,) * (u.ndim - 1))])
         u = u[idx]
-        acc = {k: v[..., idx] for k, v in acc.items()}
+        acc = {k: np.take(v, idx, axis=len(lead)) for k, v in acc.items()}
         del idx
     steps(u, acc, columns)
     scale = {"y": TWO_PI, "ydx": FOUR_PI_SQ, "ydgamma": TWO_PI}
@@ -489,10 +503,12 @@ def slope_grid(
     slope, its x- and (optionally) gamma-derivatives, truncated at the full
     depth.  One _orbit_sums call with no pool: the estimators call it from
     their own pool tasks, one x block each, and each cell's arithmetic is
-    elementwise, so the bits do not depend on the blocks.
+    elementwise, so the bits do not depend on the blocks.  Each digit column
+    has one more axis than x, so every word starts at x and words with the
+    same first digits share those steps (the samplers' shared-start rule).
     """
     b = _check_int("base", b, 2)
+    _check_int("depth", digits.shape[1], 1)  # with no column, no row would start at x
     want = ("y", "ydx", "ydgamma") if want_dgamma else ("y", "ydx")
-    u = np.broadcast_to(x, (digits.shape[0], x.size))
-    out = _orbit_sums(u, b, gamma, digits.T[:, :, None], want)
+    out = _orbit_sums(x, b, gamma, digits.T[:, :, None], want)
     return out["y"], out["ydx"], out.get("ydgamma")

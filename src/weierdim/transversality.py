@@ -261,7 +261,9 @@ def tangency_count(p: Params, q: TangencyQuery, seed: int = 0) -> int:
     sums; their slope-series equivalents are gamma * eps and gamma * delta.
     Each pool task sums the slope grids of every word on a block of whole
     intervals and marks the pairs tangent on each, so the full grid is never
-    held.
+    held.  An interval too wide for one task's _CHUNK_CELLS comparisons is
+    scanned in pieces inside its task, OR-ed into its own slice of the
+    table, so no two threads write one cell.
     """
     seed = _check_int("seed", seed)
     b, gamma = p.b, p.gamma
@@ -287,19 +289,25 @@ def tangency_count(p: Params, q: TangencyQuery, seed: int = 0) -> int:
     thr_ydx = gamma * q.delta + 2.0 * tail_bound_slope_dx(b, gamma, depth)
     table = np.zeros((n_cyl, n_cyl, n_int), dtype=bool)
 
+    cells = n_cyl * reps * reps  # a task's largest arrays: one row's comparisons per point
+    width = max(1, _CHUNK_CELLS // cells)  # points per piece; a block of whole intervals fits
+
     def near_block(x0, x1):
         k0, k1 = x0 // g, x1 // g  # the block's whole intervals
         xb = np.concatenate([np.linspace(k / n_int, (k + 1) / n_int, g) for k in range(k0, k1)])
-        y, ydx, _ = slope_grid(b, gamma, xb, digits)
-        y, ydx = y.reshape(n_cyl, reps, -1), ydx.reshape(n_cyl, reps, -1)
-        for ci in range(n_cyl):  # the pairs ci <= cj: |y_i - y_j| is symmetric
-            d_y = np.abs(y[ci][:, None] - y[ci:, None])
-            d_ydx = np.abs(ydx[ci][:, None] - ydx[ci:, None])
-            near = ((d_y < thr_y) & (d_ydx < thr_ydx)).any(axis=(1, 2)).reshape(n_cyl - ci, -1, g)
-            table[ci, ci:, k0:k1] = table[ci:, ci, k0:k1] = near.any(axis=2)
+        # one piece for the whole block, or pieces of its one interval when that is too wide
+        for p0 in range(0, xb.size, width):
+            y, ydx, _ = slope_grid(b, gamma, xb[p0 : p0 + width], digits)
+            y, ydx = y.reshape(n_cyl, reps, -1), ydx.reshape(n_cyl, reps, -1)
+            for ci in range(n_cyl):  # the pairs ci <= cj: |y_i - y_j| is symmetric
+                d_y = np.abs(y[ci][:, None] - y[ci:, None])
+                d_ydx = np.abs(ydx[ci][:, None] - ydx[ci:, None])
+                near = ((d_y < thr_y) & (d_ydx < thr_ydx)).any(axis=(1, 2))
+                near = near.reshape(n_cyl - ci, k1 - k0, -1).any(axis=2)
+                table[ci, ci:, k0:k1] |= near
+                table[ci:, ci, k0:k1] |= near
 
-    # a task's largest arrays are one row's n_cyl x reps^2 comparisons per point
-    _x_blocks(near_block, n_int * g, n_cyl * reps * reps, g)
+    _x_blocks(near_block, n_int * g, cells, g)
     return int(table.sum(axis=1).max())
 
 

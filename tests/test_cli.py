@@ -382,6 +382,20 @@ class TestDeterminism:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc/self/task")
+    def test_import_starts_no_thread(self):
+        # numpy's OpenBLAS would start a spinning thread per extra core; the package does no BLAS
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        code = "import os, weierdim; print(len(os.listdir('/proc/self/task')))"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+        assert proc.returncode == 0 and proc.stdout.split() == [b"1"]
+
+    def test_import_keeps_the_users_blas_threads(self):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "3"}
+        code = "import os, weierdim; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+        assert proc.returncode == 0 and proc.stdout.split() == [b"3"]
+
     def test_thread_count_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.setenv("WEIERDIM_THREADS", "100000")
         assert worker_count() <= (os.cpu_count() or 1)

@@ -320,6 +320,41 @@ class TestSlopeGrid:
                     assert grid[i, j] == fn(p, word, float(xj), terms=35).value
 
 
+def _reference_slope_grid(b, gamma, x, digits, want_dgamma=False):
+    """slope_grid with one start per (word, point): every row steps from x, sharing no prefix."""
+    want = ("y", "ydx", "ydgamma") if want_dgamma else ("y", "ydx")
+    u = np.broadcast_to(x, (digits.shape[0], x.size))
+    out = _orbit_sums(u, b, gamma, digits.T[:, :, None], want)
+    return out["y"], out["ydx"], out.get("ydgamma")
+
+
+class TestSharedPrefixes:
+    """Words that share first digits share those orbit steps, with the bits of the per-row path."""
+
+    def test_matches_per_row_reference(self):
+        rnd = np.random.default_rng(23)
+        for case in range(120):
+            b, depth = int(rnd.integers(2, 6)), int(rnd.integers(1, 41))
+            rows = int(rnd.integers(1, b)) if case % 5 == 0 else int(rnd.integers(1, 301))
+            digits = rnd.integers(0, b, size=(rows, depth))
+            if case % 3 == 0:  # digits >= b, as in the separation scan's tie words
+                hit = rnd.random(digits.shape) < 0.1
+                hit[:, 0] |= rnd.random(rows) < 0.5
+                digits[hit] = rnd.integers(b, 3 * b, size=int(hit.sum()))
+            gammas = rnd.uniform(1.0 / b + 0.01, 0.99, size=int(rnd.integers(1, 4)))
+            gamma = float(gammas[0]) if case % 2 else gammas
+            x = rnd.uniform(0.0, 1.0, size=int(rnd.integers(1, 12)))
+            want_dgamma = bool(case % 4 < 2)
+            got = slope_grid(b, gamma, x, digits, want_dgamma)
+            assert (got[2] is None) != want_dgamma
+            for grid, one in zip(got, _reference_slope_grid(b, gamma, x, digits, want_dgamma)):
+                assert grid is one is None or np.array_equal(grid, one), (case, b, depth, rows)
+
+    def test_depth_zero_refused(self):
+        with pytest.raises(ValueError, match="^depth must be an integer >= 1"):
+            slope_grid(2, 0.6, np.linspace(0.0, 1.0, 4), np.zeros((3, 0), dtype=np.int64))
+
+
 class TestGammaAxis:
     """A gamma vector shares each orbit point's sin and cos; every gamma's sums keep
     the bits of a call with that gamma alone."""

@@ -407,7 +407,9 @@ class TestTangencyCount:
         # at the work cap, 8.4M cylinder pairs: no pair index beside the 32 MB table
         (TangencyQuery(n=12, m=1, eps=0.5, delta=0.5, grid_per_interval=1, random_tails=0),
          2 ** 25),
-    ], ids=["n2-m6", "n12-m1"])
+        # one interval's grid and comparisons took 86 MB: it is scanned in pieces
+        (TangencyQuery(n=1, m=1, eps=0.5, delta=0.5, grid_per_interval=100000), 0),
+    ], ids=["n2-m6", "n12-m1", "wide"])
     def test_streams_the_grid(self, q, table_bytes):
         peak = traced_peak(lambda: tangency_count(Params(2, 0.95), q))
         assert peak < table_bytes + 16 * 2 ** 20
@@ -492,7 +494,8 @@ class TestTwoVariable:
                                               True) == one + (0,)
 
     def test_one_orbit_for_every_gamma(self, monkeypatch):
-        # one sin and one cos per (word, x, step), however many gammas share the orbit
+        # one sin and one cos per orbit point, however many gammas share the orbit: the
+        # first L steps once per digit prefix (b^L <= words), then once per word
         monkeypatch.setenv("WEIERDIM_THREADS", "1")
         calls, blocks = counted_trig(monkeypatch), []
 
@@ -503,9 +506,11 @@ class TestTwoVariable:
         monkeypatch.setattr(transversality, "slope_grid", spy)
         two_var_delta(2, 0.05, x_grid=300, seed=1)
         assert {g for g, _ in blocks} == {4}
-        cells = sum(c for _, c in blocks)  # words x points x depth
-        assert cells == 40 * 300 * _pair_words(2, 40, 512, 1)[0].shape[0]
-        assert calls == {"sin": cells, "cos": cells}
+        words = _pair_words(2, 40, 512, 1)[0].shape[0]
+        assert sum(c for _, c in blocks) == 40 * 300 * words  # words x points x depth
+        tree = int(np.log2(words))
+        points = 300 * (sum(2 ** n for n in range(1, tree + 1)) + (40 - tree) * words)
+        assert calls == {"sin": points, "cos": points}
 
 
 class TestTailSlackAccounting:
