@@ -54,7 +54,6 @@ from .thresholds import (
     ae_defect_majorant,
     builtin_certificate,
     coeff_bound,
-    coeff_bound_to_lambda,
     defect_majorant,
     solve_ae_critical_lambda,
     solve_critical_lambda,

@@ -131,11 +131,5 @@ def fit_box_dimension(table: BoxCountTable, drop_coarsest: int = 2) -> DimFit:
     eps = np.array([e for e, _ in rows])
     _check_scales("levels left after dropping the coarsest", eps)
     hits = np.array([h for _, h in rows], dtype=np.float64)
-    slope, intercept, stderr = _linear_fit(np.log(1.0 / eps), np.log(hits))
-    return DimFit(
-        slope=slope,
-        intercept=intercept,
-        stderr=stderr,
-        radii=tuple(float(e) for e in eps),
-        values=tuple(float(h) for h in hits),
-    )
+    slope, _, stderr = _linear_fit(np.log(1.0 / eps), np.log(hits))
+    return DimFit(slope=slope, stderr=stderr)

@@ -17,11 +17,10 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .boxdim import box_count, fit_box_dimension
 from .certificates import StarCertificate, search_certificate, verify_certificate
+from .claims import reproduce_rows
 from .measures import (
     _check_bins,
     density_histogram,
@@ -42,22 +41,8 @@ from .series import (
     eval_stable_slope_dx,
     eval_weierstrass,
 )
-from .thresholds import (
-    ae_defect_majorant,
-    builtin_certificate,
-    coeff_bound,
-    defect_majorant,
-    solve_ae_critical_lambda,
-    solve_critical_lambda,
-    transversality_defect,
-)
-from .transversality import (
-    TangencyQuery,
-    case_bounds_base2,
-    empirical_delta,
-    tangency_count,
-    two_var_delta,
-)
+from .thresholds import coeff_bound, solve_ae_critical_lambda, solve_critical_lambda
+from .transversality import TangencyQuery, empirical_delta, tangency_count, two_var_delta
 
 _ROW_BYTES = 2048  # per thresholds row: its dict and emitted text (1.4 kB measured as JSON)
 
@@ -335,73 +320,14 @@ def _cmd_measure(args) -> int:
     return 0
 
 
-def _reproduce_claims(perturb_eta: float):
-    """Yield (name, passed, detail) for every reproduced numeric claim."""
-    sign_claims = [  # (name, fn, b, lam, sign): the claim is sign * fn(b, lam) > 0
-        ("defect_b2_lam0.9352_negative", transversality_defect, 2, 0.9352, -1),
-        ("defect_b2_lam0.9_positive", transversality_defect, 2, 0.9, 1),
-        ("defect_b3_lam0.7269_negative", transversality_defect, 3, 0.7269, -1),
-        ("defect_b4_lam0.6083_negative", transversality_defect, 4, 0.6083, -1),
-        ("majorant_b3_lam1_negative", defect_majorant, 3, 1.0, -1),
-        ("majorant_b5_lam0.5448_negative", defect_majorant, 5, 0.5448, -1),
-        ("ae_majorant_b5_negative", ae_defect_majorant, 5, 1.04 / math.sqrt(5), -1),
-    ]
-    for name, fn, b, lam, sign in sign_claims:
-        v = fn(b, lam)
-        yield name, sign * v > 0, v
-
-    br2 = solve_critical_lambda(2)
-    yield ("critical_b2_bracket_in_(0.9,0.9352)",
-           0.9 < br2.lo and br2.hi < 0.9352, [br2.lo, br2.hi])
-    hi_all = max(solve_critical_lambda(b).hi for b in range(5, 21))
-    yield ("critical_b5_to_20_below_0.5448", hi_all < 0.5448, hi_all)
-    br4 = solve_critical_lambda(10_000)
-    yield ("critical_b10000_near_inv_pi",
-           abs(br4.midpoint - 1.0 / math.pi) < 0.01, br4.midpoint)
-    ae4 = solve_ae_critical_lambda(10_000)
-    yield ("ae_b10000_sqrt_scaling",
-           abs(100.0 * ae4.hi - 1.0 / math.sqrt(math.pi)) < 0.02, 100.0 * ae4.hi)
-
-    expected_ae = {2: 0.81, 3: 0.55, 4: 0.44}
-    for b, bound in expected_ae.items():
-        lam0, cert = builtin_certificate(b)
-        if b == 3 and perturb_eta:
-            cert = StarCertificate(cert.beta, cert.k, cert.eta + perturb_eta, cert.t)
-        rep = verify_certificate(cert)
-        ok = rep.valid and rep.margin > 1e-6 and cert.t >= 1.0 / (b * lam0)
-        yield (f"certificate_b{b}_valid", ok,
-               {"g": rep.g_value, "g_prime": rep.g_prime_value, "margin": rep.margin})
-        ae = solve_ae_critical_lambda(b)
-        yield (f"ae_bound_b{b}_at_most_{bound}", ae.hi <= bound + 1e-12, ae.hi)
-
-    for b in (2, 3, 4):
-        lam = solve_critical_lambda(b).hi + 0.05
-        p = Params(b, lam)
-        est = empirical_delta(b, p.gamma, x_grid=2000, depth=30, pair_budget=2048, seed=1)
-        q = TangencyQuery(n=1, m=1, eps=est.delta_hat / p.gamma,
-                          delta=est.delta_hat / p.gamma, depth=30,
-                          grid_per_interval=500)
-        e = tangency_count(p, q, seed=1)
-        yield (f"tangency_e11_b{b}_equals_1",
-               est.delta_hat > 0 and e == 1 and e < p.gamma * b,
-               {"delta_hat": est.delta_hat, "e": e})
-
-    def case_gap(g):  # the worst case bound against the independent lambda form
-        ref = transversality_defect(2, 1.0 / (2.0 * g))
-        return abs(max(case_bounds_base2(g)) - ref) / max(1.0, abs(ref))
-
-    worst = max(case_gap(g) for g in np.linspace(0.51, 0.99, 100))
-    yield ("case_bounds_b2_match_gamma_defect", worst <= 1e-12, float(worst))
-
-
 def _cmd_reproduce(args) -> int:
     claims = []
-    all_ok = True
-    for name, ok, detail in _reproduce_claims(args.perturb_eta):
+    for name, check in reproduce_rows(args.perturb_eta):
+        ok, detail = check()
         claims.append({"claim": name, "pass": bool(ok), "detail": detail})
-        all_ok = all_ok and bool(ok)
         if not ok:
             print(f"FAILED: {name} ({detail})", file=sys.stderr)
+    all_ok = all(c["pass"] for c in claims)
     _emit(
         {
             "rows": claims,

@@ -124,13 +124,7 @@ class DimFit:
     """Least-squares dimension fit over a decreasing ladder of scales."""
 
     slope: float
-    intercept: float
     stderr: float
-    radii: tuple[float, ...]
-    values: tuple[float, ...]  # mean ball masses, or box counts
-
-    def __post_init__(self):
-        _check_scales("radii", self.radii)
 
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
@@ -274,24 +268,15 @@ def local_dim_estimate(
     )
     log_r = np.log(radii)
     slopes = np.empty(centers)
-    intercepts = np.empty(centers)
-    mass_sum = np.zeros(len(radii))
     for c, i in enumerate(idx):
         if pts.ndim == 1:
             dist = np.abs(pts - pts[i])
         else:
             dist = np.sqrt(((pts - pts[i]) ** 2).sum(axis=1))
         masses = np.array([(dist <= r).sum() / n for r in radii])
-        mass_sum += masses
-        slopes[c], intercepts[c], _ = _linear_fit(log_r, np.log(masses))
+        slopes[c] = _linear_fit(log_r, np.log(masses))[0]
     stderr = float(slopes.std(ddof=1) / math.sqrt(centers)) if centers > 1 else 0.0
-    return DimFit(
-        slope=float(slopes.mean()),
-        intercept=float(intercepts.mean()),
-        stderr=stderr,
-        radii=tuple(radii),
-        values=tuple(mass_sum / centers),
-    )
+    return DimFit(slope=float(slopes.mean()), stderr=stderr)
 
 
 def dimension_from_transversal(dim_nu: float, p: Params) -> float:

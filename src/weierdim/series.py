@@ -134,17 +134,14 @@ class DigitWord:
     """Infinite digit word: an explicit finite prefix plus a tail policy.
 
     tail_seed None reproduces the all-zero tail (0, 0, ...); an integer seed
-    selects a reproducible counter-based random tail.  tail_offset shifts the
-    tail indexing and exists so that shifted() stays exact for random tails.
+    selects a reproducible counter-based random tail.
     """
 
     digits: tuple[int, ...] = ()
     tail_seed: Optional[int] = None
-    tail_offset: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "digits", tuple(_check_int("digit", d, 0) for d in self.digits))
-        object.__setattr__(self, "tail_offset", _check_int("tail_offset", self.tail_offset, 0))
         if self.tail_seed is not None:
             object.__setattr__(self, "tail_seed", _check_int("tail_seed", self.tail_seed))
 
@@ -163,18 +160,8 @@ class DigitWord:
         if self.tail_seed is None:
             tail = np.zeros(n_tail, dtype=np.int64)
         else:
-            tail = rng.digit_vector(
-                self.tail_seed, rng.STREAM_WORD_TAIL,
-                self.tail_offset + 1, n_tail, b,
-            )
+            tail = rng.digit_vector(self.tail_seed, rng.STREAM_WORD_TAIL, 1, n_tail, b)
         return np.concatenate([head, tail])
-
-    def shifted(self, k: int = 1) -> "DigitWord":
-        """Drop the first k digits (the left shift sigma^k)."""
-        k = _check_int("shift", k, 0)
-        if k <= len(self.digits):
-            return DigitWord(self.digits[k:], self.tail_seed, self.tail_offset)
-        return DigitWord((), self.tail_seed, self.tail_offset + k - len(self.digits))
 
 
 @dataclass(frozen=True)

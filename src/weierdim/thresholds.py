@@ -6,7 +6,10 @@ directions are transversal and the graph measure has full dimension.  The
 almost-everywhere variant has its own defect function whose zero applies only
 when the coefficient bound beta(lam) is large enough for the closed-form
 double-root value; otherwise upper bounds come from verified star
-certificates, from the generic double-root bound, or from monotonicity.
+certificates, from the generic double-root bound, or from monotonicity.  A
+verified certificate's bound is its own lambda0, the scale it was built at,
+reported as stated in _BUILTIN_CERT_PARAMS or by the search, not recovered
+from its beta.
 
 Root finding is plain bisection.  Monotonicity of every bracketed function is
 known, so correctness of a bracket needs nothing beyond the sign change.
@@ -39,8 +42,6 @@ class RootBracket:
 
     lo: float
     hi: float
-    f_lo: float
-    f_hi: float
     tol: float
 
     @property
@@ -133,18 +134,6 @@ def coeff_bound(b: int, lam: float) -> float:
     return 1.0 / math.sqrt(radicand)
 
 
-def coeff_bound_to_lambda(b: int, beta: float) -> Optional[float]:
-    """Inverse of coeff_bound in lam; None when beta is out of range for b."""
-    b = _check_int("base", b, 2)
-    radicand = math.sin(math.pi / b) ** 2 - 1.0 / beta ** 2
-    if radicand <= 0.0:
-        return None
-    lam = (1.0 + 1.0 / math.sqrt(radicand)) / b ** 2
-    if not (1.0 / b < lam <= 1.0):
-        return None
-    return lam
-
-
 def _bisect(defect, b: int, tol: float) -> RootBracket:
     if not (tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol!r}")
@@ -162,8 +151,8 @@ def _bisect(defect, b: int, tol: float) -> RootBracket:
         if (f_mid > 0.0) == (f_lo > 0.0):
             lo, f_lo = mid, f_mid
         else:
-            hi, f_hi = mid, f_mid
-    return RootBracket(lo, hi, f_lo, f_hi, tol)
+            hi = mid
+    return RootBracket(lo, hi, tol)
 
 
 def solve_critical_lambda(b: int, tol: float = 1e-12) -> RootBracket:
@@ -186,10 +175,11 @@ def builtin_certificate(b: int) -> Optional[tuple[float, StarCertificate]]:
 
 
 @lru_cache(maxsize=None)
-def _default_certificates(b: int) -> tuple[StarCertificate, ...]:
+def _default_certificates(b: int) -> tuple[tuple[float, StarCertificate], ...]:
+    """(lambda0, certificate) pairs to try: the published one, else a search at 1.04/sqrt(b)."""
     built = builtin_certificate(b)
     if built is not None:
-        return (built[1],)
+        return (built,)
     # for larger bases, try to certify the 1.04/sqrt(b) scale; for b >= 5 it lies in
     # (1/b, 1) and sin(pi/b)^2 >= 4/b^2 > 1/(b^2 lam0 - 1)^2, so beta is defined
     lam0 = 1.04 / math.sqrt(b)
@@ -197,7 +187,7 @@ def _default_certificates(b: int) -> tuple[StarCertificate, ...]:
     if beta >= CLOSED_FORM_BETA:
         return ()
     found = search_certificate(beta, 1.0 / (b * lam0), k_max=6, eta_grid=801)
-    return (found,) if found is not None else ()
+    return ((lam0, found),) if found is not None else ()
 
 
 def solve_ae_critical_lambda(b: int, tol: float = 1e-12) -> AeCriticalBound:
@@ -224,10 +214,7 @@ def solve_ae_critical_lambda(b: int, tol: float = 1e-12) -> AeCriticalBound:
         candidates.append((bracket.hi, "generic-bound"))
     lam_crit = solve_critical_lambda(b, tol)
     candidates.append((lam_crit.hi, "monotone"))
-    for cert in _default_certificates(b):
-        lam0 = coeff_bound_to_lambda(b, cert.beta)
-        if lam0 is None or not (1.0 / b < lam0 < 1.0):
-            continue
+    for lam0, cert in _default_certificates(b):
         if cert.t >= 1.0 / (b * lam0) and verify_certificate(cert).valid:
             candidates.append((lam0, "certificate"))
     hi, method = min(candidates, key=lambda c: c[0])

@@ -121,8 +121,8 @@ def test_criterion_4_series_identities():
             v = x
             for d in prefix:
                 v = (v + d) / b
-            sa = w.eval_stable_slope(p, wa.shifted(n), v, terms=terms - n)
-            sb = w.eval_stable_slope(p, wb.shifted(n), v, terms=terms - n)
+            sa = w.eval_stable_slope(p, w.DigitWord(wa.digits[n:]), v, terms=terms - n)
+            sb = w.eval_stable_slope(p, w.DigitWord(wb.digits[n:]), v, terms=terms - n)
             tol = (
                 ya.tail_bound + yb.tail_bound
                 + p.gamma ** n * (sa.tail_bound + sb.tail_bound) + 1e-12

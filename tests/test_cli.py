@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from weierdim import COSINE, Params, cli, eval_weierstrass
+from weierdim import COSINE, Params, claims, cli, eval_weierstrass
 from weierdim.cli import main
 from weierdim.parallel import worker_count
 
@@ -311,6 +311,32 @@ class TestReproduce:
         assert payload["all_pass"] is True
         assert all(row["pass"] for row in payload["rows"])
 
+    def test_row_names_in_order(self, capsys):
+        code, payload = run_json(capsys, "reproduce")
+        assert [r["claim"] for r in payload["rows"]] == [
+            "defect_b2_lam0.9352_negative",
+            "defect_b2_lam0.9_positive",
+            "defect_b3_lam0.7269_negative",
+            "defect_b4_lam0.6083_negative",
+            "majorant_b3_lam1_negative",
+            "majorant_b5_lam0.5448_negative",
+            "ae_majorant_b5_negative",
+            "critical_b2_bracket_in_(0.9,0.9352)",
+            "critical_b5_to_20_below_0.5448",
+            "critical_b10000_near_inv_pi",
+            "ae_b10000_sqrt_scaling",
+            "certificate_b2_valid",
+            "ae_bound_b2_at_most_0.81",
+            "certificate_b3_valid",
+            "ae_bound_b3_at_most_0.55",
+            "certificate_b4_valid",
+            "ae_bound_b4_at_most_0.44",
+            "tangency_e11_b2_equals_1",
+            "tangency_e11_b3_equals_1",
+            "tangency_e11_b4_equals_1",
+            "case_bounds_b2_match_gamma_defect",
+        ]
+
     def test_perturbed_certificate_fails(self, capsys):
         code, payload = run_json(capsys, "reproduce", "--perturb-eta", "0.5")
         assert code == 1
@@ -319,8 +345,8 @@ class TestReproduce:
 
     def test_case_bounds_checked_independently(self, capsys, monkeypatch):
         # the row compares the case bounds with the lambda form; shifting them must fail it
-        shifted = lambda g, f=cli.case_bounds_base2: tuple(c + 1e-6 for c in f(g))  # noqa: E731
-        monkeypatch.setattr(cli, "case_bounds_base2", shifted)
+        shifted = lambda g, f=claims.case_bounds_base2: tuple(c + 1e-6 for c in f(g))  # noqa: E731
+        monkeypatch.setattr(claims, "case_bounds_base2", shifted)
         code, payload = run_json(capsys, "reproduce")
         assert code == 1
         failing = [r["claim"] for r in payload["rows"] if not r["pass"]]

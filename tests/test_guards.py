@@ -1,5 +1,7 @@
 """One guard path: every integer argument is checked before any series, RNG or grid work."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,6 @@ GUARDS = [
     ("base", lambda v: Params(v, 0.9), 2.5, 1),
     ("frequency", lambda v: w.PhiSpec(cosine_coeffs=((v, 1.0),)), 1.5, 0),
     ("digit", lambda v: DigitWord((1, v)), 0.5, -1),
-    ("shift", lambda v: DigitWord((1, 0)).shifted(v), 1.5, -1),
-    ("tail_offset", lambda v: DigitWord((1, 0), tail_seed=3, tail_offset=v), 1.5, -1),
     ("base", lambda v: w.eval_weierstrass((v, 0.9), COSINE, 0.3), 2.5, 1),
     ("terms", lambda v: w.eval_weierstrass(P, COSINE, 0.3, terms=v), 2.7, -3),
     ("terms", lambda v: w.eval_stable_slope(P, DigitWord(), 0.3, terms=v), 2.7, 0),
@@ -43,7 +43,6 @@ GUARDS = [
     ("base", lambda v: w.ae_defect(v, 0.9), 2.5, 1),
     ("base", lambda v: w.ae_defect_majorant(v, 0.9), 2.5, 1),
     ("base", lambda v: w.coeff_bound(v, 0.9), 2.5, 1),
-    ("base", lambda v: w.coeff_bound_to_lambda(v, 3.0), 2.5, 1),
     ("base", lambda v: w.solve_critical_lambda(v), 2.5, 1),
     ("base", lambda v: w.solve_ae_critical_lambda(v), 2.5, 1),
     ("base", lambda v: w.builtin_certificate(v), 2.5, 1),
@@ -63,6 +62,10 @@ GUARDS = [
     ("pair_budget", lambda v: w.two_var_delta(2, 0.05, pair_budget=v), 2.5, -1),
 ]
 CASES = [(name, call, bad) for name, call, *bads in GUARDS for bad in bads]
+# Case numbers of deleted rows stay retired, so no remaining case changes its ID.
+RETIRED = {6, 7, 8, 9, 60, 61}
+IDS = [f"{i}-{name}={bad}" for i, (name, _, bad)
+       in zip((i for i in itertools.count() if i not in RETIRED), CASES)]
 
 # Seeds have no lower bound: each seeded entry point refuses only a non-integral seed.
 QUERY = w.TangencyQuery(n=1, m=1, eps=0.5, delta=0.5)
@@ -88,8 +91,7 @@ def _forbid_work(monkeypatch):
         monkeypatch.setattr(f"weierdim.{target}", no_work)
 
 
-@pytest.mark.parametrize("name, call, bad", CASES,
-                         ids=[f"{i}-{name}={bad}" for i, (name, _, bad) in enumerate(CASES)])
+@pytest.mark.parametrize("name, call, bad", CASES, ids=IDS)
 def test_integer_arguments_checked_before_any_work(monkeypatch, name, call, bad):
     _forbid_work(monkeypatch)
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):

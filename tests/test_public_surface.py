@@ -1,6 +1,8 @@
-"""Every name the package exports is used by the package or the benchmark, not only by tests."""
+"""Every name the package exports, and every field of an exported dataclass, is used by the
+package or the benchmark, not only by tests."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import weierdim
@@ -28,11 +30,42 @@ def _loads(node: ast.AST, skip: frozenset = frozenset()):
         yield from _loads(child, skip)
 
 
+def _field_reads(tree: ast.AST):
+    """Attributes read under tree outside __post_init__; a called attribute is a method."""
+    called = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
+
+    def walk(node):
+        if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+            return
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and id(node) not in called):
+            yield node.attr
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child)
+
+    return walk(tree)
+
+
+def _sources() -> list[ast.AST]:
+    paths = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    paths += sorted((ROOT / "perfbench").glob("*.py"))
+    return [ast.parse(path.read_text()) for path in paths]
+
+
 def test_every_export_is_used_outside_tests():
-    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
-    sources += sorted((ROOT / "perfbench").glob("*.py"))
     used = set()
-    for path in sources:
-        used.update(_loads(ast.parse(path.read_text())))
+    for tree in _sources():
+        used.update(_loads(tree))
     unused = sorted(_exports() - used - UNUSED_ALLOWED)
     assert unused == [], f"exported but used only by tests: {unused}"
+
+
+def test_every_dataclass_field_is_read_outside_tests():
+    read = set()
+    for tree in _sources():
+        read.update(_field_reads(tree))
+    fields = {f"{name}.{f.name}" for name in _exports()
+              if isinstance(cls := getattr(weierdim, name), type) and dataclasses.is_dataclass(cls)
+              for f in dataclasses.fields(cls)}
+    unread = sorted(f for f in fields if f.split(".")[1] not in read)
+    assert unread == [], f"dataclass fields written but read only by tests: {unread}"

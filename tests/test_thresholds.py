@@ -13,7 +13,6 @@ from weierdim import (
     builtin_certificate,
     case_bounds_base2,
     coeff_bound,
-    coeff_bound_to_lambda,
     defect_majorant,
     solve_ae_critical_lambda,
     solve_critical_lambda,
@@ -73,7 +72,7 @@ class TestCriticalBrackets:
         br = solve_critical_lambda(2)
         assert 0.9 < br.lo < br.hi < 0.9352
         assert br.hi - br.lo <= br.tol
-        assert br.f_lo * br.f_hi < 0
+        assert transversality_defect(2, br.lo) > 0 > transversality_defect(2, br.hi)
 
     def test_base5_below_published_bound(self):
         assert solve_critical_lambda(5).hi < 0.5448
@@ -102,11 +101,6 @@ class TestCoeffBound:
             lam = float(rnd.uniform(1.0 / b * (1 + 1e-6), 1.0))
             assert coeff_bound(b, lam) > 1.0
 
-    def test_inverse_round_trip(self):
-        for b, lam in ((2, 0.81), (3, 0.55), (4, 0.44), (7, 0.3)):
-            beta = coeff_bound(b, lam)
-            assert coeff_bound_to_lambda(b, beta) == pytest.approx(lam, abs=1e-12)
-
 
 class TestAeCritical:
     @pytest.mark.parametrize("b,bound", [(2, 0.81), (3, 0.55), (4, 0.44)])
@@ -115,6 +109,12 @@ class TestAeCritical:
         assert ae.method == "certificate"
         assert ae.lo == pytest.approx(1.0 / b)
         assert ae.hi <= bound + 1e-12
+
+    @pytest.mark.parametrize("b,lam0", [(2, 0.81), (3, 0.55), (4, 0.44)])
+    def test_certificate_bound_is_its_own_lambda0(self, b, lam0):
+        # the scale the certificate was built at, not a float recovered from its beta
+        ae = solve_ae_critical_lambda(b)
+        assert (ae.hi, ae.method) == (lam0, "certificate")
 
     def test_closed_form_regime_base25(self):
         ae = solve_ae_critical_lambda(25)
@@ -135,16 +135,15 @@ class TestAeCritical:
 
     def test_explicit_certificate_list(self, monkeypatch):
         _, cert = builtin_certificate(2)
-        monkeypatch.setattr(thresholds, "_default_certificates", lambda b: (cert,))
+        monkeypatch.setattr(thresholds, "_default_certificates", lambda b: ((0.81, cert),))
         ae = solve_ae_critical_lambda(2)
-        assert ae.method == "certificate"
-        assert ae.hi <= 0.81 + 1e-12
+        assert (ae.hi, ae.method) == (0.81, "certificate")
 
     def test_rejects_non_licensing_certificate(self, monkeypatch):
         # a valid certificate whose t is below 1/(b*lambda0) proves nothing here
         beta = coeff_bound(2, 0.81)
         weak = StarCertificate(beta, 1, -2.0, 0.3)
         assert verify_certificate(weak).valid and weak.t < 1.0 / (2 * 0.81)
-        monkeypatch.setattr(thresholds, "_default_certificates", lambda b: (weak,))
+        monkeypatch.setattr(thresholds, "_default_certificates", lambda b: ((0.81, weak),))
         ae = solve_ae_critical_lambda(2)
         assert ae.method == "monotone"

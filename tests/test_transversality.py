@@ -149,13 +149,14 @@ class TestDeltaPins:
         assert all(i < j and words[i, 0] != words[j, 0] for i, j in pairs)
 
     def test_two_var_base3(self):
+        # the gamma lattice tops out at 1/(b lambda0), the b = 3 certificate's lambda0 = 0.55
         est = two_var_delta(3, 0.05, seed=1)
-        assert est.delta_hat == pytest.approx(1.9731391878915998, abs=0)
+        assert est.delta_hat == pytest.approx(1.9731391878916003, abs=0)
         assert est.argmin_x == pytest.approx(0.99375, abs=0)
-        assert est.argmin_gamma == pytest.approx(0.39878787878787886, abs=0)
+        assert est.argmin_gamma == pytest.approx(0.39878787878787875, abs=0)
         assert est.argmin_pair[0].digits == (0, 2, 1) + (0,) * 37
         assert est.argmin_pair[1].digits == (1, 0, 1) + (0,) * 37
-        assert est.tail_slack == pytest.approx(9.324248625636968e-14, abs=0)
+        assert est.tail_slack == pytest.approx(9.324248625636862e-14, abs=0)
 
     @pytest.mark.parametrize("case, n_words, n_pairs, words_sha, pairs_sha", [
         ((2, 30, 16384, 1), 257, 8255,
@@ -318,8 +319,8 @@ class TestScaleIdentity:
             v = x
             for d in prefix:
                 v = (v + d) / b
-            sa = eval_stable_slope(p, wa.shifted(n), v, terms=terms - n)
-            sb = eval_stable_slope(p, wb.shifted(n), v, terms=terms - n)
+            sa = eval_stable_slope(p, DigitWord(wa.digits[n:]), v, terms=terms - n)
+            sb = eval_stable_slope(p, DigitWord(wb.digits[n:]), v, terms=terms - n)
             lhs = abs(ya.value - yb.value)
             rhs = p.gamma ** n * abs(sa.value - sb.value)
             tol = ya.tail_bound + yb.tail_bound + p.gamma ** n * (sa.tail_bound + sb.tail_bound)
