@@ -36,15 +36,10 @@ from .series import (
     Params,
     PhiSpec,
     SeriesValue,
-    eval_fiber_sum,
-    eval_stable_slope,
-    eval_stable_slope_dgamma,
-    eval_stable_slope_dx,
+    eval_orbit_sum,
     eval_weierstrass,
+    orbit_tail,
     slope_grid,
-    tail_bound_slope,
-    tail_bound_slope_dgamma,
-    tail_bound_slope_dx,
 )
 from .thresholds import (
     CLOSED_FORM_BETA,

@@ -35,10 +35,7 @@ from .series import (
     DigitWord,
     Params,
     PhiSpec,
-    eval_fiber_sum,
-    eval_stable_slope,
-    eval_stable_slope_dgamma,
-    eval_stable_slope_dx,
+    eval_orbit_sum,
     eval_weierstrass,
 )
 from .thresholds import coeff_bound, solve_ae_critical_lambda, solve_critical_lambda
@@ -116,8 +113,21 @@ def _b_range(raw: str) -> tuple[str, range | list[int]]:
     return raw, bases
 
 
+def _unread_flag(args, reads: tuple[str, ...], mode: str) -> bool:
+    """True, after a usage error on stderr, when --phi, --psi or --phases is set off its
+    default but `mode` does not read it (the slope sums are cos-only)."""
+    for flag, default in (("phi", "cos"), ("psi", "cos-deriv"), ("phases", None)):
+        if flag not in reads and getattr(args, flag, default) != default:
+            print(f"error: {mode} does not read --{flag}", file=sys.stderr)
+            return True
+    return False
+
+
 def _cmd_eval(args) -> int:
     what = args.what
+    reads = ("phi", "phases") if what == "f" else ("psi",) if what == "S" else ()
+    if _unread_flag(args, reads, f"--what {what}"):
+        return 2
     config = {
         "b": args.b, "lambda": args.lam, "x": args.x, "what": what,
         "tol": args.tol, "word": args.word, "tail_seed": args.tail_seed,
@@ -132,15 +142,7 @@ def _cmd_eval(args) -> int:
     else:
         p = Params(args.b, args.lam)
         word = DigitWord(args.word or (), tail_seed=args.tail_seed)
-        if what == "Y":
-            sv = eval_stable_slope(p, word, args.x, abs_tol=args.tol)
-        elif what == "Ydx":
-            sv = eval_stable_slope_dx(p, word, args.x, abs_tol=args.tol)
-        elif what == "Ydgamma":
-            sv = eval_stable_slope_dgamma(p, word, args.x, abs_tol=args.tol)
-        else:
-            psi = _PHI_CHOICES[args.psi]
-            sv = eval_fiber_sum(p, psi, word, args.x, abs_tol=args.tol)
+        sv = eval_orbit_sum(p, word, args.x, what, _PHI_CHOICES[args.psi], abs_tol=args.tol)
     _emit(
         {
             "value": sv.value,
@@ -293,6 +295,9 @@ def _cmd_boxdim(args) -> int:
 
 
 def _cmd_measure(args) -> int:
+    reads = ("psi",) if args.kind == "sbr" else ("phi",) if args.kind == "graph" else ()
+    if _unread_flag(args, reads, f"--kind {args.kind}"):
+        return 2
     p = Params(args.b, args.lam)
     if args.bins:
         _check_bins(args.bins)  # before any draw

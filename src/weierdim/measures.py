@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -30,8 +29,7 @@ from .series import (
     _orbit_sums,
     _terms_for,
     eval_weierstrass,
-    tail_bound_geometric,
-    tail_bound_slope,
+    orbit_tail,
 )
 
 
@@ -157,19 +155,20 @@ def sample_transversal(
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
     gamma = p.gamma
-    depth = _terms_for(_TAIL_TARGET, partial(tail_bound_slope, gamma), 1, depth, "depth")
+    tail = orbit_tail("Y", p.b, gamma)
+    depth = _terms_for(_TAIL_TARGET, tail, 1, depth, "depth")
 
     def slopes(r0, r1):
         columns = rng.digit_columns(seed, rng.STREAM_TRANSVERSAL, r1 - r0, depth, p.b, r0)
         # one start for every row: _orbit_sums runs each digit prefix's orbit once
-        return _orbit_sums(float(x), p.b, gamma, columns, ("y",))["y"]
+        return _orbit_sums(float(x), p.b, gamma, columns, ("Y",))["Y"]
 
     return SampleSet(
         points=_pooled_rows(np.empty(count), slopes),
         seed=seed,
         depth=depth,
         kind="transversal",
-        tail_bound=tail_bound_slope(gamma, depth),
+        tail_bound=tail(depth),
     )
 
 
@@ -189,7 +188,7 @@ def sample_sbr(
     count = _check_count(count, 2)
     seed = _check_int("seed", seed)
     gamma = p.gamma
-    tail = partial(tail_bound_geometric, gamma, psi.oscillating_sup())
+    tail = orbit_tail("S", p.b, gamma, psi)
     depth = _terms_for(_TAIL_TARGET, tail, 1, depth, "depth")
     points = np.empty((count, 2))
     xs = points[:, 0]
@@ -197,7 +196,7 @@ def sample_sbr(
 
     def fibers(r0, r1):
         columns = rng.digit_columns(seed, rng.STREAM_SBR_DIGITS, r1 - r0, depth, p.b, r0)
-        return _orbit_sums(xs[r0:r1], p.b, gamma, columns, ("s",), psi)["s"]
+        return _orbit_sums(xs[r0:r1], p.b, gamma, columns, ("S",), psi)["S"]
 
     _pooled_rows(points[:, 1], fibers)
     return SampleSet(

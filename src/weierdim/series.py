@@ -1,23 +1,24 @@
 """Lacunary series evaluation with rigorous truncation tails.
 
-Evaluates the graph series f(x) = sum_n lam^n phi(b^n x + theta_n), the
-stable-direction slope series
+Evaluates the graph series f(x) = sum_n lam^n phi(b^n x + theta_n) and four
+sums along the backward orbit u_n = (u_{n-1} + i_n)/b = x/b^n + i_1/b^n + ... + i_n/b
+of a digit word (i_1, i_2, ...) over {0, .., b-1}, with gamma = 1/(b*lam):
 
-    Y(x) = 2 pi sum_{n>=1} gamma^n sin(2 pi (x/b^n + i_1/b^n + ... + i_n/b)),
+    Y(x)        = 2 pi sum_{n>=1} gamma^n sin(2 pi u_n)        the stable slope
+    Y_x(x)      = 4 pi^2 sum_{n>=1} (gamma/b)^n cos(2 pi u_n)  its x-derivative
+    Y_gamma(x)  = 2 pi sum_{n>=1} n gamma^(n-1) sin(2 pi u_n)  its gamma-derivative
+    S(x)        = sum_{n>=1} gamma^(n-1) psi(u_n)              the skew product's fiber sum
 
-its x- and gamma-derivatives, and the skew-product fiber sum
+_ORBIT_SUMS holds each one's scale and tail bound under the names Y, Ydx,
+Ydgamma and S; eval_orbit_sum evaluates one and orbit_tail gives its tail.
+Every result carries an absolute bound on the omitted remainder, derived from
+the closed-form tail, so truncation depth is always chosen from the requested
+tolerance rather than a fixed count.
 
-    S(x) = sum_{n>=1} gamma^{n-1} psi(x/b^n + i_1/b^n + ... + i_n/b),
-
-where gamma = 1/(b*lam) and (i_1, i_2, ...) is a digit word over
-{0, .., b-1}.  Every result carries an absolute bound on the omitted
-remainder, derived from the closed-form geometric tail, so truncation depth
-is always chosen from the requested tolerance rather than a fixed count.
-
-The slope arguments follow the contracting recurrence u_n = (u_{n-1}+i_n)/b,
-which is numerically stable.  The graph series arguments b^n x are reduced
-mod 1 in exact integer arithmetic (x is a dyadic rational), so deep terms do
-not lose the fractional part to floating-point cancellation.
+The orbit recurrence contracts, so it is numerically stable.  The graph
+series arguments b^n x are reduced mod 1 in exact integer arithmetic (x is a
+dyadic rational), so deep terms do not lose the fractional part to
+floating-point cancellation.
 """
 
 from __future__ import annotations
@@ -197,17 +198,6 @@ def _terms_for(abs_tol: Optional[float], tail: Optional[Callable[[int], float]],
     return bisect_left(range(_MAX_TERMS + 1), True, least, key=lambda n: tail(n) <= abs_tol)
 
 
-def tail_bound_slope(gamma: float, n: int) -> float:
-    """Tail of 2 pi sum_{k>n} gamma^k."""
-    return TWO_PI * gamma ** (n + 1) / (1.0 - gamma)
-
-
-def tail_bound_slope_dx(b: int, gamma: float, n: int) -> float:
-    """Tail of 4 pi^2 sum_{k>n} (gamma/b)^k."""
-    r = gamma / b
-    return FOUR_PI_SQ * r ** (n + 1) / (1.0 - r)
-
-
 def tail_bound_slope_dgamma(gamma: float, n: int) -> float:
     """Tail of 2 pi sum_{k>n} k gamma^(k-1), summed in closed form."""
     return TWO_PI * gamma ** n * ((n + 1) - n * gamma) / (1.0 - gamma) ** 2
@@ -313,6 +303,16 @@ def _unread(held: list, rest: Iterator):
     yield from rest
 
 
+#: The orbit sums of _orbit_sums by name: (scale, tail), tail(b, gamma, psi, n) bounding
+#: the terms after the first n.
+_ORBIT_SUMS = {
+    "Y": (TWO_PI, lambda b, g, psi, n: tail_bound_geometric(g, TWO_PI, n + 1)),
+    "Ydx": (FOUR_PI_SQ, lambda b, g, psi, n: tail_bound_geometric(g / b, FOUR_PI_SQ, n + 1)),
+    "Ydgamma": (TWO_PI, lambda b, g, psi, n: tail_bound_slope_dgamma(g, n)),
+    "S": (1.0, lambda b, g, psi, n: tail_bound_geometric(g, psi.oscillating_sup(), n)),
+}
+
+
 def _orbit_sums(
     u: np.ndarray,
     b: int,
@@ -325,12 +325,12 @@ def _orbit_sums(
 
     u holds the start values x; columns yields the digits i_1, i_2, ... as
     arrays that broadcast against u (one digit column per orbit step).  want
-    names the sums to return, truncated after the last column:
+    names the sums of _ORBIT_SUMS to return, truncated after the last column:
 
-        "y"        2 pi sum gamma^n sin(2 pi u_n)
-        "ydx"      4 pi^2 sum (gamma/b)^n cos(2 pi u_n)
-        "ydgamma"  2 pi sum n gamma^(n-1) sin(2 pi u_n)
-        "s"        sum gamma^(n-1) psi(u_n), the constant of psi summed exactly
+        "Y"        2 pi sum gamma^n sin(2 pi u_n)
+        "Ydx"      4 pi^2 sum (gamma/b)^n cos(2 pi u_n)
+        "Ydgamma"  2 pi sum n gamma^(n-1) sin(2 pi u_n)
+        "S"        sum gamma^(n-1) psi(u_n), the constant of psi summed exactly
 
     A 1-D gamma stacks the sums on a leading axis, sharing each sin and cos.
     A digit column with one more leading axis than u, of shape (rows, 1, .., 1),
@@ -363,7 +363,7 @@ def _orbit_sums(
     def steps(u, acc, columns):
         """Advance u and the sums in acc, in place, one orbit step per column."""
         nonlocal g, r, n
-        sy, sdx, sdg, ss = map(acc.get, ("y", "ydx", "ydgamma", "s"))
+        sy, sdx, sdg, ss = map(acc.get, ("Y", "Ydx", "Ydgamma", "S"))
         for digit in columns:
             n += 1
             u += digit
@@ -402,78 +402,46 @@ def _orbit_sums(
         acc = {k: np.take(v, idx, axis=len(lead)) for k, v in acc.items()}
         del idx
     steps(u, acc, columns)
-    scale = {"y": TWO_PI, "ydx": FOUR_PI_SQ, "ydgamma": TWO_PI}
-    out = {k: scale[k] * v for k, v in acc.items() if k != "s"}
-    if "s" in acc:
-        out["s"] = acc["s"] + psi.constant / (1.0 - gamma)
-    return out
+    for k, v in acc.items():
+        v *= _ORBIT_SUMS[k][0]
+    if "S" in acc:
+        acc["S"] += psi.constant / (1.0 - gamma)
+    return acc
 
 
-def _word_series(p, word, x, key, tail, abs_tol, terms, psi=None) -> SeriesValue:
-    """The orbit sum `key` of _orbit_sums along word from x, with n terms:
-    terms if given, else the least n >= 1 with tail(n) <= abs_tol."""
+def orbit_tail(what: str, b: int, gamma: float,
+               psi: PhiSpec = COSINE_DERIV) -> Callable[[int], float]:
+    """n -> bound on the orbit sum `what` (a key of _ORBIT_SUMS) after its first n terms.
+
+    psi is the fiber function of S; the slope sums do not read it.  An unknown
+    `what` is refused with ValueError.
+    """
+    if what not in _ORBIT_SUMS:
+        raise ValueError(f"what must be one of {', '.join(_ORBIT_SUMS)}, got {what!r}")
+    return partial(_ORBIT_SUMS[what][1], b, gamma, psi)
+
+
+def eval_orbit_sum(
+    p: Params,
+    word: DigitWord,
+    x: float,
+    what: str = "Y",
+    psi: PhiSpec = COSINE_DERIV,
+    abs_tol: float = 1e-9,
+    terms: Optional[int] = None,
+) -> SeriesValue:
+    """The orbit sum `what` ("Y", "Ydx", "Ydgamma" or "S") at (x, word).
+
+    It is truncated after n terms: `terms` if given, else the least n >= 1 with
+    orbit_tail(what, ...)(n) <= abs_tol, which is also the returned tail bound.
+    The vector (1, Y) spans the stable line at x for this word.  S sums the
+    constant of psi in closed form (exactly constant/(1-gamma)), so only its
+    oscillating part is truncated; with psi = COSINE_DERIV, Y = -gamma * S.
+    """
+    tail = orbit_tail(what, p.b, p.gamma, psi)
     n = _terms_for(abs_tol, tail, 1, terms)
-    value = _orbit_sums(x, p.b, p.gamma, word.digit_array(n, p.b), (key,), psi)[key]
+    value = _orbit_sums(x, p.b, p.gamma, word.digit_array(n, p.b), (what,), psi)[what]
     return SeriesValue(float(value), tail(n), n)
-
-
-def eval_stable_slope(
-    p: Params,
-    word: DigitWord,
-    x: float,
-    abs_tol: float = 1e-9,
-    terms: Optional[int] = None,
-) -> SeriesValue:
-    """Slope of the strong-stable direction at (x, word).
-
-    Returns 2 pi sum_{n=1}^{N} gamma^n sin(2 pi u_n) with the geometric tail
-    bound 2 pi gamma^(N+1) / (1 - gamma).  The vector (1, value) spans the
-    stable line at x for this word.
-    """
-    return _word_series(p, word, x, "y", partial(tail_bound_slope, p.gamma), abs_tol, terms)
-
-
-def eval_stable_slope_dx(
-    p: Params,
-    word: DigitWord,
-    x: float,
-    abs_tol: float = 1e-9,
-    terms: Optional[int] = None,
-) -> SeriesValue:
-    """x-derivative of the stable slope: 4 pi^2 sum (gamma/b)^n cos(2 pi u_n)."""
-    tail = partial(tail_bound_slope_dx, p.b, p.gamma)
-    return _word_series(p, word, x, "ydx", tail, abs_tol, terms)
-
-
-def eval_stable_slope_dgamma(
-    p: Params,
-    word: DigitWord,
-    x: float,
-    abs_tol: float = 1e-9,
-    terms: Optional[int] = None,
-) -> SeriesValue:
-    """gamma-derivative of the stable slope: 2 pi sum n gamma^(n-1) sin(2 pi u_n)."""
-    tail = partial(tail_bound_slope_dgamma, p.gamma)
-    return _word_series(p, word, x, "ydgamma", tail, abs_tol, terms)
-
-
-def eval_fiber_sum(
-    p: Params,
-    psi: PhiSpec,
-    word: DigitWord,
-    x: float,
-    abs_tol: float = 1e-9,
-    terms: Optional[int] = None,
-) -> SeriesValue:
-    """Fiber sum S(x) = sum_{n>=1} gamma^(n-1) psi(u_n) of the skew product.
-
-    The constant component of psi is summed in closed form (it contributes
-    exactly constant/(1-gamma)), so only the oscillating part is truncated.
-    With psi equal to the derivative of the graph's phi, the identity
-    Y = -gamma * S holds.
-    """
-    tail = partial(tail_bound_geometric, p.gamma, psi.oscillating_sup())
-    return _word_series(p, word, x, "s", tail, abs_tol, terms, psi)
 
 
 def slope_grid(
@@ -496,6 +464,6 @@ def slope_grid(
     """
     b = _check_int("base", b, 2)
     _check_int("depth", digits.shape[1], 1)  # with no column, no row would start at x
-    want = ("y", "ydx", "ydgamma") if want_dgamma else ("y", "ydx")
+    want = ("Y", "Ydx", "Ydgamma") if want_dgamma else ("Y", "Ydx")
     out = _orbit_sums(x, b, gamma, digits.T[:, :, None], want)
-    return out["y"], out["ydx"], out.get("ydgamma")
+    return out["Y"], out["Ydx"], out.get("Ydgamma")

@@ -31,10 +31,8 @@ from .series import (
     Params,
     _check_int,
     _terms_for,
+    orbit_tail,
     slope_grid,
-    tail_bound_slope,
-    tail_bound_slope_dgamma,
-    tail_bound_slope_dx,
 )
 from .thresholds import solve_ae_critical_lambda
 
@@ -172,11 +170,13 @@ def _min_separation(
     over all blocks is the first minimiser, and the full grid is never held.
     """
     gammas = np.atleast_1d(gamma).tolist()
-    tails = np.shape(gamma) + (1, 1)  # each gamma's tails, broadcast over (pair, x)
-    t_y = np.reshape([tail_bound_slope(g, depth) for g in gammas], tails)
-    t_d = np.reshape([tail_bound_slope_dx(b, g, depth) for g in gammas], tails)
+
+    def tail(what):  # each gamma's tail bound, broadcast over (pair, x)
+        return np.reshape([orbit_tail(what, b, g)(depth) for g in gammas], np.shape(gamma) + (1, 1))
+
+    t_y, t_d = tail("Y"), tail("Ydx")
     if with_dgamma:
-        t_d += np.reshape([tail_bound_slope_dgamma(g, depth) for g in gammas], tails)
+        t_d += tail("Ydgamma")
     ii, jj = np.asarray(pairs, dtype=np.int64).T
     rows = words.shape[0]
 
@@ -285,8 +285,8 @@ def tangency_count(p: Params, q: TangencyQuery, seed: int = 0) -> int:
     for c, pref in enumerate(prefixes):
         digits[c * reps : (c + 1) * reps, : q.n] = pref
         digits[c * reps, q.n :] = 0
-    thr_y = gamma * q.eps + 2.0 * tail_bound_slope(gamma, depth)
-    thr_ydx = gamma * q.delta + 2.0 * tail_bound_slope_dx(b, gamma, depth)
+    thr_y = gamma * q.eps + 2.0 * orbit_tail("Y", b, gamma)(depth)
+    thr_ydx = gamma * q.delta + 2.0 * orbit_tail("Ydx", b, gamma)(depth)
     table = np.zeros((n_cyl, n_cyl, n_int), dtype=bool)
 
     cells = n_cyl * reps * reps  # a task's largest arrays: one row's comparisons per point

@@ -82,8 +82,8 @@ def test_criterion_4_series_identities():
             p = w.Params(b, lam)
             word = w.DigitWord(tuple(int(d) for d in rnd.integers(0, b, size=10)))
             x = float(rnd.uniform(0, 1))
-            y = w.eval_stable_slope(p, word, x, abs_tol=1e-10)
-            s = w.eval_fiber_sum(p, w.COSINE_DERIV, word, x, abs_tol=1e-10)
+            y = w.eval_orbit_sum(p, word, x, abs_tol=1e-10)
+            s = w.eval_orbit_sum(p, word, x, "S", w.COSINE_DERIV, abs_tol=1e-10)
             tol = y.tail_bound + p.gamma * s.tail_bound + 1e-12
             check(bad, abs(y.value + p.gamma * s.value) <= tol, "slope = -gamma * fiber")
 
@@ -95,16 +95,16 @@ def test_criterion_4_series_identities():
             word = w.DigitWord(tuple(int(d) for d in rnd.integers(0, b, size=6)))
             x = float(rnd.uniform(0.1, 0.9))
             fd_x = (
-                w.eval_stable_slope(p, word, x + h, abs_tol=1e-13).value
-                - w.eval_stable_slope(p, word, x - h, abs_tol=1e-13).value
+                w.eval_orbit_sum(p, word, x + h, abs_tol=1e-13).value
+                - w.eval_orbit_sum(p, word, x - h, abs_tol=1e-13).value
             ) / (2 * h)
-            an_x = w.eval_stable_slope_dx(p, word, x, abs_tol=1e-12).value
+            an_x = w.eval_orbit_sum(p, word, x, "Ydx", abs_tol=1e-12).value
             check(bad, abs(an_x - fd_x) <= 1e-5, "x-derivative matches FD")
             fd_g = (
-                w.eval_stable_slope(w.Params(b, 1.0 / (b * (g + h))), word, x, abs_tol=1e-13).value
-                - w.eval_stable_slope(w.Params(b, 1.0 / (b * (g - h))), word, x, abs_tol=1e-13).value
+                w.eval_orbit_sum(w.Params(b, 1.0 / (b * (g + h))), word, x, abs_tol=1e-13).value
+                - w.eval_orbit_sum(w.Params(b, 1.0 / (b * (g - h))), word, x, abs_tol=1e-13).value
             ) / (2 * h)
-            an_g = w.eval_stable_slope_dgamma(p, word, x, abs_tol=1e-12).value
+            an_g = w.eval_orbit_sum(p, word, x, "Ydgamma", abs_tol=1e-12).value
             check(bad, abs(an_g - fd_g) <= 1e-5, "gamma-derivative matches FD")
 
         for _ in range(20):
@@ -116,13 +116,13 @@ def test_criterion_4_series_identities():
             wb = w.DigitWord(prefix + tuple(int(d) for d in rnd.integers(0, b, size=4)))
             x = float(rnd.uniform(0, 1))
             terms = 60
-            ya = w.eval_stable_slope(p, wa, x, terms=terms)
-            yb = w.eval_stable_slope(p, wb, x, terms=terms)
+            ya = w.eval_orbit_sum(p, wa, x, terms=terms)
+            yb = w.eval_orbit_sum(p, wb, x, terms=terms)
             v = x
             for d in prefix:
                 v = (v + d) / b
-            sa = w.eval_stable_slope(p, w.DigitWord(wa.digits[n:]), v, terms=terms - n)
-            sb = w.eval_stable_slope(p, w.DigitWord(wb.digits[n:]), v, terms=terms - n)
+            sa = w.eval_orbit_sum(p, w.DigitWord(wa.digits[n:]), v, terms=terms - n)
+            sb = w.eval_orbit_sum(p, w.DigitWord(wb.digits[n:]), v, terms=terms - n)
             tol = (
                 ya.tail_bound + yb.tail_bound
                 + p.gamma ** n * (sa.tail_bound + sb.tail_bound) + 1e-12

@@ -283,6 +283,28 @@ class TestEstimators:
         assert code == 2
 
 
+EVAL = ("eval", "--b", "2", "--lambda", "0.9", "--x", "0.3")
+MEASURE = ("measure", "--b", "2", "--lambda", "0.9", "--count", "20", "--kind")
+
+
+@pytest.mark.parametrize("argv", [
+    *((*EVAL, "--what", what, "--phi", "sin2") for what in ("Y", "Ydx", "Ydgamma", "S")),
+    (*EVAL, "--what", "Y", "--phi", "zero"),
+    *((*EVAL, "--what", what, "--psi", "sin2") for what in ("f", "Y", "Ydx", "Ydgamma")),
+    *((*EVAL, "--what", what, "--phases", "0.5") for what in ("Y", "Ydx", "Ydgamma", "S")),
+    (*MEASURE, "transversal", "--phi", "sin2"),
+    (*MEASURE, "sbr", "--phi", "sin2"),
+    (*MEASURE, "transversal", "--psi", "sin2"),
+    (*MEASURE, "graph", "--psi", "zero"),
+], ids=lambda argv: " ".join(argv[len(EVAL):]))
+def test_function_flag_the_result_does_not_read_is_usage_error(capsys, argv):
+    """A --phi, --psi or --phases that the chosen series or sampler would ignore is refused."""
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 TANGENCY = ("transversality", "--b", "2", "--lambda", "0.95", "--mode", "tangency",
             "--n", "1", "--m", "1", "--eps", "0.5", "--delta", "0.5", "--grid-per-interval", "20")
 

@@ -20,10 +20,10 @@ GUARDS = [
     ("digit", lambda v: DigitWord((1, v)), 0.5, -1),
     ("base", lambda v: w.eval_weierstrass((v, 0.9), COSINE, 0.3), 2.5, 1),
     ("terms", lambda v: w.eval_weierstrass(P, COSINE, 0.3, terms=v), 2.7, -3),
-    ("terms", lambda v: w.eval_stable_slope(P, DigitWord(), 0.3, terms=v), 2.7, 0),
-    ("terms", lambda v: w.eval_stable_slope_dx(P, DigitWord(), 0.3, terms=v), 2.7, 0),
-    ("terms", lambda v: w.eval_stable_slope_dgamma(P, DigitWord(), 0.3, terms=v), 2.7, 0),
-    ("terms", lambda v: w.eval_fiber_sum(P, w.COSINE_DERIV, DigitWord(), 0.3, terms=v), 2.7, 0),
+    ("terms", lambda v: w.eval_orbit_sum(P, DigitWord(), 0.3, "Y", terms=v), 2.7, 0),
+    ("terms", lambda v: w.eval_orbit_sum(P, DigitWord(), 0.3, "Ydx", terms=v), 2.7, 0),
+    ("terms", lambda v: w.eval_orbit_sum(P, DigitWord(), 0.3, "Ydgamma", terms=v), 2.7, 0),
+    ("terms", lambda v: w.eval_orbit_sum(P, DigitWord(), 0.3, "S", terms=v), 2.7, 0),
     ("count", lambda v: w.sample_transversal(P, 0.5, v), 2.5, 0),
     ("depth", lambda v: w.sample_transversal(P, 0.5, 10, depth=v), 2.5, 0),
     ("count", lambda v: w.sample_sbr(P, count=v), 2.5, 0),

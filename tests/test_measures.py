@@ -19,7 +19,7 @@ from weierdim import (
     box_count,
     density_histogram,
     dimension_from_transversal,
-    eval_stable_slope,
+    eval_orbit_sum,
     eval_weierstrass,
     local_dim_estimate,
     sample_graph_lift,
@@ -53,13 +53,13 @@ class TestPooledRows:
         p, depth, seed = Params(3, 0.6), 9, 5
         s = sample_transversal(p, 0.3, count, depth=depth, seed=seed)
         digits = rng.digit_matrix(seed, rng.STREAM_TRANSVERSAL, count, depth, p.b)
-        ref = _orbit_sums(np.full(count, 0.3), p.b, p.gamma, digits.T, ("y",))["y"]
+        ref = _orbit_sums(np.full(count, 0.3), p.b, p.gamma, digits.T, ("Y",))["Y"]
         assert s.points.tobytes() == ref.tobytes()
 
         s = sample_sbr(p, COSINE_DERIV, count, depth=depth, seed=seed)
         xs = rng.uniform_vector(seed, rng.STREAM_SBR_X, count)
         digits = rng.digit_matrix(seed, rng.STREAM_SBR_DIGITS, count, depth, p.b)
-        ref = _orbit_sums(xs, p.b, p.gamma, digits.T, ("s",), COSINE_DERIV)["s"]
+        ref = _orbit_sums(xs, p.b, p.gamma, digits.T, ("S",), COSINE_DERIV)["S"]
         assert s.points.tobytes() == np.column_stack([xs, ref]).tobytes()
 
         s = sample_graph_lift(p, COSINE, count, seed=seed)
@@ -89,7 +89,7 @@ class TestSharedStart:
         for x, depth in itertools.product((0.0, 0.3, 1.0), (3, t + 2)):  # depth below and above T
             # row r of every count is the same counter stream, so one reference serves all
             digits = rng.digit_matrix(seed, rng.STREAM_TRANSVERSAL, counts[-1], depth, b)
-            ref = _orbit_sums(np.full(counts[-1], x), b, p.gamma, digits.T, ("y",))["y"]
+            ref = _orbit_sums(np.full(counts[-1], x), b, p.gamma, digits.T, ("Y",))["Y"]
             for count in counts:
                 for threads in ("1", "2") if count > C else ("1",):  # one chunk runs serially
                     monkeypatch.setenv("WEIERDIM_THREADS", threads)
@@ -197,7 +197,7 @@ class TestSbrSampler:
         digits = rng.digit_matrix(seed, rng.STREAM_SBR_DIGITS, count, s.depth, p.b)
         for i in range(count):
             word = DigitWord(tuple(int(d) for d in digits[i]))
-            y = eval_stable_slope(p, word, float(xs[i]), terms=s.depth)
+            y = eval_orbit_sum(p, word, float(xs[i]), terms=s.depth)
             expect = -y.value / p.gamma
             assert s.points[i, 1] == pytest.approx(expect, abs=1e-12)
 

@@ -5,6 +5,7 @@ defined below; each test re-runs its oracle so the constants cannot drift.
 """
 
 import math
+import sys
 from functools import partial
 
 import mpmath as mp
@@ -17,16 +18,11 @@ from weierdim import (
     DigitWord,
     Params,
     PhiSpec,
-    eval_fiber_sum,
-    eval_stable_slope,
-    eval_stable_slope_dgamma,
-    eval_stable_slope_dx,
+    eval_orbit_sum,
     eval_weierstrass,
+    orbit_tail,
     rng,
     slope_grid,
-    tail_bound_slope,
-    tail_bound_slope_dgamma,
-    tail_bound_slope_dx,
 )
 from weierdim.measures import sample_graph_lift, sample_sbr, sample_transversal
 from weierdim.parallel import WorkBudgetError
@@ -191,12 +187,12 @@ class TestStableSlope:
     def test_zero_word_zero_x(self):
         for b in (2, 3, 5):
             p = Params(b, (1.0 / b + 1.0) / 2)
-            assert eval_stable_slope(p, DigitWord(), 0.0).value == 0.0
+            assert eval_orbit_sum(p, DigitWord(), 0.0).value == 0.0
 
     def test_against_reference_sum(self):
         assert y_oracle(2, 0.6, 0.0, [1, 0, 0], 150) == pytest.approx(Y_REF, abs=1e-15)
         p = params_for_gamma(2, 0.6)
-        sv = eval_stable_slope(p, DigitWord((1, 0, 0)), 0.0, abs_tol=1e-11)
+        sv = eval_orbit_sum(p, DigitWord((1, 0, 0)), 0.0, abs_tol=1e-11)
         assert sv.value == pytest.approx(Y_REF, abs=1e-10)
 
     def test_monte_carlo_mean_near_zero(self):
@@ -208,23 +204,23 @@ class TestStableSlope:
         p = Params(3, 0.8)
         word = DigitWord((2, 1, 0, 2))
         x, n = 0.77, 60
-        lhs = eval_stable_slope(p, word, x, terms=n).value
+        lhs = eval_orbit_sum(p, word, x, terms=n).value
         head = TWO_PI * p.gamma * math.sin(TWO_PI * (x + 2) / 3)
         tail = DigitWord(word.digits[1:])  # a zero-tail word: its shift drops the first digit
-        rhs = head + p.gamma * eval_stable_slope(p, tail, (x + 2) / 3, terms=n - 1).value
+        rhs = head + p.gamma * eval_orbit_sum(p, tail, (x + 2) / 3, terms=n - 1).value
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_bad_digit_for_base(self):
         p = Params(2, 0.9)
         with pytest.raises(ValueError):
-            eval_stable_slope(p, DigitWord((2,)), 0.0)
+            eval_orbit_sum(p, DigitWord((2,)), 0.0)
 
 
 class TestSlopeDerivatives:
     def test_dx_all_zero_closed_form(self):
         p = params_for_gamma(2, 0.6)
         r = 0.6 / 2
-        sv = eval_stable_slope_dx(p, DigitWord(), 0.0, abs_tol=1e-12)
+        sv = eval_orbit_sum(p, DigitWord(), 0.0, "Ydx", abs_tol=1e-12)
         assert abs(sv.value - 4 * math.pi ** 2 * r / (1 - r)) <= sv.tail_bound + 1e-12
 
     def test_dx_matches_finite_difference(self):
@@ -232,44 +228,45 @@ class TestSlopeDerivatives:
         word = DigitWord((1, 0, 1, 0))
         h = 1e-6
         fd = (
-            eval_stable_slope(p, word, 0.3 + h, abs_tol=1e-13).value
-            - eval_stable_slope(p, word, 0.3 - h, abs_tol=1e-13).value
+            eval_orbit_sum(p, word, 0.3 + h, abs_tol=1e-13).value
+            - eval_orbit_sum(p, word, 0.3 - h, abs_tol=1e-13).value
         ) / (2 * h)
-        assert eval_stable_slope_dx(p, word, 0.3, abs_tol=1e-12).value == pytest.approx(fd, abs=1e-5)
+        an = eval_orbit_sum(p, word, 0.3, "Ydx", abs_tol=1e-12).value
+        assert an == pytest.approx(fd, abs=1e-5)
 
     def test_dx_against_reference_sum(self):
         word = DigitWord(tail_seed=7)
         digits = list(word.digit_array(100, 3))
         assert ydx_oracle(3, 0.5, 0.1, digits, 100) == pytest.approx(YDX_REF, abs=1e-15)
-        sv = eval_stable_slope_dx(params_for_gamma(3, 0.5), word, 0.1, abs_tol=1e-11)
+        sv = eval_orbit_sum(params_for_gamma(3, 0.5), word, 0.1, "Ydx", abs_tol=1e-11)
         assert sv.value == pytest.approx(YDX_REF, abs=1e-10)
 
     def test_dgamma_all_zero(self):
         p = params_for_gamma(2, 0.6)
-        assert eval_stable_slope_dgamma(p, DigitWord(), 0.0).value == 0.0
+        assert eval_orbit_sum(p, DigitWord(), 0.0, "Ydgamma").value == 0.0
 
     def test_dgamma_matches_finite_difference(self):
         word = DigitWord((0, 1, 1))
         g, h = 0.65, 1e-6
         fd = (
-            eval_stable_slope(params_for_gamma(2, g + h), word, 0.4, abs_tol=1e-13).value
-            - eval_stable_slope(params_for_gamma(2, g - h), word, 0.4, abs_tol=1e-13).value
+            eval_orbit_sum(params_for_gamma(2, g + h), word, 0.4, abs_tol=1e-13).value
+            - eval_orbit_sum(params_for_gamma(2, g - h), word, 0.4, abs_tol=1e-13).value
         ) / (2 * h)
-        an = eval_stable_slope_dgamma(params_for_gamma(2, g), word, 0.4, abs_tol=1e-12).value
+        an = eval_orbit_sum(params_for_gamma(2, g), word, 0.4, "Ydgamma", abs_tol=1e-12).value
         assert an == pytest.approx(fd, abs=1e-5)
 
     def test_dgamma_against_reference_sum(self):
         word = DigitWord(tail_seed=11)
         digits = list(word.digit_array(100, 4))
         assert ydg_oracle(4, 0.3, 0.2, digits, 100) == pytest.approx(YDG_REF, abs=1e-15)
-        sv = eval_stable_slope_dgamma(params_for_gamma(4, 0.3), word, 0.2, abs_tol=1e-11)
+        sv = eval_orbit_sum(params_for_gamma(4, 0.3), word, 0.2, "Ydgamma", abs_tol=1e-11)
         assert sv.value == pytest.approx(YDG_REF, abs=1e-10)
 
 
 class TestFiberSum:
     def test_constant_psi_geometric(self):
         p = params_for_gamma(2, 0.55)
-        sv = eval_fiber_sum(p, PhiSpec(constant=3.0), DigitWord((1, 0)), 0.2, abs_tol=1e-12)
+        sv = eval_orbit_sum(p, DigitWord((1, 0)), 0.2, "S", PhiSpec(constant=3.0), abs_tol=1e-12)
         assert sv.value == pytest.approx(3.0 / (1 - 0.55), abs=1e-12)
         assert sv.tail_bound == 0.0
 
@@ -281,14 +278,15 @@ class TestFiberSum:
             p = Params(b, lam)
             word = DigitWord(tuple(int(d) for d in rnd.integers(0, b, size=8)))
             x = float(rnd.uniform(0, 1))
-            y = eval_stable_slope(p, word, x, abs_tol=1e-10)
-            s = eval_fiber_sum(p, COSINE_DERIV, word, x, abs_tol=1e-10)
+            y = eval_orbit_sum(p, word, x, abs_tol=1e-10)
+            s = eval_orbit_sum(p, word, x, "S", COSINE_DERIV, abs_tol=1e-10)
             assert abs(y.value + p.gamma * s.value) <= y.tail_bound + p.gamma * s.tail_bound + 1e-12
 
     def test_against_reference_sum(self):
         psi = PhiSpec(sine_coeffs=((2, 1.0),))
         assert s_oracle(2, 0.55, 0.37, [1, 1, 0], 120) == pytest.approx(S_REF, abs=1e-15)
-        sv = eval_fiber_sum(params_for_gamma(2, 0.55), psi, DigitWord((1, 1, 0)), 0.37, abs_tol=1e-11)
+        p = params_for_gamma(2, 0.55)
+        sv = eval_orbit_sum(p, DigitWord((1, 1, 0)), 0.37, "S", psi, abs_tol=1e-11)
         assert sv.value == pytest.approx(S_REF, abs=1e-10)
 
 
@@ -316,17 +314,16 @@ class TestSlopeGrid:
         for i in range(2):
             word = DigitWord(tuple(int(t) for t in d[i]))
             for j, xj in enumerate(x):
-                for grid, fn in ((y, eval_stable_slope), (ydx, eval_stable_slope_dx),
-                                 (ydg, eval_stable_slope_dgamma)):
-                    assert grid[i, j] == fn(p, word, float(xj), terms=35).value
+                for grid, what in ((y, "Y"), (ydx, "Ydx"), (ydg, "Ydgamma")):
+                    assert grid[i, j] == eval_orbit_sum(p, word, float(xj), what, terms=35).value
 
 
 def _reference_slope_grid(b, gamma, x, digits, want_dgamma=False):
     """slope_grid with one start per (word, point): every row steps from x, sharing no prefix."""
-    want = ("y", "ydx", "ydgamma") if want_dgamma else ("y", "ydx")
+    want = ("Y", "Ydx", "Ydgamma") if want_dgamma else ("Y", "Ydx")
     u = np.broadcast_to(x, (digits.shape[0], x.size))
     out = _orbit_sums(u, b, gamma, digits.T[:, :, None], want)
-    return out["y"], out["ydx"], out.get("ydgamma")
+    return out["Y"], out["Ydx"], out.get("Ydgamma")
 
 
 class TestSharedPrefixes:
@@ -367,7 +364,7 @@ class TestGammaAxis:
         d = rng.digit_matrix(2, rng.STREAM_PAIR_WORDS, 40, 25, 3)
         u, cols = {"grid": (np.broadcast_to(np.linspace(0.0, 1.0, 7), (40, 7)), d.T[:, :, None]),
                    "shared": (0.3, d.T), "per-row": (np.full(40, 0.3), d.T)}[start]
-        want = ("y", "ydx", "ydgamma", "s")
+        want = ("Y", "Ydx", "Ydgamma", "S")
         got = _orbit_sums(u, 3, self.gammas, cols, want, COSINE_DERIV)
         for k, g in enumerate(self.gammas.tolist()):
             one = _orbit_sums(u, 3, g, cols, want, COSINE_DERIV)
@@ -393,15 +390,15 @@ class TestTailSoundness:
             x = float(rnd.uniform(0, 1))
             n1 = int(rnd.integers(3, 30))
             n2 = n1 + int(rnd.integers(1, 40))
-            for fn in (eval_stable_slope, eval_stable_slope_dx, eval_stable_slope_dgamma):
-                a = fn(p, word, x, terms=n1)
-                b = fn(p, word, x, terms=n2)
+            for what in ("Y", "Ydx", "Ydgamma"):
+                a = eval_orbit_sum(p, word, x, what, terms=n1)
+                b = eval_orbit_sum(p, word, x, what, terms=n2)
                 assert abs(a.value - b.value) <= a.tail_bound * (1 + 1e-9) + 1e-15
 
     def test_tail_decreases_with_terms(self):
         p = Params(3, 0.6)
         word = DigitWord((1, 2))
-        tails = [eval_stable_slope(p, word, 0.2, terms=n).tail_bound for n in range(1, 25)]
+        tails = [eval_orbit_sum(p, word, 0.2, terms=n).tail_bound for n in range(1, 25)]
         assert all(b > a for b, a in zip(tails, tails[1:]))
 
     def test_weierstrass_partial_sums(self):
@@ -409,6 +406,50 @@ class TestTailSoundness:
         a = eval_weierstrass(p, COSINE, 0.31, terms=40)
         b = eval_weierstrass(p, COSINE, 0.31, terms=220)
         assert abs(a.value - b.value) <= a.tail_bound * (1 + 1e-9)
+
+
+class TestOrbitTail:
+    """The table's tails keep the bits of the closed forms they replaced, written out here."""
+
+    def test_matches_closed_forms(self):
+        rnd = np.random.default_rng(31)
+        psi = PhiSpec(cosine_coeffs=((1, 0.75),), sine_coeffs=((3, -2.0),), constant=4.0)
+        subnormal = 0
+        for case in range(3000):
+            b = int(rnd.integers(2, 12))
+            lam = float(rnd.uniform(1.0 / b, 1.0))
+            if case % 5 == 1:  # gamma just above 1/b
+                lam = float(np.nextafter(1.0, 0.0)) - float(rnd.uniform(0.0, 1e-9))
+            elif case % 5 == 2:  # gamma just below 1
+                lam = 1.0 / b + float(rnd.uniform(1e-15, 1e-9))
+            g = Params(b, lam).gamma
+            r = g / b
+            n = [int(rnd.integers(0, 200)), int(rnd.integers(0, _MAX_TERMS + 1)), _MAX_TERMS,
+                 # at the edge of underflow, where the tails are subnormal
+                 min(_MAX_TERMS, int(-708 / math.log(g)) + int(rnd.integers(-5, 40)))][case % 4]
+            expect = {
+                "Y": TWO_PI * g ** (n + 1) / (1.0 - g),
+                "Ydx": FOUR_PI_SQ * r ** (n + 1) / (1.0 - r),
+                "Ydgamma": TWO_PI * g ** n * ((n + 1) - n * g) / (1.0 - g) ** 2,
+                "S": 2.75 * g ** n / (1.0 - g),
+            }
+            for what, ref in expect.items():
+                got = orbit_tail(what, b, g, psi)(n)
+                assert got.hex() == ref.hex(), (what, b, lam, n)
+                subnormal += 0.0 < ref < sys.float_info.min
+        assert subnormal >= 500
+
+    def test_unknown_sum_refused_before_any_work(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("series work before the name check")
+
+        monkeypatch.setattr("weierdim.series._orbit_sums", no_work)
+        monkeypatch.setattr(DigitWord, "digit_array", no_work)
+        for what in ("y", "s", "f", "Yx", ""):
+            with pytest.raises(ValueError, match="^what must be one of Y, Ydx, Ydgamma, S"):
+                eval_orbit_sum(Params(2, 0.9), DigitWord(), 0.3, what)
+            with pytest.raises(ValueError, match="^what must be one of"):
+                orbit_tail(what, 2, 0.6)
 
 
 class TestMinimalTerms:
@@ -425,15 +466,10 @@ class TestMinimalTerms:
             graph = eval_weierstrass(p, COSINE, x, abs_tol=tol)
             assert graph.terms_used == n
             assert graph.tail_bound <= tol
-            # the word-series evaluators use at least one term
-            for fn, tol in (
-                (eval_stable_slope, tail_bound_slope(g, n)),
-                (eval_stable_slope_dx, tail_bound_slope_dx(b, g, n)),
-                (eval_stable_slope_dgamma, tail_bound_slope_dgamma(g, n)),
-            ):
-                assert fn(p, word, x, abs_tol=tol).terms_used == max(1, n)
-            fiber = eval_fiber_sum(p, psi, word, x, abs_tol=tail_bound_geometric(g, 1.5, n))
-            assert fiber.terms_used == max(1, n)
+            # the orbit sums use at least one term
+            for what in ("Y", "Ydx", "Ydgamma", "S"):
+                tol = orbit_tail(what, b, g, psi)(n)
+                assert eval_orbit_sum(p, word, x, what, psi, abs_tol=tol).terms_used == max(1, n)
 
 
 def _stepping_terms(abs_tol, tail, ratio, coef, shift):
@@ -460,10 +496,10 @@ class TestTermSearch:
             g, sup = 1.0 / (b * lam), float(rnd.uniform(0.1, 10.0))
             series = (  # (tail, ratio, coef, shift, least) as each evaluator used them
                 (partial(tail_bound_geometric, lam, sup), lam, sup, 0, 0),
-                (partial(tail_bound_slope, g), g, TWO_PI, 1, 1),
-                (partial(tail_bound_slope_dx, b, g), g / b, FOUR_PI_SQ, 1, 1),
-                (partial(tail_bound_slope_dgamma, g), g, TWO_PI, 1, 1),
-                (partial(tail_bound_geometric, g, sup), g, sup, 0, 1),
+                (orbit_tail("Y", b, g), g, TWO_PI, 1, 1),
+                (orbit_tail("Ydx", b, g), g / b, FOUR_PI_SQ, 1, 1),
+                (orbit_tail("Ydgamma", b, g), g, TWO_PI, 1, 1),
+                (orbit_tail("S", b, g, PhiSpec(cosine_coeffs=((1, sup),))), g, sup, 0, 1),
             )
             tail, ratio, coef, shift, least = series[int(rnd.integers(0, 5))]
             tie = tail(int(rnd.integers(0, 200)))
@@ -489,13 +525,13 @@ class TestTermSearch:
         over = _MAX_TERMS + 1  # an explicit count over the cap
         calls = (
             lambda: eval_weierstrass((2, 0.9999999), COSINE, 0.3, abs_tol=1e-12),
-            lambda: eval_stable_slope(p, word, 0.3),
-            lambda: eval_stable_slope_dgamma(p, word, 0.3),
-            lambda: eval_fiber_sum(p, psi, word, 0.3),
+            lambda: eval_orbit_sum(p, word, 0.3),
+            lambda: eval_orbit_sum(p, word, 0.3, "Ydgamma"),
+            lambda: eval_orbit_sum(p, word, 0.3, "S", psi),
             lambda: eval_weierstrass((2, 0.9), COSINE, 0.3, terms=over),
-            lambda: eval_stable_slope(p, word, 0.3, terms=over),
-            lambda: eval_stable_slope_dx(p, word, 0.3, terms=over),
-            lambda: eval_fiber_sum(p, psi, word, 0.3, terms=over),
+            lambda: eval_orbit_sum(p, word, 0.3, terms=over),
+            lambda: eval_orbit_sum(p, word, 0.3, "Ydx", terms=over),
+            lambda: eval_orbit_sum(p, word, 0.3, "S", psi, terms=over),
             lambda: sample_transversal(p, 0.3, 10, depth=over),
             lambda: sample_sbr(p, count=10, depth=over),
             lambda: empirical_delta(2, 0.6, depth=over),

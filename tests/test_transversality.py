@@ -15,12 +15,10 @@ from weierdim import (
     WorkBudgetError,
     case_bounds_base2,
     empirical_delta,
-    eval_stable_slope,
+    eval_orbit_sum,
+    orbit_tail,
     solve_critical_lambda,
     tangency_count,
-    tail_bound_slope,
-    tail_bound_slope_dgamma,
-    tail_bound_slope_dx,
     transversality_defect,
     two_var_delta,
 )
@@ -225,10 +223,10 @@ class TestPairChunks:
 def _reference_min_separation(b, gamma, xs, words, pairs, depth, with_dgamma):
     """_min_separation as the whole slope grid, every pair scored at once over every x."""
     y, ydx, ydg = slope_grid(b, gamma, xs, words, want_dgamma=with_dgamma)
-    t_y = tail_bound_slope(gamma, depth)
-    t_d = tail_bound_slope_dx(b, gamma, depth)
+    t_y = orbit_tail("Y", b, gamma)(depth)
+    t_d = orbit_tail("Ydx", b, gamma)(depth)
     if with_dgamma:
-        t_d += tail_bound_slope_dgamma(gamma, depth)
+        t_d += orbit_tail("Ydgamma", b, gamma)(depth)
     ii, jj = np.asarray(pairs, dtype=np.int64).T
     d = np.abs(ydx[ii] - ydx[jj])
     if with_dgamma:
@@ -314,13 +312,13 @@ class TestScaleIdentity:
             wb = DigitWord(prefix + tuple(int(d) for d in rnd.integers(0, b, size=4)))
             x = float(rnd.uniform(0, 1))
             terms = 60
-            ya = eval_stable_slope(p, wa, x, terms=terms)
-            yb = eval_stable_slope(p, wb, x, terms=terms)
+            ya = eval_orbit_sum(p, wa, x, terms=terms)
+            yb = eval_orbit_sum(p, wb, x, terms=terms)
             v = x
             for d in prefix:
                 v = (v + d) / b
-            sa = eval_stable_slope(p, DigitWord(wa.digits[n:]), v, terms=terms - n)
-            sb = eval_stable_slope(p, DigitWord(wb.digits[n:]), v, terms=terms - n)
+            sa = eval_orbit_sum(p, DigitWord(wa.digits[n:]), v, terms=terms - n)
+            sb = eval_orbit_sum(p, DigitWord(wb.digits[n:]), v, terms=terms - n)
             lhs = abs(ya.value - yb.value)
             rhs = p.gamma ** n * abs(sa.value - sb.value)
             tol = ya.tail_bound + yb.tail_bound + p.gamma ** n * (sa.tail_bound + sb.tail_bound)
@@ -337,8 +335,8 @@ def _reference_tangency(p, q, seed):
         digits[c * reps, q.n :] = 0
     xs = np.concatenate([np.linspace(k / n_int, (k + 1) / n_int, g) for k in range(n_int)])
     y, ydx, _ = slope_grid(b, gamma, xs, digits)
-    thr_y = gamma * q.eps + 2.0 * tail_bound_slope(gamma, depth)
-    thr_ydx = gamma * q.delta + 2.0 * tail_bound_slope_dx(b, gamma, depth)
+    thr_y = gamma * q.eps + 2.0 * orbit_tail("Y", b, gamma)(depth)
+    thr_ydx = gamma * q.delta + 2.0 * orbit_tail("Ydx", b, gamma)(depth)
     counts = np.zeros((n_cyl, n_int), dtype=np.int64)
     for ci in range(n_cyl):
         rows_i, rows_i_dx = y[ci * reps : (ci + 1) * reps], ydx[ci * reps : (ci + 1) * reps]
@@ -518,5 +516,5 @@ class TestTailSlackAccounting:
     def test_slack_matches_bounds(self):
         p = Params(2, 0.95)
         est = empirical_delta(2, p.gamma, x_grid=100, depth=20, pair_budget=64, seed=0)
-        expect = 2 * max(tail_bound_slope(p.gamma, 20), tail_bound_slope_dx(2, p.gamma, 20))
+        expect = 2 * max(orbit_tail("Y", 2, p.gamma)(20), orbit_tail("Ydx", 2, p.gamma)(20))
         assert est.tail_slack == pytest.approx(expect, abs=0)
