@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .parallel import WorkBudgetError
 from .series import _check_int
 
 #: Validity requires g > SIGN_MARGIN and g' < -SIGN_MARGIN.
@@ -93,12 +94,16 @@ def search_certificate(
     and t over [t_target, 1) with step 1e-4, returning the first hit in
     lexicographic (k, eta index, t index) order.  Returns None when the grid
     holds no certificate, which is a normal outcome (for beta in the
-    closed-form regime no t above 1/(1+sqrt(beta)) can ever verify).
+    closed-form regime no t above 1/(1+sqrt(beta)) can ever verify).  A k_max with
+    t_target ** k_max below the smallest normal float is refused with WorkBudgetError:
+    there the eta term is far below rounding, so larger k add no certificate.
     """
     _check_beta(beta)
     _check_unit("t_target", t_target)
     k_max = _check_int("k_max", k_max, 1)
     eta_grid = _check_int("eta_grid", eta_grid, 1)
+    if t_target ** k_max < np.finfo(float).tiny:
+        raise WorkBudgetError(f"k_max {k_max} is over the budget: {t_target!r} ** k_max underflows")
     ts = np.arange(t_target, 1.0, 1e-4)
     ts = ts[ts < 1.0]  # never empty: it starts at t_target < 1
     etas = np.linspace(-2.0 * beta, 2.0 * beta, eta_grid)
@@ -108,8 +113,9 @@ def search_certificate(
         # g and g' are affine in eta, with slopes t^k and k t^(k-1)
         base = _g(beta, k, 0.0, ts)
         base_p = _g_prime(beta, k, 0.0, ts)
-        eta_lo = (grid_margin - base) / ts ** k
-        eta_hi = (-grid_margin - base_p) / (k * ts ** (k - 1))
+        with np.errstate(over="ignore"):  # an overflowed bound is +-inf, past every eta
+            eta_lo = (grid_margin - base) / ts ** k
+            eta_hi = (-grid_margin - base_p) / (k * ts ** (k - 1))
         # etas ascend, so t index j hits the eta indices start[j] <= e < stop[j]
         start = np.searchsorted(etas, eta_lo, side="right")
         stop = np.searchsorted(etas, eta_hi, side="left")

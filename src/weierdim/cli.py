@@ -3,9 +3,9 @@
 Subcommands: eval | thresholds | star-verify | transversality | boxdim |
 measure | reproduce.  Data goes to stdout (JSON by default, CSV or text on
 request), logs to stderr.  Exit codes: 0 success, 1 failed claim, 2 usage
-error (including a non-finite number or an unwritable output path), 3 domain
-error.  Output for fixed flags and seed is byte-identical across runs and
-worker counts; WEIERDIM_THREADS only caps workers.
+error (such as a non-finite number, an unwritable output path or an option the
+mode does not read), 3 domain error.  Output for fixed flags and seed is
+byte-identical across runs and worker counts; WEIERDIM_THREADS only caps workers.
 """
 
 from __future__ import annotations
@@ -104,45 +104,76 @@ def _phases(raw: str) -> list[float]:
     return [_finite(t) for t in raw.split(",") if t != ""]
 
 
-def _b_range(raw: str) -> tuple[str, range | list[int]]:
-    """(raw, bases) from "lo:hi" (a range) or "2,3,5"; the raw string is echoed in config."""
+def _bases(raw: str) -> range | list[int]:
+    """Bases from "lo:hi" (a range) or "2,3,5"."""
     lo, _, hi = raw.partition(":")
     bases = range(int(lo), int(hi) + 1) if hi else [int(t) for t in raw.split(",")]
     if not bases:
         raise ValueError(f"empty base range {raw!r}")
-    return raw, bases
+    return bases
 
 
-def _unread_flag(args, reads: tuple[str, ...], mode: str) -> bool:
-    """True, after a usage error on stderr, when --phi, --psi or --phases is set off its
-    default but `mode` does not read it (the slope sums are cos-only)."""
-    for flag, default in (("phi", "cos"), ("psi", "cos-deriv"), ("phases", None)):
-        if flag not in reads and getattr(args, flag, default) != default:
-            print(f"error: {mode} does not read --{flag}", file=sys.stderr)
-            return True
-    return False
+def _b_range(raw: str) -> str:
+    _bases(raw)
+    return raw  # config echoes the range as typed
 
 
-def _cmd_eval(args) -> int:
-    what = args.what
-    reads = ("phi", "phases") if what == "f" else ("psi",) if what == "S" else ()
-    if _unread_flag(args, reads, f"--what {what}"):
-        return 2
-    config = {
-        "b": args.b, "lambda": args.lam, "x": args.x, "what": what,
-        "tol": args.tol, "word": args.word, "tail_seed": args.tail_seed,
-        "phi": args.phi, "psi": args.psi, "phases": args.phases,
-    }
-    if what == "f":
-        phi = _PHI_CHOICES[args.phi]
+# The options each command mode reads, keyed by the command and the value of its mode option
+# (None for a command without one).  Keys are option names with "-" -> "_"; a trailing "!"
+# marks a required option.  A command reads its entry's options only from the config built
+# from it; any other option set off its default is a usage error.  --format, --out and
+# --out-csv shape the output, not the result, and are in no entry.
+_MODE_OPTION = {"eval": "what", "star-verify": "search", "transversality": "mode",
+                "measure": "kind"}
+_READS = {
+    ("eval", "f"): "b lambda x what tol phi phases",
+    **{("eval", what): "b lambda x what tol word tail_seed" for what in ("Y", "Ydx", "Ydgamma")},
+    ("eval", "S"): "b lambda x what tol word tail_seed psi",
+    ("thresholds", None): "b_range tol",
+    ("star-verify", False): "beta b lambda0 search k! eta! t!",
+    ("star-verify", True): "beta b lambda0 search t_target! k_max",
+    ("transversality", "delta"): "b lambda mode x_grid depth pair_budget seed",
+    ("transversality", "two-var"): "b mode eps_margin x_grid gamma_grid depth pair_budget seed",
+    ("transversality", "tangency"): "b lambda mode n m eps! delta! depth grid_per_interval "
+                                    "random_tails seed",
+    ("boxdim", None): "b lambda levels samples_per_column drop_coarsest phi",
+    ("measure", "transversal"): "b lambda kind x count depth seed bins",
+    ("measure", "sbr"): "b lambda kind count depth seed bins psi",
+    ("measure", "graph"): "b lambda kind count seed bins phi",
+    ("reproduce", None): "perturb_eta",
+}
+_OUTPUT = ("format", "out", "out_csv")
+
+
+def _config(args) -> dict | None:
+    """The result's config: each option the chosen mode reads, by key.  None, after a usage
+    error on stderr, when a required one is unset or any other option is off its default."""
+    flag = _MODE_OPTION.get(args.command)
+    mode = getattr(args, flag) if flag else None
+    entry = _READS[args.command, mode].split()
+    config = {key.rstrip("!"): getattr(args, key.rstrip("!")) for key in entry}
+    missing = [key[:-1] for key in entry if key.endswith("!") and config[key[:-1]] is None]
+    unread = [a.dest for a in args.parser._actions if a.dest not in (*config, *_OUTPUT, "help")
+              and getattr(args, a.dest) != a.default]
+    if not missing and not unread:
+        return config
+    where = f"{args.command} --{flag} {mode}" if flag else args.command
+    key, verb = (missing[0], "needs") if missing else (unread[0], "does not read")
+    print(f"error: {where} {verb} --{key.replace('_', '-')}", file=sys.stderr)
+    return None
+
+
+def _cmd_eval(config, out) -> int:
+    if config["what"] == "f":
         sv = eval_weierstrass(
-            (args.b, args.lam), phi, args.x,
-            phases=args.phases, abs_tol=args.tol,
+            (config["b"], config["lambda"]), _PHI_CHOICES[config["phi"]], config["x"],
+            phases=config["phases"], abs_tol=config["tol"],
         )
     else:
-        p = Params(args.b, args.lam)
-        word = DigitWord(args.word or (), tail_seed=args.tail_seed)
-        sv = eval_orbit_sum(p, word, args.x, what, _PHI_CHOICES[args.psi], abs_tol=args.tol)
+        p = Params(config["b"], config["lambda"])
+        word = DigitWord(config["word"] or (), tail_seed=config["tail_seed"])
+        psi = _PHI_CHOICES[config["psi"]] if "psi" in config else COSINE_DERIV
+        sv = eval_orbit_sum(p, word, config["x"], config["what"], psi, abs_tol=config["tol"])
     _emit(
         {
             "value": sv.value,
@@ -150,18 +181,18 @@ def _cmd_eval(args) -> int:
             "terms_used": sv.terms_used,
             "config": config,
         },
-        args,
+        out,
     )
     return 0
 
 
-def _cmd_thresholds(args) -> int:
-    raw, bases = args.b_range
+def _cmd_thresholds(config, out) -> int:
+    bases = _bases(config["b_range"])
     _check_bytes(len(bases) * _ROW_BYTES, f"{len(bases)} threshold rows")
     rows = []
     for b in bases:
-        br = solve_critical_lambda(b, args.tol)
-        ae = solve_ae_critical_lambda(b, args.tol)
+        br = solve_critical_lambda(b, config["tol"])
+        ae = solve_ae_critical_lambda(b, config["tol"])
         rows.append(
             {
                 "b": b,
@@ -171,36 +202,24 @@ def _cmd_thresholds(args) -> int:
                 "ae_method": ae.method,
             }
         )
-    _emit({"rows": rows, "config": {"b_range": raw, "tol": args.tol}}, args)
+    _emit({"rows": rows, "config": config}, out)
     return 0
 
 
-def _cmd_star_verify(args) -> int:
-    if args.beta is not None:
-        beta = args.beta
-    elif args.b is not None and args.lambda0 is not None:
-        beta = coeff_bound(args.b, args.lambda0)
-    else:
-        print("error: give --beta or both --b and --lambda0", file=sys.stderr)
+def _cmd_star_verify(config, out) -> int:
+    given = [config[key] is not None for key in ("beta", "b", "lambda0")]
+    if given not in ([True, False, False], [False, True, True]):
+        print("error: give either --beta or both --b and --lambda0", file=sys.stderr)
         return 2
-    if args.search:
-        if args.t_target is None:
-            print("error: --search needs --t-target", file=sys.stderr)
-            return 2
-        found = search_certificate(beta, args.t_target, k_max=args.k_max)
-        payload = {
-            "found": found is not None,
-            "config": {"beta": beta, "t_target": args.t_target, "k_max": args.k_max},
-        }
+    beta = config["beta"] if given[0] else coeff_bound(config["b"], config["lambda0"])
+    if config["search"]:
+        found = search_certificate(beta, config["t_target"], k_max=config["k_max"])
+        payload = {"found": found is not None, "beta": beta, "config": config}
         if found is not None:
             payload.update({"k": found.k, "eta": found.eta, "t": found.t})
-        _emit(payload, args)
+        _emit(payload, out)
         return 0 if found is not None else 1
-    if args.k is None or args.eta is None or args.t is None:
-        print("error: give --k, --eta and --t", file=sys.stderr)
-        return 2
-    cert = StarCertificate(beta, args.k, args.eta, args.t)
-    rep = verify_certificate(cert)
+    rep = verify_certificate(StarCertificate(beta, config["k"], config["eta"], config["t"]))
     _emit(
         {
             "beta": beta,
@@ -209,23 +228,20 @@ def _cmd_star_verify(args) -> int:
             "valid": rep.valid,
             "margin": rep.margin,
             "note": rep.note,
-            "config": {"k": args.k, "eta": args.eta, "t": args.t},
+            "config": config,
         },
-        args,
+        out,
     )
     return 0 if rep.valid else 1
 
 
-def _cmd_transversality(args) -> int:
-    config = {
-        k: getattr(args, k)
-        for k in ("b", "lam", "mode", "seed", "depth", "x_grid", "pair_budget")
-    }
-    if args.mode == "delta":
-        p = Params(args.b, args.lam)
+def _cmd_transversality(config, out) -> int:
+    b, mode = config["b"], config["mode"]
+    if mode == "delta":
+        p = Params(b, config["lambda"])
         est = empirical_delta(
-            args.b, p.gamma, x_grid=args.x_grid, depth=args.depth,
-            pair_budget=args.pair_budget, seed=args.seed,
+            b, p.gamma, x_grid=config["x_grid"], depth=config["depth"],
+            pair_budget=config["pair_budget"], seed=config["seed"],
         )
         payload = {
             "delta_hat": est.delta_hat,
@@ -233,48 +249,38 @@ def _cmd_transversality(args) -> int:
             "argmin_words": [list(w.digits) for w in est.argmin_pair],
             "tail_slack": est.tail_slack,
             "holds": est.delta_hat > 0.0,
-            "config": config,
         }
-    elif args.mode == "two-var":
+    elif mode == "two-var":
         est = two_var_delta(
-            args.b, args.eps_margin, x_grid=args.x_grid,
-            gamma_grid=args.gamma_grid, depth=args.depth,
-            pair_budget=args.pair_budget, seed=args.seed,
+            b, config["eps_margin"], x_grid=config["x_grid"],
+            gamma_grid=config["gamma_grid"], depth=config["depth"],
+            pair_budget=config["pair_budget"], seed=config["seed"],
         )
         payload = {
             "delta_hat": est.delta_hat,
             "argmin_x": est.argmin_x,
             "argmin_gamma": est.argmin_gamma,
             "tail_slack": est.tail_slack,
-            "config": {**config, "eps_margin": args.eps_margin, "gamma_grid": args.gamma_grid},
         }
     else:  # tangency
-        p = Params(args.b, args.lam)
-        if args.eps is None or args.delta is None:
-            print("error: tangency mode needs --eps and --delta", file=sys.stderr)
-            return 2
+        p = Params(b, config["lambda"])
         q = TangencyQuery(
-            n=args.n, m=args.m, eps=args.eps, delta=args.delta,
-            depth=args.depth, grid_per_interval=args.grid_per_interval,
-            random_tails=args.random_tails,
+            n=config["n"], m=config["m"], eps=config["eps"], delta=config["delta"],
+            depth=config["depth"], grid_per_interval=config["grid_per_interval"],
+            random_tails=config["random_tails"],
         )
-        e = tangency_count(p, q, seed=args.seed)
-        payload = {
-            "e": e,
-            "threshold_gamma_b_pow_n": (p.gamma * p.b) ** args.n,
-            "config": {**config, "n": args.n, "m": args.m, "eps": args.eps, "delta": args.delta,
-                       "grid_per_interval": args.grid_per_interval,
-                       "random_tails": args.random_tails},
-        }
-    _emit(payload, args)
+        e = tangency_count(p, q, seed=config["seed"])
+        payload = {"e": e, "threshold_gamma_b_pow_n": (p.gamma * p.b) ** config["n"]}
+    _emit({**payload, "config": config}, out)
     return 0
 
 
-def _cmd_boxdim(args) -> int:
-    p = Params(args.b, args.lam)
-    phi = _PHI_CHOICES[args.phi]
-    table = box_count(p, phi, levels=args.levels, samples_per_column=args.samples_per_column)
-    fit = fit_box_dimension(table, drop_coarsest=args.drop_coarsest)
+def _cmd_boxdim(config, out) -> int:
+    p = Params(config["b"], config["lambda"])
+    phi = _PHI_CHOICES[config["phi"]]
+    table = box_count(p, phi, levels=config["levels"],
+                      samples_per_column=config["samples_per_column"])
+    fit = fit_box_dimension(table, drop_coarsest=config["drop_coarsest"])
     rows = [{"epsilon": e, "boxes": h} for e, h in table.levels]
     _emit(
         {
@@ -283,51 +289,37 @@ def _cmd_boxdim(args) -> int:
             "stderr": fit.stderr,
             "theoretical": p.affinity_dim,
             "note": "per-column oscillation bracketed by sampling; counts may undercount, never overcount",
-            "config": {
-                "b": args.b, "lambda": args.lam, "levels": args.levels,
-                "samples_per_column": args.samples_per_column,
-                "drop_coarsest": args.drop_coarsest, "phi": args.phi,
-            },
+            "config": config,
         },
-        args,
+        out,
     )
     return 0
 
 
-def _cmd_measure(args) -> int:
-    reads = ("psi",) if args.kind == "sbr" else ("phi",) if args.kind == "graph" else ()
-    if _unread_flag(args, reads, f"--kind {args.kind}"):
-        return 2
-    p = Params(args.b, args.lam)
-    if args.bins:
-        _check_bins(args.bins)  # before any draw
-    if args.kind == "transversal":
-        s = sample_transversal(p, args.x, args.count, depth=args.depth, seed=args.seed)
-    elif args.kind == "sbr":
-        s = sample_sbr(p, _PHI_CHOICES[args.psi], args.count, depth=args.depth, seed=args.seed)
-    elif args.depth is not None:
-        print("error: graph mode picks its depth from the tolerance", file=sys.stderr)
-        return 2
+def _cmd_measure(config, out) -> int:
+    p = Params(config["b"], config["lambda"])
+    kind, count, seed, bins = config["kind"], config["count"], config["seed"], config["bins"]
+    if bins:
+        _check_bins(bins)  # before any draw
+    if kind == "transversal":
+        s = sample_transversal(p, config["x"], count, depth=config["depth"], seed=seed)
+    elif kind == "sbr":
+        s = sample_sbr(p, _PHI_CHOICES[config["psi"]], count, depth=config["depth"], seed=seed)
     else:
-        s = sample_graph_lift(p, _PHI_CHOICES[args.phi], args.count, seed=args.seed)
-    payload = s.summary()
-    payload["config"] = {
-        "b": args.b, "lambda": args.lam, "kind": args.kind,
-        "x": args.x, "count": args.count, "seed": args.seed,
-        "depth": args.depth, "bins": args.bins, "phi": args.phi, "psi": args.psi,
-    }
-    if args.bins:
-        payload["histogram"] = [[c, m] for c, m in density_histogram(s, args.bins)]
-    if args.out_csv:
-        s.to_csv(args.out_csv)
-        print(f"wrote {s.count} points to {args.out_csv}", file=sys.stderr)
-    _emit(payload, args)
+        s = sample_graph_lift(p, _PHI_CHOICES[config["phi"]], count, seed=seed)
+    payload = {**s.summary(), "config": config}
+    if bins:
+        payload["histogram"] = [[c, m] for c, m in density_histogram(s, bins)]
+    if out.out_csv:
+        s.to_csv(out.out_csv)
+        print(f"wrote {s.count} points to {out.out_csv}", file=sys.stderr)
+    _emit(payload, out)
     return 0
 
 
-def _cmd_reproduce(args) -> int:
+def _cmd_reproduce(config, out) -> int:
     claims = []
-    for name, check in reproduce_rows(args.perturb_eta):
+    for name, check in reproduce_rows(config["perturb_eta"]):
         ok, detail = check()
         claims.append({"claim": name, "pass": bool(ok), "detail": detail})
         if not ok:
@@ -337,9 +329,9 @@ def _cmd_reproduce(args) -> int:
         {
             "rows": claims,
             "all_pass": all_ok,
-            "config": {"perturb_eta": args.perturb_eta, "version": __version__},
+            "config": {**config, "version": __version__},
         },
-        args,
+        out,
     )
     return 0 if all_ok else 1
 
@@ -359,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pe = sub.add_parser("eval", help="evaluate one series value")
     pe.add_argument("--b", type=int, required=True)
-    pe.add_argument("--lambda", dest="lam", type=_finite, required=True)
+    pe.add_argument("--lambda", type=_finite, required=True)
     pe.add_argument("--x", type=_finite, required=True)
     pe.add_argument("--what", choices=("f", "Y", "Ydx", "Ydgamma", "S"), default="f")
     pe.add_argument("--word", type=_word_digits, help="digit word, e.g. 010 or 0,1,2")
@@ -371,13 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--phi", choices=sorted(_PHI_CHOICES), default="cos")
     pe.add_argument("--psi", choices=sorted(_PHI_CHOICES), default="cos-deriv")
     add_common(pe)
-    pe.set_defaults(func=_cmd_eval)
+    pe.set_defaults(func=_cmd_eval, parser=pe)
 
     pt = sub.add_parser("thresholds", help="critical scales per base")
     pt.add_argument("--b-range", type=_b_range, default="2:12", help="lo:hi or comma list")
     pt.add_argument("--tol", type=_finite, default=1e-12)
     add_common(pt)
-    pt.set_defaults(func=_cmd_thresholds)
+    pt.set_defaults(func=_cmd_thresholds, parser=pt)
 
     ps = sub.add_parser("star-verify", help="verify or search a star certificate")
     ps.add_argument("--beta", type=_finite)
@@ -390,11 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--t-target", type=_finite)
     ps.add_argument("--k-max", type=int, default=6)
     add_common(ps)
-    ps.set_defaults(func=_cmd_star_verify)
+    ps.set_defaults(func=_cmd_star_verify, parser=ps)
 
     pv = sub.add_parser("transversality", help="separation and tangency estimates")
     pv.add_argument("--b", type=int, required=True)
-    pv.add_argument("--lambda", dest="lam", type=_finite, default=0.9)
+    pv.add_argument("--lambda", type=_finite, default=0.9)
     pv.add_argument("--mode", choices=("delta", "two-var", "tangency"), default="delta")
     pv.add_argument("--x-grid", type=int, default=2000)
     pv.add_argument("--depth", type=int, default=30)
@@ -410,22 +402,22 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--grid-per-interval", type=int, default=200)
     pv.add_argument("--random-tails", type=int, default=3)
     add_common(pv)
-    pv.set_defaults(func=_cmd_transversality)
+    pv.set_defaults(func=_cmd_transversality, parser=pv)
 
     pb = sub.add_parser("boxdim", help="box-counting dimension of the graph")
     pb.add_argument("--b", type=int, required=True)
-    pb.add_argument("--lambda", dest="lam", type=_finite, required=True)
+    pb.add_argument("--lambda", type=_finite, required=True)
     pb.add_argument("--levels", type=int, default=12)
     pb.add_argument("--samples-per-column", type=int, default=32)
     pb.add_argument("--drop-coarsest", type=int, default=2)
     pb.add_argument("--phi", choices=sorted(_PHI_CHOICES), default="cos")
     add_common(pb)
-    pb.set_defaults(func=_cmd_boxdim)
+    pb.set_defaults(func=_cmd_boxdim, parser=pb)
 
     pm = sub.add_parser("measure", help="sample a pushforward measure")
     pm.add_argument("--kind", choices=("transversal", "sbr", "graph"), required=True)
     pm.add_argument("--b", type=int, required=True)
-    pm.add_argument("--lambda", dest="lam", type=_finite, required=True)
+    pm.add_argument("--lambda", type=_finite, required=True)
     pm.add_argument("--x", type=_finite, default=0.0)
     pm.add_argument("--count", type=int, default=10000)
     pm.add_argument("--depth", type=int, default=None)
@@ -435,22 +427,25 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--psi", choices=sorted(_PHI_CHOICES), default="cos-deriv")
     pm.add_argument("--out-csv", help="write sample points to this CSV path")
     add_common(pm)
-    pm.set_defaults(func=_cmd_measure)
+    pm.set_defaults(func=_cmd_measure, parser=pm)
 
     pr = sub.add_parser("reproduce", help="re-run the package's numeric claims")
     pr.add_argument("--perturb-eta", type=_finite, default=0.0,
                     help="perturb the base-3 certificate eta (sanity check)")
     add_common(pr)
-    pr.set_defaults(func=_cmd_reproduce)
+    pr.set_defaults(func=_cmd_reproduce, parser=pr)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    config = _config(args)
+    if config is None:
+        return 2
+    out = argparse.Namespace(**{key: getattr(args, key, None) for key in _OUTPUT})
     try:
-        return args.func(args)
+        return args.func(config, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -38,11 +38,10 @@ _BUILTIN_CERT_PARAMS = {
 
 @dataclass(frozen=True)
 class RootBracket:
-    """Bisection bracket: f changes sign across [lo, hi], hi - lo <= tol."""
+    """Bisection bracket: f changes sign across [lo, hi], hi - lo <= the requested tol."""
 
     lo: float
     hi: float
-    tol: float
 
     @property
     def midpoint(self) -> float:
@@ -152,7 +151,7 @@ def _bisect(defect, b: int, tol: float) -> RootBracket:
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    return RootBracket(lo, hi, tol)
+    return RootBracket(lo, hi)
 
 
 def solve_critical_lambda(b: int, tol: float = 1e-12) -> RootBracket:

@@ -1,6 +1,7 @@
 """Star-certificate closed form, verification and search."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from weierdim import (
     CLOSED_FORM_BETA,
     SIGN_MARGIN,
     StarCertificate,
+    WorkBudgetError,
     builtin_certificate,
     coeff_bound,
     search_certificate,
@@ -152,6 +154,14 @@ class TestSearch:
             search_certificate(0.5, 0.3)
         with pytest.raises(ValueError):
             search_certificate(2.0, 1.5)
+
+    def test_k_max_past_underflow_refused(self):
+        # 0.3 ** 588 is the last power of 0.3 above the smallest normal float
+        with pytest.raises(WorkBudgetError):
+            search_certificate(50.0, 0.3, k_max=589)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflowed eta bound is +-inf, not a warning
+            assert search_certificate(50.0, 0.3, k_max=588) is None
 
 
 def _reference_search(beta, t_target, k_max, eta_grid):

@@ -1,5 +1,6 @@
 """Command line interface: outputs, exit codes, determinism."""
 
+import argparse
 import csv
 import json
 import math
@@ -9,7 +10,7 @@ import sys
 
 import pytest
 
-from weierdim import COSINE, Params, claims, cli, eval_weierstrass
+from weierdim import COSINE, Params, claims, cli, coeff_bound, eval_weierstrass
 from weierdim.cli import main
 from weierdim.parallel import worker_count
 
@@ -137,6 +138,19 @@ class TestStarVerify:
         )
         assert code == 0
         assert payload["found"] is True
+        # the computed beta is a result, as in verify mode; config holds the source as given
+        assert payload["beta"] == coeff_bound(2, 0.81)
+        assert payload["config"]["beta"] is None
+
+    @pytest.mark.parametrize("source", [
+        ("--beta", "3", "--b", "2", "--lambda0", "0.81"),
+        ("--beta", "3", "--b", "2"),
+        ("--b", "2"),
+        (),
+    ], ids=["both", "beta-and-b", "b-only", "none"])
+    def test_one_beta_source_or_usage_error(self, capsys, source):
+        argv = ("star-verify", *source, "--k", "4", "--eta", "0.81", "--t", "0.62")
+        assert run_cli(capsys, *argv) == (2, "")
 
 
 class TestEstimators:
@@ -181,13 +195,15 @@ class TestEstimators:
          "--eps", "0.5", "--delta", "0.5", "--depth", "10000000"),
         ("transversality", "--b", "2", "--lambda", "0.95", "--x-grid", "100000000",
          "--pair-budget", "16"),
-        ("transversality", "--b", "2", "--lambda", "0.95", "--mode", "two-var",
+        ("transversality", "--b", "2", "--mode", "two-var",
          "--x-grid", "100000000", "--pair-budget", "16"),
         ("star-verify", "--b", "3", "--lambda0", "0.55", "--search", "--t-target", "0.6",
          "--k-max", "0"),
         ("measure", "--kind", "graph", "--b", "2", "--lambda", "0.99999", "--count", "10000"),
         ("transversality", "--b", "2", "--mode", "two-var", "--gamma-grid", "100000000",
          "--x-grid", "2", "--pair-budget", "2"),
+        # t_target ** k_max underflows: larger k add no certificate
+        ("star-verify", "--beta", "50", "--search", "--t-target", "0.5", "--k-max", "4000"),
     ])
     def test_out_of_range_exit_code(self, capsys, argv):
         code, out = run_cli(capsys, *argv)
@@ -285,28 +301,100 @@ class TestEstimators:
 
 EVAL = ("eval", "--b", "2", "--lambda", "0.9", "--x", "0.3")
 MEASURE = ("measure", "--b", "2", "--lambda", "0.9", "--count", "20", "--kind")
+TANGENCY = ("transversality", "--b", "2", "--lambda", "0.95", "--mode", "tangency",
+            "--n", "1", "--m", "1", "--eps", "0.5", "--delta", "0.5", "--grid-per-interval", "20")
+# One cheap, valid run of each command mode in cli._READS.
+MODE_RUNS = {
+    **{("eval", what): (*EVAL, "--what", what) for what in ("f", "Y", "Ydx", "Ydgamma", "S")},
+    ("thresholds", None): ("thresholds", "--b-range", "2:2"),
+    ("star-verify", False): ("star-verify", "--beta", "3", "--k", "1", "--eta", "0.1",
+                             "--t", "0.5"),
+    ("star-verify", True): ("star-verify", "--b", "2", "--lambda0", "0.81", "--search",
+                            "--t-target", "0.62"),
+    ("transversality", "delta"): ("transversality", "--b", "2", "--x-grid", "10",
+                                  "--pair-budget", "16"),
+    ("transversality", "two-var"): ("transversality", "--b", "2", "--mode", "two-var",
+                                    "--x-grid", "10", "--pair-budget", "16"),
+    ("transversality", "tangency"): TANGENCY,
+    ("boxdim", None): ("boxdim", "--b", "2", "--lambda", "0.9", "--levels", "8"),
+    **{("measure", kind): (*MEASURE, kind) for kind in ("transversal", "sbr", "graph")},
+    ("reproduce", None): ("reproduce",),
+}
 
 
-@pytest.mark.parametrize("argv", [
-    *((*EVAL, "--what", what, "--phi", "sin2") for what in ("Y", "Ydx", "Ydgamma", "S")),
-    (*EVAL, "--what", "Y", "--phi", "zero"),
-    *((*EVAL, "--what", what, "--psi", "sin2") for what in ("f", "Y", "Ydx", "Ydgamma")),
-    *((*EVAL, "--what", what, "--phases", "0.5") for what in ("Y", "Ydx", "Ydgamma", "S")),
-    (*MEASURE, "transversal", "--phi", "sin2"),
-    (*MEASURE, "sbr", "--phi", "sin2"),
-    (*MEASURE, "transversal", "--psi", "sin2"),
-    (*MEASURE, "graph", "--psi", "zero"),
-], ids=lambda argv: " ".join(argv[len(EVAL):]))
+def _subparsers() -> dict:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _options(command: str) -> list:
+    return [a for a in _subparsers()[command]._actions
+            if a.dest != "help" and a.dest not in cli._OUTPUT]
+
+
+def _entry(key) -> list:
+    return cli._READS[key].split()
+
+
+def _off_default(action) -> list:
+    """Command-line values that set the option off its default."""
+    if action.choices:
+        return [c for c in action.choices if c != action.default]
+    for raw in ("0.5", "7"):
+        try:
+            if action.type(raw) != action.default:
+                return [raw]
+        except ValueError:
+            pass
+    raise AssertionError(f"no off-default value for {action.dest}")
+
+
+def _unread_cases():
+    for (command, mode), run in MODE_RUNS.items():
+        flag = cli._MODE_OPTION.get(command)
+        reads = {key.rstrip("!") for key in _entry((command, mode))}
+        for action in _options(command):
+            if action.dest in reads:
+                continue
+            for raw in _off_default(action):
+                yield pytest.param((*run, action.option_strings[0], raw),
+                                   id=f"--{flag} {mode} {action.option_strings[0]} {raw}")
+
+
+def test_every_mode_has_an_entry_and_a_run():
+    modes = set()
+    for command, sp in _subparsers().items():
+        flag = cli._MODE_OPTION.get(command)
+        action = next((a for a in sp._actions if a.dest == flag), None)
+        values = (None,) if action is None else action.choices or (False, True)
+        modes.update((command, value) for value in values)
+    assert modes == set(cli._READS) == set(MODE_RUNS)
+
+
+def test_every_option_is_read_by_a_mode_or_shapes_the_output():
+    for command in _subparsers():
+        named = {k.rstrip("!") for key in cli._READS if key[0] == command for k in _entry(key)}
+        assert {a.dest for a in _options(command)} == named, command
+
+
+@pytest.mark.parametrize("argv", list(_unread_cases()))
 def test_function_flag_the_result_does_not_read_is_usage_error(capsys, argv):
-    """A --phi, --psi or --phases that the chosen series or sampler would ignore is refused."""
+    """Any option that the chosen mode does not read, set off its default, is refused
+    before any work: --phi, --psi and --phases as much as --x, --lambda or --k."""
     assert main(list(argv)) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ")
 
 
-TANGENCY = ("transversality", "--b", "2", "--lambda", "0.95", "--mode", "tangency",
-            "--n", "1", "--m", "1", "--eps", "0.5", "--delta", "0.5", "--grid-per-interval", "20")
+@pytest.mark.parametrize("key, dest", [(key, k[:-1]) for key in MODE_RUNS
+                                       for k in _entry(key) if k.endswith("!")])
+def test_required_option_unset_is_usage_error(capsys, key, dest):
+    run = MODE_RUNS[key]
+    i = run.index("--" + dest.replace("_", "-"))
+    assert main([*run[:i], *run[i + 2:]]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err.startswith("error: ")) == ("", True)
 
 
 @pytest.mark.parametrize("argv, flag, a, b", [
@@ -319,11 +407,18 @@ TANGENCY = ("transversality", "--b", "2", "--lambda", "0.95", "--mode", "tangenc
     (("measure", "--kind", "sbr", "--b", "2", "--lambda", "0.9", "--count", "20"),
      "--psi", "cos-deriv", "sin2"),
     (("eval", "--b", "2", "--lambda", "0.9", "--x", "0.3"), "--phases", "0.1", "0.2"),
+    *((run, None, None, None) for run in MODE_RUNS.values()),
 ], ids=["tangency-grid", "tangency-tails", "two-var-gamma-grid", "measure-phi", "measure-psi",
-        "eval-phases"])
+        "eval-phases", *(f"entry-{c}-{m}" for c, m in MODE_RUNS)])
 def test_config_names_every_option_of_the_result(capsys, argv, flag, a, b):
-    configs = [run_json(capsys, *argv, flag, v)[1]["config"] for v in (a, b)]
-    assert configs[0] != configs[1]
+    """config names exactly the options of the mode's entry, and follows each of them."""
+    runs = [argv] if flag is None else [(*argv, flag, v) for v in (a, b)]
+    configs = [run_json(capsys, *run)[1]["config"] for run in runs]
+    args = cli.build_parser().parse_args(argv)
+    mode_flag = cli._MODE_OPTION.get(args.command)
+    key = (args.command, getattr(args, mode_flag) if mode_flag else None)
+    assert set(configs[0]) - {"version"} == {k.rstrip("!") for k in _entry(key)}
+    assert flag is None or configs[0] != configs[1]
 
 
 class TestReproduce:

@@ -69,9 +69,9 @@ class TestMonotonicity:
 
 class TestCriticalBrackets:
     def test_base2_bracket(self):
-        br = solve_critical_lambda(2)
+        br = solve_critical_lambda(2, tol=1e-12)
         assert 0.9 < br.lo < br.hi < 0.9352
-        assert br.hi - br.lo <= br.tol
+        assert br.hi - br.lo <= 1e-12
         assert transversality_defect(2, br.lo) > 0 > transversality_defect(2, br.hi)
 
     def test_base5_below_published_bound(self):

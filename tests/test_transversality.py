@@ -30,8 +30,8 @@ from weierdim.transversality import _pair_words
 class TestAnalyticCheck:
     @pytest.mark.parametrize("b", (2, 3, 5))
     def test_agrees_with_bracket(self, b):
-        br = solve_critical_lambda(b)
-        gap = 10 * br.tol
+        br = solve_critical_lambda(b, tol=1e-12)
+        gap = 10 * 1e-12
         assert transversality_defect(b, br.hi + gap) < 0
         assert transversality_defect(b, br.lo - gap) > 0
 
