@@ -4,12 +4,16 @@ Scales are powers of 1/b so that column boundaries line up with the series'
 self-affine structure.  The finest columns are read off a grid of base-b
 rational points; on that grid each series argument reduces mod 1 to an exact
 rational, and every term beyond the grid depth is phi(0) exactly, so the
-sampled values carry no truncation error at all.  The grid is streamed in
-chunks that keep only the min and max of each finest column, and each
-coarser level takes the min/max over its b child columns.  The oscillation
-inside a column is bracketed by sampling (min/max over the grid points
-including both endpoints), which can undercount boxes in y but is exact in
-x; doubling the sample density never removes a counted box.
+sampled values carry no truncation error at all.  Term n reads phi at
+s / b**(grid_depth - n); from the first level k whose period fits in _TABLE
+points (16 MiB of float64) on, that argument is bit for bit a level-k
+argument, so one table of phi serves every such level and only the levels
+before k evaluate phi per point.  The grid is streamed in chunks that keep
+only the min and max of each finest column, and each coarser level takes the
+min/max over its b child columns.  The oscillation inside a column is
+bracketed by sampling (min/max over the grid points including both
+endpoints), which can undercount boxes in y but is exact in x; doubling the
+sample density never removes a counted box.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from .parallel import WorkBudgetError, map_ordered
 from .series import Params, PhiSpec, _check_int
 
 _MAX_GRID = 1 << 26
-_CHUNK = 1 << 18
+_CHUNK = 1 << 16
+_TABLE = 1 << 21  # points of the shared phi table: 16 MiB of float64
+_TILE = 1 << 12  # narrowest row a periodic level is added in
 
 
 @dataclass(frozen=True)
@@ -40,15 +46,20 @@ def _grid_values(p: Params, phi: PhiSpec, grid_depth: int, span: int) -> np.ndar
     """Min (row 0) and max (row 1) of f over each column of `span` steps of
     the grid x = t / b**grid_depth, both end points included, exactly.
 
-    Term n of _graph_sum at t is lam^n phi(s / b**(grid_depth - n)) with
-    s = t mod b**(grid_depth - n), so each level is periodic in t.  A level
-    whose period fits in a chunk is one table added to every chunk; a wider
-    level evaluates phi on the chunk's residues.  The operands and the order
-    of the additions are _graph_sum's, so the values are its bits.  A chunk
-    holds whole columns (span is a power of b) and returns their extremes.
+    Term n of _graph_sum at t is lam^n phi(s / P_n) with P_n = b**(grid_depth - n)
+    and s = t mod P_n, so each level is periodic in t.  For n >= k the argument
+    s / P_n is bit for bit (s * b**(n - k)) / P_k: both are the correctly rounded
+    quotient of one rational, with integer operands below 2^53.  So one table
+    T[j] = phi(j / P_k), k the first level with P_k <= _TABLE (at most 16 MiB),
+    serves every level from k on; it is filled once, in pieces, on the pool.  A
+    level whose period fits in a chunk is one periodic row, tiled to at least
+    _TILE points, added to every chunk; a wider level adds its residues' slice
+    of T, or below k evaluates phi on them.  The operands and the order of the
+    additions are _graph_sum's, so the values are its bits.  A chunk holds whole
+    columns (span is a power of b) and returns their extremes.
     """
     b, total = p.b, p.b ** grid_depth
-    step = span  # whole columns: the largest span * b**k within _CHUNK, at least span
+    step = span  # whole columns: the largest span * b**i within _CHUNK, at least span
     while step * b <= min(_CHUNK, total):
         step *= b
     lam_pows = []
@@ -59,26 +70,45 @@ def _grid_values(p: Params, phi: PhiSpec, grid_depth: int, span: int) -> np.ndar
     # all deeper terms see the argument 0
     tail = lam_pow * float(phi.eval(0.0)) / (1.0 - p.lam)
     periods = [b ** (grid_depth - n) for n in range(grid_depth)]
-    tables = {
-        n: lam_pows[n] * phi.eval(np.arange(period) / period)
-        for n, period in enumerate(periods)
-        if period <= step
-    }
+    k = next((n for n, period in enumerate(periods) if period <= _TABLE), grid_depth)
+    table = np.empty(periods[k] if k < grid_depth else 0)
+
+    def fill(j0):
+        j = np.arange(j0, min(j0 + _CHUNK, table.size))
+        table[j0:j0 + j.size] = phi.eval(j / table.size)
+
+    map_ordered(fill, range(0, table.size, _CHUNK))
+
+    def phi_at(n, start, count):
+        """phi(s / P_n) for s = start .. start + count - 1, all below P_n."""
+        if n < k:
+            return phi.eval(np.arange(start, start + count) / periods[n])
+        stride = periods[k] // periods[n]
+        return table[start * stride:(start + count) * stride:stride]
+
+    tiles = {}
+    for n, period in enumerate(periods):
+        if period <= step:  # periods divide step: both are powers of b
+            width = period
+            while width < _TILE and width * b <= step:
+                width *= b
+            tiles[n] = np.tile(lam_pows[n] * phi_at(n, 0, period), width // period)
 
     def chunk_extremes(t0):
         acc = np.zeros(step)
         for n, period in enumerate(periods):
-            if n in tables:
-                rows = acc.reshape(-1, period)  # a view: periods divide step
-                rows += tables[n]
+            if n in tiles:
+                rows = acc.reshape(-1, tiles[n].size)  # a view: tile widths divide step
+                rows += tiles[n]
             else:
-                off = t0 % period
-                acc += lam_pows[n] * phi.eval(np.arange(off, off + step) / period)
+                acc += lam_pows[n] * phi_at(n, t0 % period, step)
         acc += tail
         cols = acc.reshape(-1, span)  # copy the first values: a view keeps acc alive
         return cols.min(axis=1), cols.max(axis=1), cols[:, 0].copy()
 
-    lo, hi, first = map(np.concatenate, zip(*map_ordered(chunk_extremes, range(0, total, step))))
+    parts = map_ordered(chunk_extremes, range(0, total, step))
+    table = tiles = None  # released before the extremes are joined
+    lo, hi, first = map(np.concatenate, zip(*parts))
     # column c ends where column c + 1 starts; t = b**grid_depth reduces to t = 0
     right = np.roll(first, -1)
     return np.stack([np.minimum(lo, right), np.maximum(hi, right)])

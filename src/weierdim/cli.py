@@ -2,10 +2,11 @@
 
 Subcommands: eval | thresholds | star-verify | transversality | boxdim |
 measure | reproduce.  Data goes to stdout (JSON by default, CSV or text on
-request), logs to stderr.  Exit codes: 0 success, 1 failed claim, 2 usage
-error (such as a non-finite number, an unwritable output path or an option the
-mode does not read), 3 domain error.  Output for fixed flags and seed is
-byte-identical across runs and worker counts; WEIERDIM_THREADS only caps workers.
+request), logs to stderr.  Exit codes: 0 success, 1 failed claim or a stdout
+pipe closed by its reader, 2 usage error (such as a non-finite number, an
+unwritable output path or an option the mode does not read), 3 domain error.
+Output for fixed flags and seed is byte-identical across runs and worker
+counts; WEIERDIM_THREADS only caps workers.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -445,10 +447,16 @@ def main(argv=None) -> int:
         return 2
     out = argparse.Namespace(**{key: getattr(args, key, None) for key in _OUTPUT})
     try:
-        return args.func(config, out)
+        code = args.func(config, out)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:  # the reader left: not a usage error, and nothing to report
+        # the interpreter flushes stdout at exit; point it at devnull so that flush stays quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except OSError as exc:  # an unwritable --out or --out-csv
         print(f"error: {exc}", file=sys.stderr)
         return 2

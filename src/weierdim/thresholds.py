@@ -151,6 +151,9 @@ def _bisect(defect, b: int, tol: float) -> RootBracket:
             lo, f_lo = mid, f_mid
         else:
             hi = mid
+    if hi - lo > tol:
+        raise ValueError(f"tol {tol!r} is below the float spacing near the root: the "
+                         f"tightest bracket reached is {hi - lo!r} wide")
     return RootBracket(lo, hi)
 
 
@@ -159,6 +162,7 @@ def solve_critical_lambda(b: int, tol: float = 1e-12) -> RootBracket:
 
     The defect decreases strictly from +inf (at lam just above 1/b) to a
     negative value at lam = 1, so the bracket is correct by monotonicity.
+    A tol below the float spacing near the zero raises ValueError.
     """
     b = _check_int("base", b, 2)
     return _bisect(transversality_defect, b, tol)

@@ -165,6 +165,33 @@ class TestBoxCount:
             tables.append(box_count(Params(b, lam), phi, levels=levels, samples_per_column=samples))
         assert tables[0].levels == tables[1].levels == tables[2].levels
 
+    @pytest.mark.parametrize("b, lam, phi, levels, samples, depth", [
+        (2, 0.9, COSINE, 8, 16, 12),
+        (3, 0.7, MIX, 5, 9, 7),
+        (5, 0.6, SINE, 4, 25, 6),
+    ])
+    def test_table_size_independent(self, monkeypatch, b, lam, phi, levels, samples, depth):
+        p, span = Params(b, lam), b ** (depth - levels)
+        results = set()
+        # 1: no level fits, every level calls phi; then the table is level 3's, level 1's
+        # (k = 3, 1), and the whole grid's (k = 0) at the default and at 1 << 30
+        for table in (1, b ** (depth - 3), b ** (depth - 1), boxdim._TABLE, 1 << 30):
+            for chunk in (boxdim._CHUNK, 1, 1 << 30):
+                monkeypatch.setattr(boxdim, "_TABLE", table)
+                monkeypatch.setattr(boxdim, "_CHUNK", chunk)
+                results.add((_grid_values(p, phi, depth, span).tobytes(),
+                             box_count(p, phi, levels=levels, samples_per_column=samples).levels))
+        assert len(results) == 1
+
+    def test_table_stays_bounded(self, monkeypatch):
+        # level 1's period, 2^19 points, is over the table: 3.9 MiB measured; a table
+        # of the whole 2^20-point grid alone would take 8 MiB
+        monkeypatch.setenv("WEIERDIM_THREADS", "1")
+        monkeypatch.setattr(boxdim, "_TABLE", 1 << 10)
+        peak = traced_peak(lambda: box_count(Params(2, 0.9), COSINE, levels=10,
+                                             samples_per_column=2 ** 10))
+        assert peak < 5 * 2 ** 20
+
     def test_streams_the_grid(self):
         # the 2^22-point grid alone would take 32 MB
         peak = traced_peak(lambda: box_count(Params(2, 0.9), COSINE, levels=10,

@@ -114,6 +114,25 @@ class TestThresholds:
         mids = [r["critical_lo"] for r in payload["rows"]]
         assert all(a > b for a, b in zip(mids, mids[1:]))
 
+    def test_tol_below_float_spacing_domain_error(self, capsys):
+        code = main(["thresholds", "--b-range", "2:2", "--tol", "1e-20"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "") and "tightest bracket" in err
+
+    def test_closed_stdout_pipe_exits_quietly(self):
+        # about 73 kB of JSON: more than a 64 KiB pipe buffer holds, so a write meets the closed pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "weierdim.cli", "thresholds", "--b-range", "2:400"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        try:
+            assert os.read(proc.stdout.fileno(), 100)
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        finally:
+            proc.kill()
+        assert (proc.returncode, err) == (1, b"")
+
 
 class TestStarVerify:
     def test_valid_certificate(self, capsys):

@@ -74,6 +74,11 @@ class TestCriticalBrackets:
         assert br.hi - br.lo <= 1e-12
         assert transversality_defect(2, br.lo) > 0 > transversality_defect(2, br.hi)
 
+    def test_tol_below_float_spacing_refused(self):
+        # bisection stops at adjacent floats, 1.1e-16 apart near the base-2 root
+        with pytest.raises(ValueError, match=r"tightest bracket reached is 1\.11\d*e-16 wide"):
+            solve_critical_lambda(2, tol=1e-20)
+
     def test_base5_below_published_bound(self):
         assert solve_critical_lambda(5).hi < 0.5448
 
