@@ -23,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import DimFit, _check_scales, _linear_fit
-from .parallel import WorkBudgetError, map_ordered
+from .parallel import _CHUNK_CELLS, WorkBudgetError, map_ordered
 from .series import Params, PhiSpec, _check_int
 
 _MAX_GRID = 1 << 26
-_CHUNK = 1 << 16
 _TABLE = 1 << 21  # points of the shared phi table: 16 MiB of float64
 _TILE = 1 << 12  # narrowest row a periodic level is added in
 
@@ -59,8 +58,8 @@ def _grid_values(p: Params, phi: PhiSpec, grid_depth: int, span: int) -> np.ndar
     columns (span is a power of b) and returns their extremes.
     """
     b, total = p.b, p.b ** grid_depth
-    step = span  # whole columns: the largest span * b**i within _CHUNK, at least span
-    while step * b <= min(_CHUNK, total):
+    step = span  # whole columns: the largest span * b**i within _CHUNK_CELLS, at least span
+    while step * b <= min(_CHUNK_CELLS, total):
         step *= b
     lam_pows = []
     lam_pow = 1.0  # the running product of _graph_sum
@@ -74,10 +73,10 @@ def _grid_values(p: Params, phi: PhiSpec, grid_depth: int, span: int) -> np.ndar
     table = np.empty(periods[k] if k < grid_depth else 0)
 
     def fill(j0):
-        j = np.arange(j0, min(j0 + _CHUNK, table.size))
+        j = np.arange(j0, min(j0 + _CHUNK_CELLS, table.size))
         table[j0:j0 + j.size] = phi.eval(j / table.size)
 
-    map_ordered(fill, range(0, table.size, _CHUNK))
+    map_ordered(fill, range(0, table.size, _CHUNK_CELLS))
 
     def phi_at(n, start, count):
         """phi(s / P_n) for s = start .. start + count - 1, all below P_n."""

@@ -160,8 +160,8 @@ def sample_transversal(
 
     def slopes(r0, r1):
         columns = rng.digit_columns(seed, rng.STREAM_TRANSVERSAL, r1 - r0, depth, p.b, r0)
-        # one start for every row: _orbit_sums runs each digit prefix's orbit once
-        return _orbit_sums(float(x), p.b, gamma, columns, ("Y",))["Y"]
+        # every row starts at x: _orbit_sums runs each digit prefix's orbit once
+        return _orbit_sums(float(x), p.b, gamma, columns, ("Y",), rows=r1 - r0)["Y"]
 
     return SampleSet(
         points=_pooled_rows(np.empty(count), slopes),
@@ -261,10 +261,7 @@ def local_dim_estimate(
     seed = _check_int("seed", seed)
     pts = s.points
     n = s.count
-    idx = np.array(
-        [rng.value64(seed, rng.STREAM_CENTERS, t) % n for t in range(centers)],
-        dtype=np.int64,
-    )
+    idx = rng.digit_vector(seed, rng.STREAM_CENTERS, 0, centers, n)  # value64(seed, stream, t) % n
     log_r = np.log(radii)
     slopes = np.empty(centers)
     for c, i in enumerate(idx):

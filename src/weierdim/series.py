@@ -29,7 +29,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Collection, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -296,13 +296,6 @@ def eval_weierstrass(
     return SeriesValue(acc if acc.ndim else float(acc), tail, n_terms)
 
 
-def _unread(held: list, rest: Iterator):
-    """held's items, then rest's; each is popped as it is yielded, so none stays referenced."""
-    while held:
-        yield held.pop()
-    yield from rest
-
-
 #: The orbit sums of _orbit_sums by name: (scale, tail), tail(b, gamma, psi, n) bounding
 #: the terms after the first n.
 _ORBIT_SUMS = {
@@ -320,6 +313,7 @@ def _orbit_sums(
     columns: Iterable,
     want: Collection[str],
     psi: Optional[PhiSpec] = None,
+    rows: int = 0,
 ) -> dict[str, np.ndarray]:
     """Weighted sums along the backward orbit u_n = (u_{n-1} + i_n)/b.
 
@@ -333,75 +327,63 @@ def _orbit_sums(
         "S"        sum gamma^(n-1) psi(u_n), the constant of psi summed exactly
 
     A 1-D gamma stacks the sums on a leading axis, sharing each sin and cos.
-    A digit column with one more leading axis than u, of shape (rows, 1, .., 1),
-    is one start for every row (the transversal sampler's 0-d x, a slope
-    grid's x points).  Rows with the same first n digits share u_1 .. u_n, so
+    rows > 0 starts all `rows` rows at u (the transversal sampler's 0-d x, a
+    slope grid's x points): each column then has one more leading axis than u,
+    of length rows.  Rows with the same first n digits share u_1 .. u_n, so
     the first floor(log_b rows) steps run once per digit prefix, level by
-    level, on states of shape (prefix,) + u.shape, and each row then takes
-    its prefix's state.
+    level, on states of shape (prefix,) + u.shape; the first column with a
+    negative digit or more branches than rows first gives each row its
+    prefix's state, and it and every later column step per row.
 
     Every path runs each cell through the one step body below in the same
     order, so the slope grids, samplers and single-word evaluators share
     their rounding.
     """
     u = np.array(u, dtype=np.float64)
-    columns = iter(columns)
-    first = next(columns, None)  # read to see its shape; _unread hands it on without a reference
-    shared = np.ndim(first) > u.ndim
-    rows = len(first) if shared else 0
-    columns = _unread([first] if first is not None else [], columns)
-    del first
-    if shared:
+    idx = None
+    if rows:
         u = u[None]
+        idx = np.zeros(rows, dtype=np.int64)  # each row's digit prefix, read in its levels' radices
     lead = np.shape(gamma)
     gamma = np.reshape(gamma, lead + (1,) * u.ndim) if lead else gamma
     acc = {k: np.zeros(lead + u.shape) for k in want}
     g = 1.0  # gamma^(n-1) before the update below, gamma^n after it
     r = 1.0  # (gamma/b)^n
     n = 0
-
-    def steps(u, acc, columns):
-        """Advance u and the sums in acc, in place, one orbit step per column."""
-        nonlocal g, r, n
-        sy, sdx, sdg, ss = map(acc.get, ("Y", "Ydx", "Ydgamma", "S"))
-        for digit in columns:
-            n += 1
-            u += digit
-            del digit  # free a sampler's column before the sums (enumerate would keep it)
-            u /= b
-            if ss is not None:
-                ss += g * psi.oscillating(u)
-            if sy is not None or sdg is not None:
-                sin_u = np.sin(TWO_PI * u)
-            if sdg is not None:
-                sdg += (n * g) * sin_u
-            g *= gamma
-            if sy is not None:
-                sy += g * sin_u
-            if sdx is not None:
-                r *= gamma / b
-                sdx += r * np.cos(TWO_PI * u)
-
-    if shared:
-        idx = np.zeros(rows, dtype=np.int64)  # each row's digit prefix, read in its levels' radices
-        while len(u) * b <= rows and (digit := next(columns, None)) is not None:
+    for digit in columns:
+        if idx is not None:
             radix = max(b, int(digit.max()) + 1)  # a branch for every digit value
             if digit.min() < 0 or len(u) * radix > rows:
-                columns = _unread([digit], columns)
-                del digit
-                break
-            idx *= radix
-            idx += digit.reshape(rows)
-            del digit
-            u = np.repeat(u, radix, axis=0)
-            acc = {k: np.repeat(v, radix, axis=len(lead)) for k, v in acc.items()}
-            # each prefix's last digit, in the narrowest dtype: it adds to u exactly
-            last = np.arange(radix, dtype=np.min_scalar_type(radix))
-            steps(u, acc, [np.tile(last, len(u) // radix).reshape((-1,) + (1,) * (u.ndim - 1))])
-        u = u[idx]
+                u = u[idx]
+                acc = {k: np.take(v, idx, axis=len(lead)) for k, v in acc.items()}
+                idx = None
+            else:
+                idx *= radix
+                idx += digit.reshape(rows)
+                u = np.repeat(u, radix, axis=0)
+                acc = {k: np.repeat(v, radix, axis=len(lead)) for k, v in acc.items()}
+                # each prefix's last digit, in the narrowest dtype: it adds to u exactly
+                last = np.arange(radix, dtype=np.min_scalar_type(radix))
+                digit = np.tile(last, len(u) // radix).reshape((-1,) + (1,) * (u.ndim - 1))
+        sy, sdx, sdg, ss = map(acc.get, ("Y", "Ydx", "Ydgamma", "S"))
+        n += 1
+        u += digit
+        del digit  # free a sampler's column before the sums (enumerate would keep it)
+        u /= b
+        if ss is not None:
+            ss += g * psi.oscillating(u)
+        if sy is not None or sdg is not None:
+            sin_u = np.sin(TWO_PI * u)
+        if sdg is not None:
+            sdg += (n * g) * sin_u
+        g *= gamma
+        if sy is not None:
+            sy += g * sin_u
+        if sdx is not None:
+            r *= gamma / b
+            sdx += r * np.cos(TWO_PI * u)
+    if idx is not None:  # the columns ran out with prefixes still shared
         acc = {k: np.take(v, idx, axis=len(lead)) for k, v in acc.items()}
-        del idx
-    steps(u, acc, columns)
     for k, v in acc.items():
         v *= _ORBIT_SUMS[k][0]
     if "S" in acc:
@@ -458,12 +440,12 @@ def slope_grid(
     slope, its x- and (optionally) gamma-derivatives, truncated at the full
     depth.  One _orbit_sums call with no pool: the estimators call it from
     their own pool tasks, one x block each, and each cell's arithmetic is
-    elementwise, so the bits do not depend on the blocks.  Each digit column
-    has one more axis than x, so every word starts at x and words with the
-    same first digits share those steps (the samplers' shared-start rule).
+    elementwise, so the bits do not depend on the blocks.  Every word starts
+    at x (rows = words), so words with the same first digits share those
+    steps, as in the transversal sampler.
     """
     b = _check_int("base", b, 2)
-    _check_int("depth", digits.shape[1], 1)  # with no column, no row would start at x
+    _check_int("depth", digits.shape[1], 1)  # a slope of no terms is not a truncated series
     want = ("Y", "Ydx", "Ydgamma") if want_dgamma else ("Y", "Ydx")
-    out = _orbit_sums(x, b, gamma, digits.T[:, :, None], want)
+    out = _orbit_sums(x, b, gamma, digits.T[:, :, None], want, rows=digits.shape[0])
     return out["Y"], out["Ydx"], out.get("Ydgamma")

@@ -160,8 +160,8 @@ class TestBoxCount:
     ])
     def test_chunk_size_independent(self, monkeypatch, b, lam, phi, levels, samples):
         tables = []
-        for chunk in (boxdim._CHUNK, 1, 1 << 30):  # 1: every chunk one column, span > chunk
-            monkeypatch.setattr(boxdim, "_CHUNK", chunk)
+        for chunk in (boxdim._CHUNK_CELLS, 1, 1 << 30):  # 1: every chunk one column, span > chunk
+            monkeypatch.setattr(boxdim, "_CHUNK_CELLS", chunk)
             tables.append(box_count(Params(b, lam), phi, levels=levels, samples_per_column=samples))
         assert tables[0].levels == tables[1].levels == tables[2].levels
 
@@ -176,9 +176,9 @@ class TestBoxCount:
         # 1: no level fits, every level calls phi; then the table is level 3's, level 1's
         # (k = 3, 1), and the whole grid's (k = 0) at the default and at 1 << 30
         for table in (1, b ** (depth - 3), b ** (depth - 1), boxdim._TABLE, 1 << 30):
-            for chunk in (boxdim._CHUNK, 1, 1 << 30):
+            for chunk in (boxdim._CHUNK_CELLS, 1, 1 << 30):
                 monkeypatch.setattr(boxdim, "_TABLE", table)
-                monkeypatch.setattr(boxdim, "_CHUNK", chunk)
+                monkeypatch.setattr(boxdim, "_CHUNK_CELLS", chunk)
                 results.add((_grid_values(p, phi, depth, span).tobytes(),
                              box_count(p, phi, levels=levels, samples_per_column=samples).levels))
         assert len(results) == 1

@@ -1,5 +1,5 @@
-"""Every name the package exports, and every field of an exported dataclass, is used by the
-package or the benchmark, not only by tests."""
+"""Every name the package exports, every module-level name of the package, and every field of
+an exported dataclass, is used by the package or the benchmark, not only by tests."""
 
 import ast
 import dataclasses
@@ -52,12 +52,32 @@ def _sources() -> list[ast.AST]:
     return [ast.parse(path.read_text()) for path in paths]
 
 
+def _used() -> set[str]:
+    return {name for tree in _sources() for name in _loads(tree)}
+
+
 def test_every_export_is_used_outside_tests():
-    used = set()
-    for tree in _sources():
-        used.update(_loads(tree))
-    unused = sorted(_exports() - used - UNUSED_ALLOWED)
+    unused = sorted(_exports() - _used() - UNUSED_ALLOWED)
     assert unused == [], f"exported but used only by tests: {unused}"
+
+
+def _module_names(tree: ast.AST):
+    """Functions, classes, assigned constants and imports bound at the top level of tree."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+            yield from ((a.asname or a.name).split(".")[0] for a in node.names)
+
+
+def test_every_module_level_name_is_used_outside_tests():
+    defined = {name for path in PACKAGE.glob("*.py")
+               for name in _module_names(ast.parse(path.read_text()))}
+    unused = sorted(defined - _used() - UNUSED_ALLOWED)
+    assert unused == [], f"module-level names used only by tests: {unused}"
 
 
 def test_every_dataclass_field_is_read_outside_tests():

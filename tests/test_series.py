@@ -339,6 +339,10 @@ class TestSharedPrefixes:
                 hit = rnd.random(digits.shape) < 0.1
                 hit[:, 0] |= rnd.random(rows) < 0.5
                 digits[hit] = rnd.integers(b, 3 * b, size=int(hit.sum()))
+            if case % 3 == 1:  # negative digits end the prefix sharing, some in the first column
+                hit = rnd.random(digits.shape) < 0.1
+                hit[::3, 0] = True
+                digits[hit] = rnd.integers(-b, 0, size=int(hit.sum()))
             gammas = rnd.uniform(1.0 / b + 0.01, 0.99, size=int(rnd.integers(1, 4)))
             gamma = float(gammas[0]) if case % 2 else gammas
             x = rnd.uniform(0.0, 1.0, size=int(rnd.integers(1, 12)))
@@ -365,9 +369,10 @@ class TestGammaAxis:
         u, cols = {"grid": (np.broadcast_to(np.linspace(0.0, 1.0, 7), (40, 7)), d.T[:, :, None]),
                    "shared": (0.3, d.T), "per-row": (np.full(40, 0.3), d.T)}[start]
         want = ("Y", "Ydx", "Ydgamma", "S")
-        got = _orbit_sums(u, 3, self.gammas, cols, want, COSINE_DERIV)
+        rows = 40 if start == "shared" else 0
+        got = _orbit_sums(u, 3, self.gammas, cols, want, COSINE_DERIV, rows=rows)
         for k, g in enumerate(self.gammas.tolist()):
-            one = _orbit_sums(u, 3, g, cols, want, COSINE_DERIV)
+            one = _orbit_sums(u, 3, g, cols, want, COSINE_DERIV, rows=rows)
             for key in want:
                 assert got[key][k].tobytes() == one[key].tobytes(), (start, g, key)
 
