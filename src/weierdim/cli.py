@@ -1,8 +1,8 @@
 """Command line front end.
 
 Subcommands: eval | thresholds | star-verify | transversality | boxdim |
-measure | reproduce.  Data goes to stdout (JSON by default, CSV or text on
-request), logs to stderr.  Exit codes: 0 success, 1 failed claim or a stdout
+measure | reproduce.  Data goes to stdout (JSON by default, CSV on request),
+logs to stderr.  Exit codes: 0 success, 1 failed claim or a stdout
 pipe closed by its reader, 2 usage error (such as a non-finite number, an
 unwritable output path or an option the mode does not read), 3 domain error.
 Output for fixed flags and seed is byte-identical across runs and worker
@@ -70,17 +70,8 @@ def _csv_text(payload: dict) -> str:
 def _emit(payload: dict, args) -> None:
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
-    elif args.format == "csv":
-        text = _csv_text(payload)
     else:
-        lines = []
-        for k in sorted(payload):
-            if k == "rows":
-                for r in payload[k]:
-                    lines.append("  " + "  ".join(f"{c}={v}" for c, v in r.items()))
-            elif k != "config":
-                lines.append(f"{k}: {payload[k]}")
-        text = "\n".join(lines)
+        text = _csv_text(payload)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -348,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(sp):
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", help="also write the output to this path")
 
     pe = sub.add_parser("eval", help="evaluate one series value")

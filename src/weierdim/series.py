@@ -9,8 +9,9 @@ of a digit word (i_1, i_2, ...) over {0, .., b-1}, with gamma = 1/(b*lam):
     Y_gamma(x)  = 2 pi sum_{n>=1} n gamma^(n-1) sin(2 pi u_n)  its gamma-derivative
     S(x)        = sum_{n>=1} gamma^(n-1) psi(u_n)              the skew product's fiber sum
 
-_ORBIT_SUMS holds each one's scale and tail bound under the names Y, Ydx,
-Ydgamma and S; eval_orbit_sum evaluates one and orbit_tail gives its tail.
+Each is a row of _ORBIT_SUMS (Y, Ydx, Ydgamma, S): a scale, a trig polynomial, a weight
+and its tail.  _orbit_sums runs one step body for every row, eval_orbit_sum evaluates one,
+and orbit_tail's one rule gives the row's tail at coefficient scale * sup|polynomial|.
 Every result carries an absolute bound on the omitted remainder, derived from
 the closed-form tail, so truncation depth is always chosen from the requested
 tolerance rather than a fixed count.
@@ -97,13 +98,13 @@ class PhiSpec:
             _check_int("frequency", k, 1)
 
     def oscillating(self, x):
-        """Trigonometric part only (no constant); accepts scalars or arrays."""
-        total = x * 0.0
-        for k, a in self.cosine_coeffs:
-            total = total + a * np.cos(TWO_PI * k * x)
-        for k, a in self.sine_coeffs:
-            total = total + a * np.sin(TWO_PI * k * x)
-        return total
+        """Trigonometric part only (no constant), cos terms first; scalars or arrays."""
+        total = None
+        for f, coeffs in ((np.cos, self.cosine_coeffs), (np.sin, self.sine_coeffs)):
+            for k, a in coeffs:
+                term = f(TWO_PI * k * x) if a == 1.0 else a * f(TWO_PI * k * x)  # 1.0 * t is t
+                total = term if total is None else total + term
+        return x * 0.0 if total is None else total
 
     def eval(self, x):
         return self.oscillating(x) + self.constant
@@ -198,9 +199,9 @@ def _terms_for(abs_tol: Optional[float], tail: Optional[Callable[[int], float]],
     return bisect_left(range(_MAX_TERMS + 1), True, least, key=lambda n: tail(n) <= abs_tol)
 
 
-def tail_bound_slope_dgamma(gamma: float, n: int) -> float:
-    """Tail of 2 pi sum_{k>n} k gamma^(k-1), summed in closed form."""
-    return TWO_PI * gamma ** n * ((n + 1) - n * gamma) / (1.0 - gamma) ** 2
+def tail_bound_slope_dgamma(gamma: float, coef: float, n: int) -> float:
+    """Tail of coef * sum_{k>n} k gamma^(k-1), summed in closed form."""
+    return coef * gamma ** n * ((n + 1) - n * gamma) / (1.0 - gamma) ** 2
 
 
 def tail_bound_geometric(ratio: float, coef: float, n: int) -> float:
@@ -296,13 +297,20 @@ def eval_weierstrass(
     return SeriesValue(acc if acc.ndim else float(acc), tail, n_terms)
 
 
-#: The orbit sums of _orbit_sums by name: (scale, tail), tail(b, gamma, psi, n) bounding
-#: the terms after the first n.
+_SIN = PhiSpec(sine_coeffs=((1, 1.0),))
+_COS = PhiSpec(cosine_coeffs=((1, 1.0),))
+
+#: The orbit sums by name: (scale, polynomial, weight, tail).  Term n is scale * polynomial(u_n)
+#: * weight(n, gamma^(n-1), gamma^n, (gamma/b)^n), None being the caller's psi; tail(b, gamma,
+#: scale * sup|polynomial|, n) bounds the terms after the first n.
 _ORBIT_SUMS = {
-    "Y": (TWO_PI, lambda b, g, psi, n: tail_bound_geometric(g, TWO_PI, n + 1)),
-    "Ydx": (FOUR_PI_SQ, lambda b, g, psi, n: tail_bound_geometric(g / b, FOUR_PI_SQ, n + 1)),
-    "Ydgamma": (TWO_PI, lambda b, g, psi, n: tail_bound_slope_dgamma(g, n)),
-    "S": (1.0, lambda b, g, psi, n: tail_bound_geometric(g, psi.oscillating_sup(), n)),
+    "Y": (TWO_PI, _SIN, lambda n, g0, g, r: g,
+          lambda b, g, c, n: tail_bound_geometric(g, c, n + 1)),
+    "Ydx": (FOUR_PI_SQ, _COS, lambda n, g0, g, r: r,
+            lambda b, g, c, n: tail_bound_geometric(g / b, c, n + 1)),
+    "Ydgamma": (TWO_PI, _SIN, lambda n, g0, g, r: n * g0,
+                lambda b, g, c, n: tail_bound_slope_dgamma(g, c, n)),
+    "S": (1.0, None, lambda n, g0, g, r: g0, lambda b, g, c, n: tail_bound_geometric(g, c, n)),
 }
 
 
@@ -326,7 +334,7 @@ def _orbit_sums(
         "Ydgamma"  2 pi sum n gamma^(n-1) sin(2 pi u_n)
         "S"        sum gamma^(n-1) psi(u_n), the constant of psi summed exactly
 
-    A 1-D gamma stacks the sums on a leading axis, sharing each sin and cos.
+    A 1-D gamma stacks the sums on a leading axis, sharing each polynomial value.
     rows > 0 starts all `rows` rows at u (the transversal sampler's 0-d x, a
     slope grid's x points): each column then has one more leading axis than u,
     of length rows.  Rows with the same first n digits share u_1 .. u_n, so
@@ -337,7 +345,8 @@ def _orbit_sums(
 
     Every path runs each cell through the one step body below in the same
     order, so the slope grids, samplers and single-word evaluators share
-    their rounding.
+    their rounding: a step updates the weights once, evaluates each distinct
+    polynomial once (Y and Ydgamma share one sin) and adds weight * value to each sum.
     """
     u = np.array(u, dtype=np.float64)
     idx = None
@@ -347,9 +356,10 @@ def _orbit_sums(
     lead = np.shape(gamma)
     gamma = np.reshape(gamma, lead + (1,) * u.ndim) if lead else gamma
     acc = {k: np.zeros(lead + u.shape) for k in want}
-    g = 1.0  # gamma^(n-1) before the update below, gamma^n after it
-    r = 1.0  # (gamma/b)^n
-    n = 0
+    polys = {}  # each distinct polynomial: the sums that read it
+    for k in want:
+        polys.setdefault(_ORBIT_SUMS[k][1] or psi, []).append(k)
+    n, g, r = 0, 1.0, 1.0  # gamma^n and (gamma/b)^n after step n
     for digit in columns:
         if idx is not None:
             radix = max(b, int(digit.max()) + 1)  # a branch for every digit value
@@ -365,23 +375,15 @@ def _orbit_sums(
                 # each prefix's last digit, in the narrowest dtype: it adds to u exactly
                 last = np.arange(radix, dtype=np.min_scalar_type(radix))
                 digit = np.tile(last, len(u) // radix).reshape((-1,) + (1,) * (u.ndim - 1))
-        sy, sdx, sdg, ss = map(acc.get, ("Y", "Ydx", "Ydgamma", "S"))
         n += 1
         u += digit
         del digit  # free a sampler's column before the sums (enumerate would keep it)
         u /= b
-        if ss is not None:
-            ss += g * psi.oscillating(u)
-        if sy is not None or sdg is not None:
-            sin_u = np.sin(TWO_PI * u)
-        if sdg is not None:
-            sdg += (n * g) * sin_u
-        g *= gamma
-        if sy is not None:
-            sy += g * sin_u
-        if sdx is not None:
-            r *= gamma / b
-            sdx += r * np.cos(TWO_PI * u)
+        g0, g, r = g, g * gamma, r * (gamma / b)
+        for poly, keys in polys.items():
+            value = poly.oscillating(u)
+            for k in keys:
+                acc[k] += _ORBIT_SUMS[k][2](n, g0, g, r) * value
     if idx is not None:  # the columns ran out with prefixes still shared
         acc = {k: np.take(v, idx, axis=len(lead)) for k, v in acc.items()}
     for k, v in acc.items():
@@ -395,12 +397,13 @@ def orbit_tail(what: str, b: int, gamma: float,
                psi: PhiSpec = COSINE_DERIV) -> Callable[[int], float]:
     """n -> bound on the orbit sum `what` (a key of _ORBIT_SUMS) after its first n terms.
 
-    psi is the fiber function of S; the slope sums do not read it.  An unknown
+    psi is the polynomial of S; the slope sums do not read it.  An unknown
     `what` is refused with ValueError.
     """
     if what not in _ORBIT_SUMS:
         raise ValueError(f"what must be one of {', '.join(_ORBIT_SUMS)}, got {what!r}")
-    return partial(_ORBIT_SUMS[what][1], b, gamma, psi)
+    scale, poly, _, tail = _ORBIT_SUMS[what]
+    return partial(tail, b, gamma, scale * (poly or psi).oscillating_sup())
 
 
 def eval_orbit_sum(

@@ -5,8 +5,10 @@ import csv
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -440,6 +442,24 @@ def test_config_names_every_option_of_the_result(capsys, argv, flag, a, b):
     assert flag is None or configs[0] != configs[1]
 
 
+def _readme_commands() -> list:
+    """Each `weierdim ...` line of README's shell blocks, continuations joined, comments cut."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = "".join(part.split("```")[0] for part in text.split("```sh\n")[1:])
+    lines = blocks.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True)[1:] for line in lines
+                if line.startswith("weierdim ")]
+    assert {argv[0] for argv in commands} == set(_subparsers())  # the usage block was found
+    return commands
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_usage_lines_parse(capsys, argv):
+    """Every command README shows parses and sets only options its mode reads; none is run."""
+    args = cli.build_parser().parse_args(argv)
+    assert cli._config(args) is not None, capsys.readouterr().err
+
+
 class TestReproduce:
     def test_all_claims_pass(self, capsys):
         code, payload = run_json(capsys, "reproduce")
@@ -499,6 +519,12 @@ class TestReproduce:
             header, *rows = csv.reader(out.splitlines())
             assert header[0] == first and keys <= set(header)
             assert rows and all(len(r) == len(header) for r in rows)
+
+    def test_text_format_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["thresholds", "--b-range", "2:2", "--format", "text"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestDeterminism:

@@ -106,6 +106,10 @@ class TestSharedStart:
         t = _prefix_levels(b, C)
         assert t == {2: 16, 3: 10}[b]
         assert calls == {"sin": sum(b ** n for n in range(1, t + 1)) + (depth - t) * C, "cos": 0}
+        # the skew-product sampler starts each row at its own x: one sin per orbit point
+        calls.update(sin=0, cos=0)
+        sample_sbr(Params(b, 1.2 / b), count=C, depth=depth, seed=1)
+        assert calls == {"sin": depth * C, "cos": 0}
 
 
 class TestCsv:

@@ -98,7 +98,46 @@ def s_oracle(b, gamma, x, digits, n, freq=2):
     return float(s)
 
 
+def parent_oscillating(phi, x):
+    """PhiSpec.oscillating as first written: x * 0.0 plus a * f(2 pi k x), cos terms first."""
+    total = x * 0.0
+    for k, a in phi.cosine_coeffs:
+        total = total + a * np.cos(TWO_PI * k * x)
+    for k, a in phi.sine_coeffs:
+        total = total + a * np.sin(TWO_PI * k * x)
+    return total
+
+
+def random_spec(rnd, case) -> PhiSpec:
+    """A trig polynomial of up to three cos and three sin harmonics; every third case gives
+    one coefficient exactly 1.0 and every other case a constant."""
+    coeffs = [[(int(k), float(a)) for k, a in zip(rnd.integers(1, 9, size=int(rnd.integers(0, 4))),
+                                                  rnd.normal(size=3))] for _ in range(2)]
+    if case % 3 == 0 and coeffs[case % 2]:
+        coeffs[case % 2][-1] = (coeffs[case % 2][-1][0], 1.0)
+    constant = float(rnd.normal()) if case % 2 else 0.0
+    return PhiSpec(cosine_coeffs=tuple(coeffs[0]), sine_coeffs=tuple(coeffs[1]), constant=constant)
+
+
 class TestPhi:
+    def test_keeps_the_parent_bits(self):
+        # eval keeps every bit; oscillating too, up to the sign of a zero (+ 0.0 removes it)
+        rnd = np.random.default_rng(41)
+        x = np.concatenate([rnd.uniform(-2.0, 2.0, 300), [0.0, -0.0, 0.25, -0.5, 0.5, 1.0]])
+        for case in range(400):
+            phi = random_spec(rnd, case)
+            for xs in (x, x.reshape(2, -1), float(x[case % x.size]), -0.0):
+                got, ref = phi.oscillating(xs), parent_oscillating(phi, xs)
+                assert type(got) is type(ref) and np.shape(got) == np.shape(xs), (phi, xs)
+                assert np.asarray(got + 0.0).tobytes() == np.asarray(ref + 0.0).tobytes(), phi
+                assert (np.asarray(phi.eval(xs)).tobytes()
+                        == np.asarray(ref + phi.constant).tobytes()), phi
+
+    def test_no_terms_give_zeros_of_the_shape_of_x(self):
+        for x in (0.3, np.linspace(0.0, 1.0, 7), np.ones((3, 4))):
+            for value in (PhiSpec().oscillating(x), PhiSpec().eval(x)):
+                assert np.shape(value) == np.shape(x) and not np.any(value)
+
     def test_classic_values(self):
         assert COSINE.eval(0.0) == pytest.approx(1.0, abs=1e-15)
         assert COSINE.eval(0.25) == pytest.approx(0.0, abs=1e-15)
@@ -384,6 +423,63 @@ class TestGammaAxis:
             for grid, one in zip(grids, slope_grid(3, g, x, d, want_dgamma=True)):
                 assert grid.shape == (5, 30, 500)
                 assert grid[k].tobytes() == one.tobytes()
+
+
+def parent_orbit_sums(u, b, gamma, columns, psi):
+    """The four-branch step that _orbit_sums' one step body replaced, written out as the
+    reference: all four sums, one start per row (each column broadcasts against u)."""
+    u = np.array(u, dtype=np.float64)
+    lead = np.shape(gamma)
+    gamma = np.reshape(gamma, lead + (1,) * u.ndim) if lead else gamma
+    sy, sdx, sdg, ss = (np.zeros(lead + u.shape) for _ in range(4))
+    g, r, n = 1.0, 1.0, 0
+    for digit in columns:
+        n += 1
+        u += digit
+        u /= b
+        ss += g * parent_oscillating(psi, u)
+        sin_u = np.sin(TWO_PI * u)
+        sdg += (n * g) * sin_u
+        g *= gamma
+        sy += g * sin_u
+        r *= gamma / b
+        sdx += r * np.cos(TWO_PI * u)
+    return {"Y": sy * TWO_PI, "Ydx": sdx * FOUR_PI_SQ, "Ydgamma": sdg * TWO_PI,
+            "S": ss * 1.0 + psi.constant / (1.0 - gamma)}
+
+
+class TestStepBody:
+    """Every row of _ORBIT_SUMS, alone or with the others, keeps the bits of the parent's
+    four-branch step, for shared and per-row starts and a scalar or 1-D gamma."""
+
+    psis = {"cos-deriv": COSINE_DERIV, "sin2": PhiSpec(sine_coeffs=((2, 1.0),)),
+            "harmonics": PhiSpec(cosine_coeffs=((1, 0.3), (3, -1.25)),
+                                 sine_coeffs=((2, 1.0), (5, 0.7)), constant=0.4)}
+
+    @pytest.mark.parametrize("psi", psis, ids=str)
+    @pytest.mark.parametrize("start", ("per-row", "grid", "shared", "shared-grid"))
+    def test_matches_parent_step(self, psi, start):
+        rnd, psi = np.random.default_rng(53), self.psis[psi]
+        for case in range(24):
+            b, depth, rows = int(rnd.integers(2, 6)), int(rnd.integers(1, 30)), 40
+            digits = rnd.integers(0, b, size=(rows, depth))
+            if case % 4 == 3:  # digits >= b and negative ones end the prefix sharing
+                digits[rnd.random(digits.shape) < 0.1] = b + 1
+                digits[rnd.random(digits.shape) < 0.05] = -1
+            gamma = rnd.uniform(1.0 / b + 0.01, 0.99, size=3)
+            gamma = float(gamma[0]) if case % 2 else gamma
+            x = rnd.uniform(0.0, 1.0, size=5)
+            u, cols, shared = {"per-row": (rnd.uniform(0.0, 1.0, size=rows), digits.T, 0),
+                               "grid": (np.tile(x, (rows, 1)), digits.T[:, :, None], 0),
+                               "shared": (float(x[0]), digits.T, rows),
+                               "shared-grid": (x, digits.T[:, :, None], rows)}[start]
+            ref = parent_orbit_sums(np.broadcast_to(u, cols.shape[1:2] + np.shape(u)[-1:])
+                                    if shared else u, b, gamma, cols, psi)
+            every = _orbit_sums(u, b, gamma, cols, tuple(ref), psi, rows=shared)
+            for what in ref:
+                alone = _orbit_sums(u, b, gamma, cols, (what,), psi, rows=shared)[what]
+                for got in (every[what], alone):
+                    assert got.tobytes() == ref[what].tobytes(), (case, start, what)
 
 
 class TestTailSoundness:
