@@ -29,6 +29,7 @@ from .series import Params, PhiSpec, _check_int
 _MAX_GRID = 1 << 26
 _TABLE = 1 << 21  # points of the shared phi table: 16 MiB of float64
 _TILE = 1 << 12  # narrowest row a periodic level is added in
+_KEPT = "levels left after dropping the coarsest"
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,15 @@ def box_count(
     return BoxCountTable(tuple(rows[::-1]))
 
 
+def _check_fit(b: int, levels: int, drop_coarsest: int) -> None:
+    """Refuse, before the grid, the drop_coarsest that fit_box_dimension would refuse on
+    box_count's table of scales b^-1 .. b^-levels (a bad `levels` is refused first)."""
+    levels = _check_int("levels", levels, 4)
+    kept = range(_check_int("drop_coarsest", drop_coarsest, 0) + 1, levels + 1)
+    if len(kept) < 4:
+        _check_scales(_KEPT, [float(b) ** (-j) for j in kept])
+
+
 def fit_box_dimension(table: BoxCountTable, drop_coarsest: int = 2) -> DimFit:
     """Least-squares slope of log(boxes) against log(1/eps).
 
@@ -158,7 +168,7 @@ def fit_box_dimension(table: BoxCountTable, drop_coarsest: int = 2) -> DimFit:
     """
     rows = table.levels[_check_int("drop_coarsest", drop_coarsest, 0):]
     eps = np.array([e for e, _ in rows])
-    _check_scales("levels left after dropping the coarsest", eps)
+    _check_scales(_KEPT, eps)
     hits = np.array([h for _, h in rows], dtype=np.float64)
     slope, _, stderr = _linear_fit(np.log(1.0 / eps), np.log(hits))
     return DimFit(slope=slope, stderr=stderr)

@@ -1,8 +1,10 @@
 """Command line front end.
 
 Subcommands: eval | thresholds | star-verify | transversality | boxdim |
-measure | reproduce.  Data goes to stdout (JSON by default, CSV on request),
-logs to stderr.  Exit codes: 0 success, 1 failed claim or a stdout
+measure | reproduce.  One table, _MODES, names each command mode's options and
+the call that answers it; main runs that call and emits every result, after
+refusing an unwritable output path.  Data goes to stdout (JSON by default, CSV
+on request), logs to stderr.  Exit codes: 0 success, 1 failed claim or a stdout
 pipe closed by its reader, 2 usage error (such as a non-finite number, an
 unwritable output path or an option the mode does not read), 3 domain error.
 Output for fixed flags and seed is byte-identical across runs and worker
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
@@ -20,7 +23,7 @@ import os
 import sys
 
 from . import __version__
-from .boxdim import box_count, fit_box_dimension
+from .boxdim import _check_fit, box_count, fit_box_dimension
 from .certificates import StarCertificate, search_certificate, verify_certificate
 from .claims import reproduce_rows
 from .measures import (
@@ -111,75 +114,21 @@ def _b_range(raw: str) -> str:
     return raw  # config echoes the range as typed
 
 
-# The options each command mode reads, keyed by the command and the value of its mode option
-# (None for a command without one).  Keys are option names with "-" -> "_"; a trailing "!"
-# marks a required option.  A command reads its entry's options only from the config built
-# from it; any other option set off its default is a usage error.  --format, --out and
-# --out-csv shape the output, not the result, and are in no entry.
-_MODE_OPTION = {"eval": "what", "star-verify": "search", "transversality": "mode",
-                "measure": "kind"}
-_READS = {
-    ("eval", "f"): "b lambda x what tol phi phases",
-    **{("eval", what): "b lambda x what tol word tail_seed" for what in ("Y", "Ydx", "Ydgamma")},
-    ("eval", "S"): "b lambda x what tol word tail_seed psi",
-    ("thresholds", None): "b_range tol",
-    ("star-verify", False): "beta b lambda0 search k! eta! t!",
-    ("star-verify", True): "beta b lambda0 search t_target! k_max",
-    ("transversality", "delta"): "b lambda mode x_grid depth pair_budget seed",
-    ("transversality", "two-var"): "b mode eps_margin x_grid gamma_grid depth pair_budget seed",
-    ("transversality", "tangency"): "b lambda mode n m eps! delta! depth grid_per_interval "
-                                    "random_tails seed",
-    ("boxdim", None): "b lambda levels samples_per_column drop_coarsest phi",
-    ("measure", "transversal"): "b lambda kind x count depth seed bins",
-    ("measure", "sbr"): "b lambda kind count depth seed bins psi",
-    ("measure", "graph"): "b lambda kind count seed bins phi",
-    ("reproduce", None): "perturb_eta",
-}
-_OUTPUT = ("format", "out", "out_csv")
+def _eval_f(config, out):
+    return vars(eval_weierstrass(
+        (config["b"], config["lambda"]), _PHI_CHOICES[config["phi"]], config["x"],
+        phases=config["phases"], abs_tol=config["tol"],
+    )), 0
 
 
-def _config(args) -> dict | None:
-    """The result's config: each option the chosen mode reads, by key.  None, after a usage
-    error on stderr, when a required one is unset or any other option is off its default."""
-    flag = _MODE_OPTION.get(args.command)
-    mode = getattr(args, flag) if flag else None
-    entry = _READS[args.command, mode].split()
-    config = {key.rstrip("!"): getattr(args, key.rstrip("!")) for key in entry}
-    missing = [key[:-1] for key in entry if key.endswith("!") and config[key[:-1]] is None]
-    unread = [a.dest for a in args.parser._actions if a.dest not in (*config, *_OUTPUT, "help")
-              and getattr(args, a.dest) != a.default]
-    if not missing and not unread:
-        return config
-    where = f"{args.command} --{flag} {mode}" if flag else args.command
-    key, verb = (missing[0], "needs") if missing else (unread[0], "does not read")
-    print(f"error: {where} {verb} --{key.replace('_', '-')}", file=sys.stderr)
-    return None
+def _eval_orbit(config, out):
+    p = Params(config["b"], config["lambda"])
+    word = DigitWord(config["word"] or (), tail_seed=config["tail_seed"])
+    psi = _PHI_CHOICES[config.get("psi", "cos-deriv")]  # only S reads --psi
+    return vars(eval_orbit_sum(p, word, config["x"], config["what"], psi, abs_tol=config["tol"])), 0
 
 
-def _cmd_eval(config, out) -> int:
-    if config["what"] == "f":
-        sv = eval_weierstrass(
-            (config["b"], config["lambda"]), _PHI_CHOICES[config["phi"]], config["x"],
-            phases=config["phases"], abs_tol=config["tol"],
-        )
-    else:
-        p = Params(config["b"], config["lambda"])
-        word = DigitWord(config["word"] or (), tail_seed=config["tail_seed"])
-        psi = _PHI_CHOICES[config["psi"]] if "psi" in config else COSINE_DERIV
-        sv = eval_orbit_sum(p, word, config["x"], config["what"], psi, abs_tol=config["tol"])
-    _emit(
-        {
-            "value": sv.value,
-            "tail_bound": sv.tail_bound,
-            "terms_used": sv.terms_used,
-            "config": config,
-        },
-        out,
-    )
-    return 0
-
-
-def _cmd_thresholds(config, out) -> int:
+def _thresholds(config, out):
     bases = _bases(config["b_range"])
     _check_bytes(len(bases) * _ROW_BYTES, f"{len(bases)} threshold rows")
     rows = []
@@ -195,122 +144,113 @@ def _cmd_thresholds(config, out) -> int:
                 "ae_method": ae.method,
             }
         )
-    _emit({"rows": rows, "config": config}, out)
-    return 0
+    return {"rows": rows}, 0
 
 
-def _cmd_star_verify(config, out) -> int:
+def _beta(config) -> float:
     given = [config[key] is not None for key in ("beta", "b", "lambda0")]
     if given not in ([True, False, False], [False, True, True]):
-        print("error: give either --beta or both --b and --lambda0", file=sys.stderr)
-        return 2
-    beta = config["beta"] if given[0] else coeff_bound(config["b"], config["lambda0"])
-    if config["search"]:
-        found = search_certificate(beta, config["t_target"], k_max=config["k_max"])
-        payload = {"found": found is not None, "beta": beta, "config": config}
-        if found is not None:
-            payload.update({"k": found.k, "eta": found.eta, "t": found.t})
-        _emit(payload, out)
-        return 0 if found is not None else 1
+        raise argparse.ArgumentError(None, "give either --beta or both --b and --lambda0")
+    return config["beta"] if given[0] else coeff_bound(config["b"], config["lambda0"])
+
+
+def _star_search(config, out):
+    beta = _beta(config)
+    found = search_certificate(beta, config["t_target"], k_max=config["k_max"])
+    if found is None:
+        return {"found": False, "beta": beta}, 1
+    return {"found": True, **vars(found)}, 0  # found.beta is beta
+
+
+def _star_verify(config, out):
+    beta = _beta(config)
     rep = verify_certificate(StarCertificate(beta, config["k"], config["eta"], config["t"]))
-    _emit(
-        {
-            "beta": beta,
-            "g": rep.g_value,
-            "g_prime": rep.g_prime_value,
-            "valid": rep.valid,
-            "margin": rep.margin,
-            "note": rep.note,
-            "config": config,
-        },
-        out,
+    return {
+        "beta": beta,
+        "g": rep.g_value,
+        "g_prime": rep.g_prime_value,
+        "valid": rep.valid,
+        "margin": rep.margin,
+        "note": rep.note,
+    }, 0 if rep.valid else 1
+
+
+def _delta(config, out):
+    p = Params(config["b"], config["lambda"])
+    est = empirical_delta(
+        p.b, p.gamma, x_grid=config["x_grid"], depth=config["depth"],
+        pair_budget=config["pair_budget"], seed=config["seed"],
     )
-    return 0 if rep.valid else 1
+    return {
+        "delta_hat": est.delta_hat,
+        "argmin_x": est.argmin_x,
+        "argmin_words": [list(w.digits) for w in est.argmin_pair],
+        "tail_slack": est.tail_slack,
+        "holds": est.delta_hat > 0.0,
+    }, 0
 
 
-def _cmd_transversality(config, out) -> int:
-    b, mode = config["b"], config["mode"]
-    if mode == "delta":
-        p = Params(b, config["lambda"])
-        est = empirical_delta(
-            b, p.gamma, x_grid=config["x_grid"], depth=config["depth"],
-            pair_budget=config["pair_budget"], seed=config["seed"],
-        )
-        payload = {
-            "delta_hat": est.delta_hat,
-            "argmin_x": est.argmin_x,
-            "argmin_words": [list(w.digits) for w in est.argmin_pair],
-            "tail_slack": est.tail_slack,
-            "holds": est.delta_hat > 0.0,
-        }
-    elif mode == "two-var":
-        est = two_var_delta(
-            b, config["eps_margin"], x_grid=config["x_grid"],
-            gamma_grid=config["gamma_grid"], depth=config["depth"],
-            pair_budget=config["pair_budget"], seed=config["seed"],
-        )
-        payload = {
-            "delta_hat": est.delta_hat,
-            "argmin_x": est.argmin_x,
-            "argmin_gamma": est.argmin_gamma,
-            "tail_slack": est.tail_slack,
-        }
-    else:  # tangency
-        p = Params(b, config["lambda"])
-        q = TangencyQuery(
-            n=config["n"], m=config["m"], eps=config["eps"], delta=config["delta"],
-            depth=config["depth"], grid_per_interval=config["grid_per_interval"],
-            random_tails=config["random_tails"],
-        )
-        e = tangency_count(p, q, seed=config["seed"])
-        payload = {"e": e, "threshold_gamma_b_pow_n": (p.gamma * p.b) ** config["n"]}
-    _emit({**payload, "config": config}, out)
-    return 0
+def _two_var(config, out):
+    est = two_var_delta(
+        config["b"], config["eps_margin"], x_grid=config["x_grid"],
+        gamma_grid=config["gamma_grid"], depth=config["depth"],
+        pair_budget=config["pair_budget"], seed=config["seed"],
+    )
+    return {
+        "delta_hat": est.delta_hat,
+        "argmin_x": est.argmin_x,
+        "argmin_gamma": est.argmin_gamma,
+        "tail_slack": est.tail_slack,
+    }, 0
 
 
-def _cmd_boxdim(config, out) -> int:
+def _tangency(config, out):
+    p = Params(config["b"], config["lambda"])
+    q = TangencyQuery(
+        n=config["n"], m=config["m"], eps=config["eps"], delta=config["delta"],
+        depth=config["depth"], grid_per_interval=config["grid_per_interval"],
+        random_tails=config["random_tails"],
+    )
+    e = tangency_count(p, q, seed=config["seed"])
+    return {"e": e, "threshold_gamma_b_pow_n": (p.gamma * p.b) ** config["n"]}, 0
+
+
+def _boxdim(config, out):
     p = Params(config["b"], config["lambda"])
     phi = _PHI_CHOICES[config["phi"]]
+    _check_fit(p.b, config["levels"], config["drop_coarsest"])  # before the grid
     table = box_count(p, phi, levels=config["levels"],
                       samples_per_column=config["samples_per_column"])
     fit = fit_box_dimension(table, drop_coarsest=config["drop_coarsest"])
     rows = [{"epsilon": e, "boxes": h} for e, h in table.levels]
-    _emit(
-        {
-            "rows": rows,
-            "slope": fit.slope,
-            "stderr": fit.stderr,
-            "theoretical": p.affinity_dim,
-            "note": "per-column oscillation bracketed by sampling; counts may undercount, never overcount",
-            "config": config,
-        },
-        out,
-    )
-    return 0
+    return {
+        "rows": rows,
+        "slope": fit.slope,
+        "stderr": fit.stderr,
+        "theoretical": p.affinity_dim,
+        "note": "per-column oscillation bracketed by sampling; counts may undercount, never overcount",
+    }, 0
 
 
-def _cmd_measure(config, out) -> int:
-    p = Params(config["b"], config["lambda"])
-    kind, count, seed, bins = config["kind"], config["count"], config["seed"], config["bins"]
-    if bins:
-        _check_bins(bins)  # before any draw
-    if kind == "transversal":
-        s = sample_transversal(p, config["x"], count, depth=config["depth"], seed=seed)
-    elif kind == "sbr":
-        s = sample_sbr(p, _PHI_CHOICES[config["psi"]], count, depth=config["depth"], seed=seed)
-    else:
-        s = sample_graph_lift(p, _PHI_CHOICES[config["phi"]], count, seed=seed)
-    payload = {**s.summary(), "config": config}
-    if bins:
-        payload["histogram"] = [[c, m] for c, m in density_histogram(s, bins)]
-    if out.out_csv:
-        s.to_csv(out.out_csv)
-        print(f"wrote {s.count} points to {out.out_csv}", file=sys.stderr)
-    _emit(payload, out)
-    return 0
+def _measure(draw):
+    """The call of a measure mode whose sample is draw(config, params)."""
+    def call(config, out):
+        p = Params(config["b"], config["lambda"])
+        bins = config["bins"]
+        if bins:
+            _check_bins(bins)  # before any draw
+        s = draw(config, p)
+        payload = s.summary()
+        if bins:
+            payload["histogram"] = [[c, m] for c, m in density_histogram(s, bins)]
+        if out.out_csv:
+            s.to_csv(out.out_csv)
+            print(f"wrote {s.count} points to {out.out_csv}", file=sys.stderr)
+        return payload, 0
+    return call
 
 
-def _cmd_reproduce(config, out) -> int:
+def _reproduce(config, out):
     claims = []
     for name, check in reproduce_rows(config["perturb_eta"]):
         ok, detail = check()
@@ -318,15 +258,71 @@ def _cmd_reproduce(config, out) -> int:
         if not ok:
             print(f"FAILED: {name} ({detail})", file=sys.stderr)
     all_ok = all(c["pass"] for c in claims)
-    _emit(
-        {
-            "rows": claims,
-            "all_pass": all_ok,
-            "config": {**config, "version": __version__},
-        },
-        out,
-    )
-    return 0 if all_ok else 1
+    config["version"] = __version__  # the claims checked are this version's
+    return {"rows": claims, "all_pass": all_ok}, 0 if all_ok else 1
+
+
+# Every command mode, keyed by its command and the value of its mode option (None for a command
+# without one): the options it reads, named with "-" -> "_" and "!" marking a required one, and
+# the call that answers it, (config, output options) -> (payload, exit code).  Any other option
+# set off its default is a usage error; --format, --out and --out-csv are in no row.
+_MODE_OPTION = {"eval": "what", "star-verify": "search", "transversality": "mode",
+                "measure": "kind"}
+_MODES = {
+    ("eval", "f"): ("b lambda x what tol phi phases", _eval_f),
+    **{("eval", what): ("b lambda x what tol word tail_seed", _eval_orbit)
+       for what in ("Y", "Ydx", "Ydgamma")},
+    ("eval", "S"): ("b lambda x what tol word tail_seed psi", _eval_orbit),
+    ("thresholds", None): ("b_range tol", _thresholds),
+    ("star-verify", False): ("beta b lambda0 search k! eta! t!", _star_verify),
+    ("star-verify", True): ("beta b lambda0 search t_target! k_max", _star_search),
+    ("transversality", "delta"): ("b lambda mode x_grid depth pair_budget seed", _delta),
+    ("transversality", "two-var"): ("b mode eps_margin x_grid gamma_grid depth pair_budget seed",
+                                    _two_var),
+    ("transversality", "tangency"): ("b lambda mode n m eps! delta! depth grid_per_interval "
+                                     "random_tails seed", _tangency),
+    ("boxdim", None): ("b lambda levels samples_per_column drop_coarsest phi", _boxdim),
+    ("measure", "transversal"): ("b lambda kind x count depth seed bins", _measure(
+        lambda c, p: sample_transversal(p, c["x"], c["count"], depth=c["depth"], seed=c["seed"]))),
+    ("measure", "sbr"): ("b lambda kind count depth seed bins psi", _measure(
+        lambda c, p: sample_sbr(p, _PHI_CHOICES[c["psi"]], c["count"], depth=c["depth"],
+                                seed=c["seed"]))),
+    ("measure", "graph"): ("b lambda kind count seed bins phi", _measure(
+        lambda c, p: sample_graph_lift(p, _PHI_CHOICES[c["phi"]], c["count"], seed=c["seed"]))),
+    ("reproduce", None): ("perturb_eta", _reproduce),
+}
+_OUTPUT = ("format", "out", "out_csv")
+
+
+def _config(args) -> tuple | None:
+    """The chosen mode's config, each option it reads by key, and its call.  None, after a usage
+    error on stderr, when a required one is unset or any other option is off its default."""
+    flag = _MODE_OPTION.get(args.command)
+    mode = getattr(args, flag) if flag else None
+    reads, call = _MODES[args.command, mode]
+    entry = reads.split()
+    config = {key.rstrip("!"): getattr(args, key.rstrip("!")) for key in entry}
+    missing = [key[:-1] for key in entry if key.endswith("!") and config[key[:-1]] is None]
+    unread = [a.dest for a in args.parser._actions if a.dest not in (*config, *_OUTPUT, "help")
+              and getattr(args, a.dest) != a.default]
+    if not missing and not unread:
+        return config, call
+    where = f"{args.command} --{flag} {mode}" if flag else args.command
+    key, verb = (missing[0], "needs") if missing else (unread[0], "does not read")
+    print(f"error: {where} {verb} --{key.replace('_', '-')}", file=sys.stderr)
+    return None
+
+
+def _check_writable(path: str) -> None:
+    """Raise, without opening path, the error that open(path, "w") would raise for a directory,
+    a missing or unwritable directory or an unwritable file: nothing is created or truncated."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,10 +333,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--out", help="also write the output to this path")
 
     pe = sub.add_parser("eval", help="evaluate one series value")
     pe.add_argument("--b", type=int, required=True)
@@ -355,14 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma separated per-term phase offsets (f only)")
     pe.add_argument("--phi", choices=sorted(_PHI_CHOICES), default="cos")
     pe.add_argument("--psi", choices=sorted(_PHI_CHOICES), default="cos-deriv")
-    add_common(pe)
-    pe.set_defaults(func=_cmd_eval, parser=pe)
 
     pt = sub.add_parser("thresholds", help="critical scales per base")
     pt.add_argument("--b-range", type=_b_range, default="2:12", help="lo:hi or comma list")
     pt.add_argument("--tol", type=_finite, default=1e-12)
-    add_common(pt)
-    pt.set_defaults(func=_cmd_thresholds, parser=pt)
 
     ps = sub.add_parser("star-verify", help="verify or search a star certificate")
     ps.add_argument("--beta", type=_finite)
@@ -374,8 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--search", action="store_true")
     ps.add_argument("--t-target", type=_finite)
     ps.add_argument("--k-max", type=int, default=6)
-    add_common(ps)
-    ps.set_defaults(func=_cmd_star_verify, parser=ps)
 
     pv = sub.add_parser("transversality", help="separation and tangency estimates")
     pv.add_argument("--b", type=int, required=True)
@@ -394,8 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--delta", type=_finite)
     pv.add_argument("--grid-per-interval", type=int, default=200)
     pv.add_argument("--random-tails", type=int, default=3)
-    add_common(pv)
-    pv.set_defaults(func=_cmd_transversality, parser=pv)
 
     pb = sub.add_parser("boxdim", help="box-counting dimension of the graph")
     pb.add_argument("--b", type=int, required=True)
@@ -404,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--samples-per-column", type=int, default=32)
     pb.add_argument("--drop-coarsest", type=int, default=2)
     pb.add_argument("--phi", choices=sorted(_PHI_CHOICES), default="cos")
-    add_common(pb)
-    pb.set_defaults(func=_cmd_boxdim, parser=pb)
 
     pm = sub.add_parser("measure", help="sample a pushforward measure")
     pm.add_argument("--kind", choices=("transversal", "sbr", "graph"), required=True)
@@ -419,26 +401,30 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--phi", choices=sorted(_PHI_CHOICES), default="cos")
     pm.add_argument("--psi", choices=sorted(_PHI_CHOICES), default="cos-deriv")
     pm.add_argument("--out-csv", help="write sample points to this CSV path")
-    add_common(pm)
-    pm.set_defaults(func=_cmd_measure, parser=pm)
 
     pr = sub.add_parser("reproduce", help="re-run the package's numeric claims")
     pr.add_argument("--perturb-eta", type=_finite, default=0.0,
                     help="perturb the base-3 certificate eta (sanity check)")
-    add_common(pr)
-    pr.set_defaults(func=_cmd_reproduce, parser=pr)
 
+    for sp in sub.choices.values():  # the options that shape the output, last in every help
+        sp.add_argument("--format", choices=("json", "csv"), default="json")
+        sp.add_argument("--out", help="also write the output to this path")
+        sp.set_defaults(parser=sp)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = _config(args)
-    if config is None:
+    resolved = _config(args)
+    if resolved is None:
         return 2
+    config, call = resolved
     out = argparse.Namespace(**{key: getattr(args, key, None) for key in _OUTPUT})
     try:
-        code = args.func(config, out)
+        for path in filter(None, (out.out_csv, out.out)):  # in the order they are written
+            _check_writable(path)
+        payload, code = call(config, out)
+        _emit({**payload, "config": config}, out)
         sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
         return code
     except ValueError as exc:
@@ -448,7 +434,7 @@ def main(argv=None) -> int:
         # the interpreter flushes stdout at exit; point it at devnull so that flush stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except OSError as exc:  # an unwritable --out or --out-csv
+    except (OSError, argparse.ArgumentError) as exc:  # an unwritable path; star-verify's beta
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -298,7 +298,6 @@ def eval_weierstrass(
 
 
 _SIN = PhiSpec(sine_coeffs=((1, 1.0),))
-_COS = PhiSpec(cosine_coeffs=((1, 1.0),))
 
 #: The orbit sums by name: (scale, polynomial, weight, tail).  Term n is scale * polynomial(u_n)
 #: * weight(n, gamma^(n-1), gamma^n, (gamma/b)^n), None being the caller's psi; tail(b, gamma,
@@ -306,7 +305,7 @@ _COS = PhiSpec(cosine_coeffs=((1, 1.0),))
 _ORBIT_SUMS = {
     "Y": (TWO_PI, _SIN, lambda n, g0, g, r: g,
           lambda b, g, c, n: tail_bound_geometric(g, c, n + 1)),
-    "Ydx": (FOUR_PI_SQ, _COS, lambda n, g0, g, r: r,
+    "Ydx": (FOUR_PI_SQ, COSINE, lambda n, g0, g, r: r,
             lambda b, g, c, n: tail_bound_geometric(g / b, c, n + 1)),
     "Ydgamma": (TWO_PI, _SIN, lambda n, g0, g, r: n * g0,
                 lambda b, g, c, n: tail_bound_slope_dgamma(g, c, n)),

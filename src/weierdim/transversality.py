@@ -4,12 +4,15 @@ Two slope functions indexed by digit words with distinct first digits are
 transversal when, at every x, either their values or their x-derivatives
 stay separated.  empirical_delta estimates the best uniform separation by
 minimizing over sampled word pairs and a grid of x, always subtracting the
-rigorous truncation slack so a positive result is trustworthy on the sampled
+truncation slack, so a positive result clears the series tails on the sampled
 set.  tangency_count estimates the cylinder-pair tangency count e(n, m) that
 controls absolute continuity of the skew-product invariant measure, adding
-the same slack to the thresholds so that sampled representatives may be
-overcounted as tangent but never undercounted.  two_var_delta runs the
-two-variable (x, gamma) variant on a certified sub-rectangle.
+the same slack to the thresholds, so that as far as truncation goes sampled
+representatives may be overcounted as tangent but not undercounted.
+two_var_delta runs the two-variable (x, gamma) variant on a certified
+sub-rectangle.  The slack covers truncation only; float rounding is not
+charged, and in Y_x it can exceed the tail (1.2e-14 against 1.9e-15 at b = 2,
+lam = 0.85, depth 30), so no result here is a proof.
 
 Grid minima are reported with their argmin witnesses so a failure can be
 reproduced directly.
@@ -234,8 +237,8 @@ def empirical_delta(
 
     Minimizes max(|dY| - 2 tY, |dY'| - 2 tY') over sampled word pairs with
     distinct first digits and a uniform x grid on [0, 1], clamped at zero.
-    The subtracted terms are the truncation tail bounds at `depth`, so any
-    positive value is a sound separation for the sampled representatives.
+    The subtracted terms are the truncation tail bounds at `depth`; float
+    rounding is not charged, so a positive value is not yet a proof.
     The depth-1 prefix pairs are always scored, even above pair_budget.
     """
     b = _check_gamma(b, gamma)
@@ -257,7 +260,8 @@ def tangency_count(p: Params, q: TangencyQuery, seed: int = 0) -> int:
     scans a grid over every depth-m dyadic interval.  A pair counts as
     tangent on an interval when some sampled point has both the value and
     derivative differences inside the thresholds, with truncation slack added
-    so the decision errs toward tangency.  The thresholds apply to the fiber
+    (float rounding is not charged) so the decision errs toward tangency as
+    far as truncation goes.  The thresholds apply to the fiber
     sums; their slope-series equivalents are gamma * eps and gamma * delta.
     Each pool task sums the slope grids of every word on a block of whole
     intervals and marks the pairs tangent on each, so the full grid is never

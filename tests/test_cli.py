@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from weierdim import COSINE, Params, claims, cli, coeff_bound, eval_weierstrass
+from weierdim import COSINE, Params, boxdim, claims, cli, coeff_bound, eval_weierstrass
 from weierdim.cli import main
 from weierdim.parallel import worker_count
 
@@ -248,12 +249,23 @@ class TestEstimators:
         assert out == ""
         assert "over the budget" in err
 
-    def test_scale_error_lists_plain_floats(self, capsys):
-        code = main(["boxdim", "--b", "2", "--lambda", "0.9", "--levels", "4",
-                     "--drop-coarsest", "1"])
-        out, err = capsys.readouterr()
-        assert (code, out) == (3, "")
-        assert err.rstrip().endswith("strictly decreasing scales, got [0.25, 0.125, 0.0625]")
+    def test_scale_error_lists_plain_floats(self, capsys, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the box grid before the drop_coarsest check")
+
+        # the fit's refusal comes before the grid: a 2^25-point grid at levels 19
+        monkeypatch.setattr(boxdim, "_grid_values", no_grid)
+        for levels, samples, drop, tail in (
+            ("4", "32", "1", "strictly decreasing scales, got [0.25, 0.125, 0.0625]"),
+            ("19", "64", "16", "strictly decreasing scales, got "
+                               f"{[2.0 ** -j for j in (17, 18, 19)]}"),
+            ("19", "64", "-5", "drop_coarsest must be an integer >= 0, got -5"),
+        ):
+            code = main(["boxdim", "--b", "2", "--lambda", "0.9", "--levels", levels,
+                         "--samples-per-column", samples, "--drop-coarsest", drop])
+            out, err = capsys.readouterr()
+            assert (code, out) == (3, "")
+            assert err.rstrip().endswith(tail)
 
     def test_measure_mean(self, capsys):
         code, payload = run_json(
@@ -281,12 +293,31 @@ class TestEstimators:
         assert code == 0
         assert sum(m for _, m in payload["histogram"]) == pytest.approx(1.0, abs=1e-12)
 
-    def test_unwritable_output_usage_error(self, capsys, tmp_path):
+    def test_unwritable_output_usage_error(self, capsys, monkeypatch, tmp_path):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work before the output paths are checked")
+
+        for name in ("box_count", "sample_sbr"):
+            monkeypatch.setattr(cli, name, no_work)
         missing = str(tmp_path / "missing" / "out")
         for argv in (("eval", "--b", "2", "--lambda", "0.9", "--x", "0.1", "--out", missing),
                      ("measure", "--kind", "sbr", "--b", "2", "--lambda", "0.9",
-                      "--count", "50", "--out-csv", missing)):
-            assert run_cli(capsys, *argv) == (2, "")
+                      "--count", "50", "--out-csv", missing),
+                     ("boxdim", "--b", "2", "--lambda", "0.9", "--out", missing)):
+            code = main(list(argv))
+            out, err = capsys.readouterr()
+            assert (code, out) == (2, "")
+            assert err == f"error: [Errno 2] No such file or directory: {missing!r}\n"
+        code = main(["boxdim", "--b", "2", "--lambda", "0.9", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert (code, err) == (2, f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+        # the check opens nothing: a run that fails later keeps a file and creates none
+        kept, absent = tmp_path / "kept.json", tmp_path / "absent.json"
+        kept.write_text("kept\n")
+        for path in (kept, absent):
+            argv = ("eval", "--b", "2", "--lambda", "1.5", "--x", "0.1", "--what", "Y", "--out")
+            assert run_cli(capsys, *argv, str(path)) == (3, "")
+        assert (kept.read_text(), absent.exists()) == ("kept\n", False)
 
     def test_measure_graph_depth_usage_error(self, capsys):
         code, out = run_cli(
@@ -324,7 +355,7 @@ EVAL = ("eval", "--b", "2", "--lambda", "0.9", "--x", "0.3")
 MEASURE = ("measure", "--b", "2", "--lambda", "0.9", "--count", "20", "--kind")
 TANGENCY = ("transversality", "--b", "2", "--lambda", "0.95", "--mode", "tangency",
             "--n", "1", "--m", "1", "--eps", "0.5", "--delta", "0.5", "--grid-per-interval", "20")
-# One cheap, valid run of each command mode in cli._READS.
+# One cheap, valid run of each command mode in cli._MODES.
 MODE_RUNS = {
     **{("eval", what): (*EVAL, "--what", what) for what in ("f", "Y", "Ydx", "Ydgamma", "S")},
     ("thresholds", None): ("thresholds", "--b-range", "2:2"),
@@ -354,7 +385,7 @@ def _options(command: str) -> list:
 
 
 def _entry(key) -> list:
-    return cli._READS[key].split()
+    return cli._MODES[key][0].split()
 
 
 def _off_default(action) -> list:
@@ -389,12 +420,12 @@ def test_every_mode_has_an_entry_and_a_run():
         action = next((a for a in sp._actions if a.dest == flag), None)
         values = (None,) if action is None else action.choices or (False, True)
         modes.update((command, value) for value in values)
-    assert modes == set(cli._READS) == set(MODE_RUNS)
+    assert modes == set(cli._MODES) == set(MODE_RUNS)
 
 
 def test_every_option_is_read_by_a_mode_or_shapes_the_output():
     for command in _subparsers():
-        named = {k.rstrip("!") for key in cli._READS if key[0] == command for k in _entry(key)}
+        named = {k.rstrip("!") for key in cli._MODES if key[0] == command for k in _entry(key)}
         assert {a.dest for a in _options(command)} == named, command
 
 
@@ -440,6 +471,67 @@ def test_config_names_every_option_of_the_result(capsys, argv, flag, a, b):
     key = (args.command, getattr(args, mode_flag) if mode_flag else None)
     assert set(configs[0]) - {"version"} == {k.rstrip("!") for k in _entry(key)}
     assert flag is None or configs[0] != configs[1]
+
+
+# Exit code and stdout SHA-256 (JSON, then CSV) of each MODE_RUNS run.  Any byte that a mode's
+# output changes fails here; a pin moves only with a change meant to alter that output.
+MODE_PINS = {
+    ("eval", "f"): (
+        0, "6583d012275c294a248d8d5002f32ff43e6bab9131e2c139e38423b5a9c48ab9",
+        "f78b4c0deb76baf9c28d3f9b18422016321db464714a0ff58e6392fedd52da0d"),
+    ("eval", "Y"): (
+        0, "80b2aab6bf363b497952f968f7e5fa3b2a2ab7bf443ba0f1518a39f806dc7240",
+        "3366161fe5ab1b4beec1119a82a426a7425bd45ecadb9e61060c4381121e5af3"),
+    ("eval", "Ydx"): (
+        0, "859cce2934364ac6096b759ef0633f23b85b12d67d3041b3471a217317aa7525",
+        "3e8230fdccc56037bc9ab696f8849bf34653b5080a9d65d2fdaa31005c4a04f2"),
+    ("eval", "Ydgamma"): (
+        0, "05e037e36447db1a81ea673678480edd02f7b6f5391a084def86521a8cefc8f7",
+        "5d0bd2b7f3435f6ea6a9b2e4d86468efc9e8806bbcfb197ba97831c375c4c1d1"),
+    ("eval", "S"): (
+        0, "d92ea05980b23c8530c26b0ec1a7ad9b949c9a5b0f6eedcb0650e96051f3be53",
+        "5b77879ab95f06432e7f5469657058cf9676e00572406c3d77f2d8d94b5a951a"),
+    ("thresholds", None): (
+        0, "7fffeb4e0cb027af6a49a31d8af286e1dd43a3705c29aef67fd7e1186fffe4e5",
+        "4bcade2d8a7c3776bbb63b76a8b3486ca5afdd48addb0ff607b3c95576426270"),
+    ("star-verify", False): (
+        1, "e768168afbeadf4d56632558889e5cfe2538dd6b5be359bf9007cd81c17ebce5",
+        "4ecfc7f179815e016aa7d0d5826f151ccc555d5cb10ab56d7ec9f514d55324e3"),
+    ("star-verify", True): (
+        0, "8ccd277abbe12d008c4b364752121cc44b753e446191381eb1b7499a4609e1c8",
+        "b7aa313110f525f202b7e58c43d9d1649ef4db529c7508183ba3a38bd413e920"),
+    ("transversality", "delta"): (
+        0, "86fa63438aa76f6b1c4cf763297e3c2433cce7d2d9fe2fc9526d84fad2add031",
+        "12345ec115efde745671695740bbbb638c3d42a23006ebde96ff5352173360c5"),
+    ("transversality", "two-var"): (
+        0, "f73e0480247ada9848e86379e75fc8e8a788a5addb3868a042b2518f6b292b63",
+        "5ef5e43c4ce77c91c883bf755b481b29eb2dfbc77e8f85aeef779c745803edb1"),
+    ("transversality", "tangency"): (
+        0, "e6c45d31674ca43489c57093d76c8b2823db1e8b85527971202b9184039918bf",
+        "42851f579a37a508d9fa572d914dcc77fd0d55e029a52713aa57667f7518eff9"),
+    ("boxdim", None): (
+        0, "3114c78024c5e332f267402ae07ae59636cf99c43fc97b43a26ac188ba6daaca",
+        "e95953fef113fd128258257ebc4b2c94985ec80dbb40a433e4fbc8dc30d98cf3"),
+    ("measure", "transversal"): (
+        0, "2c87c691e1cf99812c57176c758514fd39898913613f12d4c8c665bc7360acb0",
+        "635eabe3400b50f0b5d8fb57c7485b9e095ae78e04d8d8e4b65daa9163865f46"),
+    ("measure", "sbr"): (
+        0, "46dd221b5598219aac5466979dd252fccd6c930b24e8735f3da6fcde8f25dc57",
+        "c54b36e338ca38ad63f3b5561973357d62431b52c342baa429bbee2179c683e6"),
+    ("measure", "graph"): (
+        0, "bcf36671a5feaae09ddd32b64888373604d3b6772c455a6725c04191286816c4",
+        "d070414ee14d69a193ca760066e668d2e40e3eec9f9401d8f1c6c49921aa5923"),
+    ("reproduce", None): (
+        0, "9952c9d115ea0ffe59db4b1dab5ce0044ba71e5f0fa54f7ddd905a5724c7dab6",
+        "a4b7c38ab90105eecfd693bff1d65e3fda350659ddfdcee5a41a5fd5ac7da27a"),
+}
+
+
+@pytest.mark.parametrize("key", MODE_RUNS, ids=[f"{c}-{m}" for c, m in MODE_RUNS])
+def test_every_mode_output_pinned(capsys, key):
+    outs = [run_cli(capsys, *MODE_RUNS[key], "--format", fmt) for fmt in ("json", "csv")]
+    assert {code for code, _ in outs} == {MODE_PINS[key][0]}
+    assert [hashlib.sha256(out.encode()).hexdigest() for _, out in outs] == list(MODE_PINS[key][1:])
 
 
 def _readme_commands() -> list:
