@@ -3,7 +3,10 @@
 Samplers draw digit words (and base points) from the counter-based generator,
 so a SampleSet is a pure function of (params, seed, depth, count) and is
 identical for any worker count: rows run in chunks on the worker pool, each
-chunk a pure function of (seed, stream, row range).  Local dimension is
+chunk a pure function of (seed, stream, row range).  The result is the only
+count-sized array: each chunk draws its own x, and summary() and
+density_histogram read the sample in blocks, so the byte budget on a sample's
+result bounds the sampler's peak up to the per-task chunks.  Local dimension is
 estimated by a finite ladder of radii with a least-squares slope of log-mass
 against log-radius; no convergence claim is attached, the estimates are
 regression-stable diagnostics with a reported standard error.
@@ -33,6 +36,7 @@ from .series import (
 )
 
 
+_BLOCK = 1 << 13  # values per block of summary() and density_histogram: numpy's own buffer size
 _BIN_BYTES = 512  # per histogram bin: its arrays, output row and JSON text (410 B measured)
 
 
@@ -69,6 +73,18 @@ def _check_scales(name: str, scales: Sequence[float], least: int = 4) -> None:
         raise ValueError(f"{name} must be >= {least} strictly decreasing scales, got {got}")
 
 
+def _squared_deviations(vals: np.ndarray, mean) -> float:
+    """sum((vals - mean)^2) as vals.var sums it: numpy's pairwise tree splits n > 128 values at
+    n//2 rounded down to a multiple of 8, so splitting down to nodes of at most _BLOCK values
+    and reducing each with np.add.reduce gives the same bits with bounded temporaries."""
+    n = len(vals)
+    if n > _BLOCK:
+        n2 = n // 2 - (n // 2) % 8
+        return _squared_deviations(vals[:n2], mean) + _squared_deviations(vals[n2:], mean)
+    d = vals - mean
+    return np.add.reduce(np.multiply(d, d, out=d))
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """Reproducible sample of one measure.
@@ -103,15 +119,18 @@ class SampleSet:
                 fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
     def summary(self) -> dict:
+        """Count, mean, std (ddof=1), min and max: numpy's values, without a count-sized copy."""
         vals = self.values()
+        n = self.count
+        mean = np.add.reduce(vals) / n  # numpy's mean
         return {
             "kind": self.kind,
-            "count": int(self.count),
+            "count": n,
             "seed": self.seed,
             "depth": self.depth,
             "tail_bound": self.tail_bound,
-            "mean": float(vals.mean()),
-            "std": float(vals.std(ddof=1)) if self.count > 1 else 0.0,
+            "mean": float(mean),
+            "std": float(np.sqrt(_squared_deviations(vals, mean) / (n - 1))) if n > 1 else 0.0,
             "min": float(vals.min()),
             "max": float(vals.max()),
         }
@@ -191,12 +210,11 @@ def sample_sbr(
     tail = orbit_tail("S", p.b, gamma, psi)
     depth = _terms_for(_TAIL_TARGET, tail, 1, depth, "depth")
     points = np.empty((count, 2))
-    xs = points[:, 0]
-    xs[:] = rng.uniform_vector(seed, rng.STREAM_SBR_X, count)
 
     def fibers(r0, r1):
+        points[r0:r1, 0] = rng.uniform_vector(seed, rng.STREAM_SBR_X, r1 - r0, r0)
         columns = rng.digit_columns(seed, rng.STREAM_SBR_DIGITS, r1 - r0, depth, p.b, r0)
-        return _orbit_sums(xs[r0:r1], p.b, gamma, columns, ("S",), psi)["S"]
+        return _orbit_sums(points[r0:r1, 0], p.b, gamma, columns, ("S",), psi)["S"]
 
     _pooled_rows(points[:, 1], fibers)
     return SampleSet(
@@ -221,11 +239,10 @@ def sample_graph_lift(
     seed = _check_int("seed", seed)
     terms, tail = _graph_terms(p.lam, phi, count, _TAIL_TARGET)
     points = np.empty((count, 2))
-    xs = points[:, 0]
-    xs[:] = rng.uniform_vector(seed, rng.STREAM_GRAPH_X, count)
 
     def heights(r0, r1):
-        return eval_weierstrass(p, phi, xs[r0:r1], terms=terms).value
+        points[r0:r1, 0] = rng.uniform_vector(seed, rng.STREAM_GRAPH_X, r1 - r0, r0)
+        return eval_weierstrass(p, phi, points[r0:r1, 0], terms=terms).value
 
     _pooled_rows(points[:, 1], heights)
     return SampleSet(
@@ -284,12 +301,21 @@ def dimension_from_transversal(dim_nu: float, p: Params) -> float:
 
 
 def density_histogram(s: SampleSet, bins: int) -> list[tuple[float, float]]:
-    """Normalized histogram of the measure coordinate: (bin center, mass)."""
+    """Normalized histogram of the measure coordinate: (bin center, mass).
+
+    np.histogram's counts, summed over blocks of values: every block bins on the whole
+    sample's range, so no block copies the sample; a block holds at least one value per
+    bin, so its edges and bin counts cost no more than its values."""
     bins = _check_bins(bins)
     vals = s.values()
     if vals.size == 0:
         raise ValueError("empty sample set")
-    counts, edges = np.histogram(vals, bins=bins)
+    lo, hi = vals.min(), vals.max()
+    step = max(_BLOCK, bins)
+    counts = 0
+    for r0 in range(0, vals.size, step):
+        block, edges = np.histogram(vals[r0 : r0 + step], bins=bins, range=(lo, hi))
+        counts = counts + block
     mass = counts / counts.sum()
     centers = 0.5 * (edges[:-1] + edges[1:])
     return [(float(c), float(m)) for c, m in zip(centers, mass)]

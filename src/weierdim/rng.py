@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .parallel import _CHUNK_CELLS
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -59,10 +61,18 @@ def _hashes(seed: int, stream: int, start: int, count: int) -> np.ndarray:
 
 
 def _digits(h: np.ndarray, base: int) -> np.ndarray:
-    """h % base in place, read as int64 (every digit is below 2**63); a power-of-two
-    base masks with base - 1, which gives the same integer without a division."""
+    """h % base in place, read as int64 (every digit is below 2**63).  Any other base
+    subtracts (h // base) * base: numpy divides uint64 by a scalar several times faster
+    than it takes the remainder, and the integers are the same; going block by block
+    keeps the quotient one block, not a copy of h.  A power-of-two base masks with
+    base - 1, which needs no division."""
     if base & (base - 1):
-        h %= np.uint64(base)
+        flat, b = h.reshape(-1), np.uint64(base)
+        for r0 in range(0, flat.size, _CHUNK_CELLS):
+            block = flat[r0 : r0 + _CHUNK_CELLS]
+            q = block // b
+            q *= b
+            block -= q
     else:
         h &= np.uint64(base - 1)
     return h.view(np.int64)

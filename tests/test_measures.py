@@ -6,7 +6,7 @@ import struct
 
 import numpy as np
 import pytest
-from conftest import counted_trig
+from conftest import counted_trig, traced_peak
 
 from weierdim import (
     COSINE,
@@ -27,7 +27,7 @@ from weierdim import (
     sample_transversal,
 )
 from weierdim import rng
-from weierdim.measures import _linear_fit
+from weierdim.measures import _BLOCK, _linear_fit
 from weierdim.parallel import _CHUNK_CELLS
 from weierdim.series import _orbit_sums
 
@@ -335,3 +335,73 @@ class TestHistogram:
         s2 = SampleSet(points=np.ones(5), seed=0, depth=0, kind="synthetic")
         with pytest.raises(ValueError):
             density_histogram(s2, 1)
+
+
+def _numpy_histogram(vals, bins):
+    counts, edges = np.histogram(vals, bins)
+    return [(float(c), float(m)) for c, m in zip(0.5 * (edges[:-1] + edges[1:]), counts / counts.sum())]
+
+
+_STREAM_SIZES = (1, 2, 7, 8, 9, 128, 129, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3,
+                 C - 1, C, C + 1, 2 * C + 3, 3 * C + 1,
+                 *np.random.default_rng(23).integers(3, 5 * C, 6).tolist())
+
+
+class TestStreamedStatistics:
+    """summary() and density_histogram stream the sample in blocks, with numpy's bits: the std
+    follows numpy's pairwise tree node by node.  A numpy whose tree differs fails here."""
+
+    @pytest.mark.parametrize("count", _STREAM_SIZES)
+    @pytest.mark.parametrize("layout", ("1-d", "two columns", "all equal"))
+    def test_equal_numpy(self, count, layout):
+        gen = np.random.default_rng(count)
+        points = {"1-d": lambda: gen.standard_normal(count) * 3.0 + 1e3,
+                  "two columns": lambda: gen.standard_normal((count, 2)) * 0.37 + 5.0,
+                  "all equal": lambda: np.full(count, 0.1)}[layout]()
+        s = SampleSet(points=points, seed=0, depth=1, kind="synthetic")
+        vals = s.values()
+        summary = s.summary()
+        assert summary["mean"] == float(vals.mean())
+        assert summary["std"] == (float(vals.std(ddof=1)) if count > 1 else 0.0)
+        assert density_histogram(s, 64) == _numpy_histogram(vals, 64)
+
+    def test_sbr_column_equal_numpy(self):
+        s = sample_sbr(Params(3, 0.6), count=2 * C + 3, depth=12, seed=3)
+        vals = s.values()
+        assert not vals.flags.contiguous
+        assert s.summary()["std"] == float(vals.std(ddof=1))
+        assert density_histogram(s, 64) == _numpy_histogram(vals, 64)
+
+
+class TestSamplerPeak:
+    """A sampler, its summary and its histogram hold the result plus one task's working set:
+    the traced peak over the result stays under 8 chunks of C floats at any count (6.0 for
+    SBR and 7.0 for transversal measured).  Whole-count x draws, std and histogram copies
+    read 12 chunks at 4C+1 SBR rows and 12 at 12C+1 transversal rows."""
+
+    BOUND = 8 * C * 8
+
+    def test_sbr(self, monkeypatch):
+        monkeypatch.setenv("WEIERDIM_THREADS", "1")
+        out = []
+
+        def run():
+            s = sample_sbr(Params(3, 0.6), count=4 * C + 1, seed=1)
+            s.summary()
+            density_histogram(s, 64)
+            out.append(s)
+
+        peak = traced_peak(run)
+        assert peak < out[0].points.nbytes + self.BOUND
+
+    def test_transversal(self, monkeypatch):
+        monkeypatch.setenv("WEIERDIM_THREADS", "1")
+        out = []
+
+        def run():
+            s = sample_transversal(Params(2, 0.95), 0.3, count=12 * C + 1, seed=1)
+            s.summary()
+            out.append(s)
+
+        peak = traced_peak(run)
+        assert peak < out[0].points.nbytes + self.BOUND

@@ -52,3 +52,18 @@ def test_digits_are_hash_remainders(base):
         [rng.value64(8, 2, 3 + r, c) % base for r in range(5)] for c in range(7)]
     assert rng.digit_vector(8, 2, 4, 9, base).tolist() == [
         rng.value64(8, 2, 4 + i) % base for i in range(9)]
+
+
+_EDGE_WORDS = [0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 2, 2 ** 64 - 1]
+
+
+@pytest.mark.parametrize("base", (3, 5, 6, 10, 1000, 2 ** 40 + 1, 3 ** 40))
+def test_digits_by_division_equal_remainders(base):
+    # _digits subtracts (h // base) * base for a base that is not a power of two
+    words = np.random.default_rng(base % 2 ** 32).integers(
+        0, 2 ** 64 - 1, 3 * 2 ** 16 + 5, dtype=np.uint64, endpoint=True)
+    h = np.concatenate([np.array(_EDGE_WORDS, dtype=np.uint64), words])
+    want = h % np.uint64(base)
+    assert np.array_equal(rng._digits(h.copy(), base).view(np.uint64), want)
+    grid = h[: 900 * 197].reshape(900, 197)
+    assert np.array_equal(rng._digits(grid.copy(), base).view(np.uint64), want[: grid.size].reshape(grid.shape))
