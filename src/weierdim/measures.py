@@ -2,14 +2,15 @@
 
 Samplers draw digit words (and base points) from the counter-based generator,
 so a SampleSet is a pure function of (params, seed, depth, count) and is
-identical for any worker count: rows run in chunks on the worker pool, each
-chunk a pure function of (seed, stream, row range).  The result is the only
-count-sized array: each chunk draws its own x, and summary() and
-density_histogram read the sample in blocks, so the byte budget on a sample's
-result bounds the sampler's peak up to the per-task chunks.  Local dimension is
-estimated by a finite ladder of radii with a least-squares slope of log-mass
-against log-radius; no convergence claim is attached, the estimates are
-regression-stable diagnostics with a reported standard error.
+identical for any worker count: each sampler states a chunk fill that writes
+its own columns, x draw included, for one row range, and _sample runs it over
+row chunks on the worker pool.  The result is the only count-sized array:
+every count-sized pass (summary(), density_histogram, local dimension) walks
+the sample in chunks, so the byte budget on a sample's result bounds the peak
+up to the per-chunk temporaries.  Local dimension is estimated by a finite
+ladder of radii with a least-squares slope of log-mass against log-radius; no
+convergence claim is attached, the estimates are regression-stable
+diagnostics with a reported standard error.
 """
 
 from __future__ import annotations
@@ -52,18 +53,6 @@ def _check_bins(bins: int) -> int:
     bins = _check_int("bins", bins, 2)
     _check_bytes(bins * _BIN_BYTES, f"{bins} histogram bins")
     return bins
-
-
-def _pooled_rows(out: np.ndarray, rows: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """out, with out[r0:r1] = rows(r0, r1) over consecutive ranges of _CHUNK_CELLS rows on the
-    worker pool.  Every row is its own counter-RNG stream and its arithmetic is elementwise,
-    so the bits do not depend on the chunking."""
-    def task(r0):
-        r1 = min(r0 + _CHUNK_CELLS, len(out))
-        out[r0:r1] = rows(r0, r1)
-
-    map_ordered(task, range(0, len(out), _CHUNK_CELLS))
-    return out
 
 
 def _check_scales(name: str, scales: Sequence[float], least: int = 4) -> None:
@@ -161,6 +150,19 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(stderr)
 
 
+def _sample(kind: str, shape, seed: int, depth: int, tail_bound: float,
+            fill: Callable[[np.ndarray, int, int], None]) -> SampleSet:
+    """The SampleSet of one preallocated points array of `shape`, with fill(points, r0, r1)
+    writing rows r0..r1-1 over consecutive ranges of _CHUNK_CELLS rows on the worker pool.
+    Every row is its own counter-RNG stream and its arithmetic is elementwise, so the bits
+    do not depend on the chunking."""
+    points = np.empty(shape)
+    count = len(points)
+    map_ordered(lambda r0: fill(points, r0, min(r0 + _CHUNK_CELLS, count)),
+                range(0, count, _CHUNK_CELLS))
+    return SampleSet(points, seed, depth, kind, tail_bound)
+
+
 def sample_transversal(
     p: Params,
     x: float,
@@ -177,18 +179,12 @@ def sample_transversal(
     tail = orbit_tail("Y", p.b, gamma)
     depth = _terms_for(_TAIL_TARGET, tail, 1, depth, "depth")
 
-    def slopes(r0, r1):
+    def slopes(points, r0, r1):
         columns = rng.digit_columns(seed, rng.STREAM_TRANSVERSAL, r1 - r0, depth, p.b, r0)
         # every row starts at x: _orbit_sums runs each digit prefix's orbit once
-        return _orbit_sums(float(x), p.b, gamma, columns, ("Y",), rows=r1 - r0)["Y"]
+        points[r0:r1] = _orbit_sums(float(x), p.b, gamma, columns, ("Y",), rows=r1 - r0)["Y"]
 
-    return SampleSet(
-        points=_pooled_rows(np.empty(count), slopes),
-        seed=seed,
-        depth=depth,
-        kind="transversal",
-        tail_bound=tail(depth),
-    )
+    return _sample("transversal", count, seed, depth, tail(depth), slopes)
 
 
 def sample_sbr(
@@ -209,21 +205,13 @@ def sample_sbr(
     gamma = p.gamma
     tail = orbit_tail("S", p.b, gamma, psi)
     depth = _terms_for(_TAIL_TARGET, tail, 1, depth, "depth")
-    points = np.empty((count, 2))
 
-    def fibers(r0, r1):
+    def fibers(points, r0, r1):
         points[r0:r1, 0] = rng.uniform_vector(seed, rng.STREAM_SBR_X, r1 - r0, r0)
         columns = rng.digit_columns(seed, rng.STREAM_SBR_DIGITS, r1 - r0, depth, p.b, r0)
-        return _orbit_sums(points[r0:r1, 0], p.b, gamma, columns, ("S",), psi)["S"]
+        points[r0:r1, 1] = _orbit_sums(points[r0:r1, 0], p.b, gamma, columns, ("S",), psi)["S"]
 
-    _pooled_rows(points[:, 1], fibers)
-    return SampleSet(
-        points=points,
-        seed=seed,
-        depth=depth,
-        kind="sbr",
-        tail_bound=tail(depth),
-    )
+    return _sample("sbr", (count, 2), seed, depth, tail(depth), fibers)
 
 
 def sample_graph_lift(
@@ -238,20 +226,12 @@ def sample_graph_lift(
     count = _check_count(count, 2)
     seed = _check_int("seed", seed)
     terms, tail = _graph_terms(p.lam, phi, count, _TAIL_TARGET)
-    points = np.empty((count, 2))
 
-    def heights(r0, r1):
+    def heights(points, r0, r1):
         points[r0:r1, 0] = rng.uniform_vector(seed, rng.STREAM_GRAPH_X, r1 - r0, r0)
-        return eval_weierstrass(p, phi, points[r0:r1, 0], terms=terms).value
+        points[r0:r1, 1] = eval_weierstrass(p, phi, points[r0:r1, 0], terms=terms).value
 
-    _pooled_rows(points[:, 1], heights)
-    return SampleSet(
-        points=points,
-        seed=seed,
-        depth=terms,
-        kind="graph",
-        tail_bound=tail,
-    )
+    return _sample("graph", (count, 2), seed, terms, tail, heights)
 
 
 def local_dim_estimate(
@@ -282,12 +262,12 @@ def local_dim_estimate(
     log_r = np.log(radii)
     slopes = np.empty(centers)
     for c, i in enumerate(idx):
-        if pts.ndim == 1:
-            dist = np.abs(pts - pts[i])
-        else:
-            dist = np.sqrt(((pts - pts[i]) ** 2).sum(axis=1))
-        masses = np.array([(dist <= r).sum() / n for r in radii])
-        slopes[c] = _linear_fit(log_r, np.log(masses))[0]
+        hits = np.zeros(len(radii), dtype=np.int64)
+        for r0 in range(0, n, _CHUNK_CELLS):  # no count-sized distances
+            d = pts[r0 : r0 + _CHUNK_CELLS] - pts[i]
+            dist = np.abs(d) if pts.ndim == 1 else np.sqrt((d ** 2).sum(axis=1))
+            hits += [np.count_nonzero(dist <= r) for r in radii]
+        slopes[c] = _linear_fit(log_r, np.log(hits / n))[0]
     stderr = float(slopes.std(ddof=1) / math.sqrt(centers)) if centers > 1 else 0.0
     return DimFit(slope=float(slopes.mean()), stderr=stderr)
 

@@ -50,9 +50,8 @@ class RootBracket:
 
 @dataclass(frozen=True)
 class AeCriticalBound:
-    """Enclosure of the almost-everywhere critical scale for one base."""
+    """Upper bound on the almost-everywhere critical scale for one base, and its method."""
 
-    lo: float
     hi: float
     method: str  # "closed-form" | "certificate" | "generic-bound" | "monotone"
 
@@ -194,15 +193,14 @@ def _default_certificates(b: int) -> tuple[tuple[float, StarCertificate], ...]:
 
 
 def solve_ae_critical_lambda(b: int, tol: float = 1e-12) -> AeCriticalBound:
-    """Enclose the almost-everywhere critical scale for one base.
+    """Upper bound on the almost-everywhere critical scale for one base.
 
     When the coefficient bound stays at or above CLOSED_FORM_BETA across the
-    bracket of the closed-form defect zero, that bracket is the answer.
-    Otherwise the result is a certified enclosure: the trivial lower end 1/b
-    together with the best available upper bound, which may come from a
-    verified certificate at some lambda0 (then the threshold is strictly
-    below lambda0), from a negative closed-form defect (the generic
-    double-root bound), or from the critical scale itself (the
+    bracket of the closed-form defect zero, the bracket's upper end is the
+    answer.  Otherwise the result is the best available upper bound, which
+    may come from a verified certificate at some lambda0 (then the threshold
+    is strictly below lambda0), from a negative closed-form defect (the
+    generic double-root bound), or from the critical scale itself (the
     almost-everywhere threshold always sits strictly below it).
     """
     b = _check_int("base", b, 2)
@@ -213,7 +211,7 @@ def solve_ae_critical_lambda(b: int, tol: float = 1e-12) -> AeCriticalBound:
             coeff_bound(b, bracket.lo) >= CLOSED_FORM_BETA
             and coeff_bound(b, bracket.hi) >= CLOSED_FORM_BETA
         ):
-            return AeCriticalBound(bracket.lo, bracket.hi, "closed-form")
+            return AeCriticalBound(bracket.hi, "closed-form")
         candidates.append((bracket.hi, "generic-bound"))
     lam_crit = solve_critical_lambda(b, tol)
     candidates.append((lam_crit.hi, "monotone"))
@@ -221,4 +219,4 @@ def solve_ae_critical_lambda(b: int, tol: float = 1e-12) -> AeCriticalBound:
         if cert.t >= 1.0 / (b * lam0) and verify_certificate(cert).valid:
             candidates.append((lam0, "certificate"))
     hi, method = min(candidates, key=lambda c: c[0])
-    return AeCriticalBound(1.0 / b, hi, method)
+    return AeCriticalBound(hi, method)

@@ -267,6 +267,53 @@ class TestLocalDimension:
             local_dim_estimate(rough, [0.1, 0.05, 0.025, 0.0125 * rough.tail_bound], centers=5)
 
 
+def _per_center_fit(s, radii, centers, seed):
+    """(slope, stderr) from one whole-sample distance array per center: the reference that
+    local_dim_estimate's walk over chunks of the sample must match bit for bit."""
+    pts, n = s.points, s.count
+    idx = rng.digit_vector(seed, rng.STREAM_CENTERS, 0, centers, n)
+    log_r = np.log(radii)
+    slopes = np.empty(centers)
+    for c, i in enumerate(idx):
+        if pts.ndim == 1:
+            dist = np.abs(pts - pts[i])
+        else:
+            dist = np.sqrt(((pts - pts[i]) ** 2).sum(axis=1))
+        masses = np.array([(dist <= r).sum() / n for r in radii])
+        slopes[c] = _linear_fit(log_r, np.log(masses))[0]
+    stderr = float(slopes.std(ddof=1) / math.sqrt(centers)) if centers > 1 else 0.0
+    return float(slopes.mean()), stderr
+
+
+class TestLocalDimensionChunks:
+    """local_dim_estimate counts each center's hits chunk by chunk, with the bits of one
+    whole-sample distance array per center."""
+
+    RADII = (1.0, 0.5, 0.25, 0.125, 0.0625)
+
+    @pytest.mark.parametrize("count", (1, C - 1, C, C + 1, 3 * C + 1))
+    @pytest.mark.parametrize("layout", ("1-d", "two columns"))
+    def test_matches_per_center_reference(self, count, layout):
+        for seed, centers in ((0, 1), (3, 2), (11, 7)):
+            gen = np.random.default_rng([count, seed])
+            points = gen.standard_normal(count if layout == "1-d" else (count, 2))
+            s = SampleSet(points=points, seed=seed, depth=0, kind="synthetic")
+            fit = local_dim_estimate(s, self.RADII, centers=centers, seed=seed)
+            ref = _per_center_fit(s, self.RADII, centers, seed)
+            assert struct.pack("<2d", fit.slope, fit.stderr) == struct.pack("<2d", *ref)
+
+    @pytest.mark.parametrize("sample", (
+        lambda: sample_transversal(Params(2, 0.95), 0.3, 3 * C + 1, seed=1),
+        lambda: sample_sbr(Params(3, 0.6), count=3 * C + 1, seed=2),
+    ))
+    def test_sampled_measures(self, sample):
+        s, radii = sample(), [0.05 * 2.0 ** -j for j in range(5)]
+        for seed, centers in ((1, 5), (4, 20)):
+            fit = local_dim_estimate(s, radii, centers=centers, seed=seed)
+            ref = _per_center_fit(s, radii, centers, seed)
+            assert struct.pack("<2d", fit.slope, fit.stderr) == struct.pack("<2d", *ref)
+
+
 class TestLinearFit:
     def test_matches_scipy_linregress_bitwise(self):
         stats = pytest.importorskip("scipy.stats")
@@ -374,34 +421,48 @@ class TestStreamedStatistics:
 
 
 class TestSamplerPeak:
-    """A sampler, its summary and its histogram hold the result plus one task's working set:
-    the traced peak over the result stays under 8 chunks of C floats at any count (6.0 for
-    SBR and 7.0 for transversal measured).  Whole-count x draws, std and histogram copies
-    read 12 chunks at 4C+1 SBR rows and 12 at 12C+1 transversal rows."""
+    """A sampler, its summary and its histogram, or a local-dimension fit on it, hold the
+    result plus one task's working set: the traced peak over the result stays under 8 chunks
+    of C floats at any count (6.0 for SBR and graph lift, 7.0 for transversal and 6.0 for a
+    4-center fit on SBR measured).  Whole-count x draws, std and histogram copies read 12
+    chunks at 4C+1 SBR rows and 12 at 12C+1 transversal rows; whole-sample distance arrays
+    read 16 for that fit."""
 
     BOUND = 8 * C * 8
 
-    def test_sbr(self, monkeypatch):
+    @staticmethod
+    def _peak_over_result(monkeypatch, make, after):
         monkeypatch.setenv("WEIERDIM_THREADS", "1")
         out = []
 
         def run():
-            s = sample_sbr(Params(3, 0.6), count=4 * C + 1, seed=1)
-            s.summary()
-            density_histogram(s, 64)
+            s = make()
+            after(s)
             out.append(s)
 
-        peak = traced_peak(run)
-        assert peak < out[0].points.nbytes + self.BOUND
+        return traced_peak(run) - out[0].points.nbytes
+
+    def test_sbr(self, monkeypatch):
+        peak = self._peak_over_result(
+            monkeypatch, lambda: sample_sbr(Params(3, 0.6), count=4 * C + 1, seed=1),
+            lambda s: (s.summary(), density_histogram(s, 64)))
+        assert peak < self.BOUND
 
     def test_transversal(self, monkeypatch):
-        monkeypatch.setenv("WEIERDIM_THREADS", "1")
-        out = []
+        peak = self._peak_over_result(
+            monkeypatch, lambda: sample_transversal(Params(2, 0.95), 0.3, count=12 * C + 1, seed=1),
+            lambda s: s.summary())
+        assert peak < self.BOUND
 
-        def run():
-            s = sample_transversal(Params(2, 0.95), 0.3, count=12 * C + 1, seed=1)
-            s.summary()
-            out.append(s)
+    def test_graph_lift(self, monkeypatch):
+        peak = self._peak_over_result(
+            monkeypatch, lambda: sample_graph_lift(Params(2, 0.9), COSINE, 4 * C + 1),
+            lambda s: (s.summary(), density_histogram(s, 64)))
+        assert peak < self.BOUND
 
-        peak = traced_peak(run)
-        assert peak < out[0].points.nbytes + self.BOUND
+    def test_local_dimension(self, monkeypatch):
+        radii = [0.05 * 2.0 ** -j for j in range(5)]
+        peak = self._peak_over_result(
+            monkeypatch, lambda: sample_sbr(Params(3, 0.6), count=4 * C + 1, seed=1),
+            lambda s: local_dim_estimate(s, radii, centers=4, seed=1))
+        assert peak < self.BOUND

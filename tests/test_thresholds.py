@@ -112,7 +112,6 @@ class TestAeCritical:
     def test_published_certificate_bounds(self, b, bound):
         ae = solve_ae_critical_lambda(b)
         assert ae.method == "certificate"
-        assert ae.lo == pytest.approx(1.0 / b)
         assert ae.hi <= bound + 1e-12
 
     @pytest.mark.parametrize("b,lam0", [(2, 0.81), (3, 0.55), (4, 0.44)])
