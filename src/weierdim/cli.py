@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import importlib
 import io
 import json
 import math
@@ -23,36 +24,37 @@ import os
 import sys
 
 from . import __version__
-from .boxdim import _check_fit, box_count, fit_box_dimension
-from .certificates import StarCertificate, search_certificate, verify_certificate
-from .claims import reproduce_rows
-from .measures import (
-    _check_bins,
-    density_histogram,
-    sample_graph_lift,
-    sample_sbr,
-    sample_transversal,
-)
-from .parallel import _check_bytes
-from .series import (
-    COSINE,
-    COSINE_DERIV,
-    DigitWord,
-    Params,
-    PhiSpec,
-    eval_orbit_sum,
-    eval_weierstrass,
-)
-from .thresholds import coeff_bound, solve_ae_critical_lambda, solve_critical_lambda
-from .transversality import TangencyQuery, empirical_delta, tangency_count, two_var_delta
 
 _ROW_BYTES = 2048  # per thresholds row: its dict and emitted text (1.4 kB measured as JSON)
 
+# The library names the mode calls read that the package does not export, by submodule; the
+# exported ones resolve through the package.  __getattr__ imports each on first use and keeps it
+# as an attribute of this module, and every call reads it off _lib, this module, so a process
+# loads only what its mode runs and a name replaced on this module is the one called.
+_UNEXPORTED = {"_check_fit": "boxdim", "_check_bins": "measures", "_check_bytes": "parallel",
+               "reproduce_rows": "claims"}
+_package = sys.modules[__package__]
+_lib = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    """A library name a mode call reads, imported on first use and kept here."""
+    if name in _UNEXPORTED:
+        value = getattr(importlib.import_module(f".{_UNEXPORTED[name]}", __package__), name)
+    elif name in _package.__all__:
+        value = getattr(_package, name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+# --phi/--psi name -> its spec, built when a mode reads it (the spec classes load numpy)
 _PHI_CHOICES = {
-    "cos": COSINE,
-    "zero": PhiSpec(),
-    "cos-deriv": COSINE_DERIV,
-    "sin2": PhiSpec(sine_coeffs=((2, 1.0),)),
+    "cos": lambda: _lib.COSINE,
+    "zero": lambda: _lib.PhiSpec(),
+    "cos-deriv": lambda: _lib.COSINE_DERIV,
+    "sin2": lambda: _lib.PhiSpec(sine_coeffs=((2, 1.0),)),
 }
 
 
@@ -115,26 +117,27 @@ def _b_range(raw: str) -> str:
 
 
 def _eval_f(config, out):
-    return vars(eval_weierstrass(
-        (config["b"], config["lambda"]), _PHI_CHOICES[config["phi"]], config["x"],
+    return vars(_lib.eval_weierstrass(
+        (config["b"], config["lambda"]), _PHI_CHOICES[config["phi"]](), config["x"],
         phases=config["phases"], abs_tol=config["tol"],
     )), 0
 
 
 def _eval_orbit(config, out):
-    p = Params(config["b"], config["lambda"])
-    word = DigitWord(config["word"] or (), tail_seed=config["tail_seed"])
-    psi = _PHI_CHOICES[config.get("psi", "cos-deriv")]  # only S reads --psi
-    return vars(eval_orbit_sum(p, word, config["x"], config["what"], psi, abs_tol=config["tol"])), 0
+    p = _lib.Params(config["b"], config["lambda"])
+    word = _lib.DigitWord(config["word"] or (), tail_seed=config["tail_seed"])
+    psi = _PHI_CHOICES[config.get("psi", "cos-deriv")]()  # only S reads --psi
+    return vars(_lib.eval_orbit_sum(p, word, config["x"], config["what"], psi,
+                                    abs_tol=config["tol"])), 0
 
 
 def _thresholds(config, out):
     bases = _bases(config["b_range"])
-    _check_bytes(len(bases) * _ROW_BYTES, f"{len(bases)} threshold rows")
+    _lib._check_bytes(len(bases) * _ROW_BYTES, f"{len(bases)} threshold rows")
     rows = []
     for b in bases:
-        br = solve_critical_lambda(b, config["tol"])
-        ae = solve_ae_critical_lambda(b, config["tol"])
+        br = _lib.solve_critical_lambda(b, config["tol"])
+        ae = _lib.solve_ae_critical_lambda(b, config["tol"])
         rows.append(
             {
                 "b": b,
@@ -151,12 +154,12 @@ def _beta(config) -> float:
     given = [config[key] is not None for key in ("beta", "b", "lambda0")]
     if given not in ([True, False, False], [False, True, True]):
         raise argparse.ArgumentError(None, "give either --beta or both --b and --lambda0")
-    return config["beta"] if given[0] else coeff_bound(config["b"], config["lambda0"])
+    return config["beta"] if given[0] else _lib.coeff_bound(config["b"], config["lambda0"])
 
 
 def _star_search(config, out):
     beta = _beta(config)
-    found = search_certificate(beta, config["t_target"], k_max=config["k_max"])
+    found = _lib.search_certificate(beta, config["t_target"], k_max=config["k_max"])
     if found is None:
         return {"found": False, "beta": beta}, 1
     return {"found": True, **vars(found)}, 0  # found.beta is beta
@@ -164,7 +167,8 @@ def _star_search(config, out):
 
 def _star_verify(config, out):
     beta = _beta(config)
-    rep = verify_certificate(StarCertificate(beta, config["k"], config["eta"], config["t"]))
+    cert = _lib.StarCertificate(beta, config["k"], config["eta"], config["t"])
+    rep = _lib.verify_certificate(cert)
     return {
         "beta": beta,
         "g": rep.g_value,
@@ -176,8 +180,8 @@ def _star_verify(config, out):
 
 
 def _delta(config, out):
-    p = Params(config["b"], config["lambda"])
-    est = empirical_delta(
+    p = _lib.Params(config["b"], config["lambda"])
+    est = _lib.empirical_delta(
         p.b, p.gamma, x_grid=config["x_grid"], depth=config["depth"],
         pair_budget=config["pair_budget"], seed=config["seed"],
     )
@@ -191,7 +195,7 @@ def _delta(config, out):
 
 
 def _two_var(config, out):
-    est = two_var_delta(
+    est = _lib.two_var_delta(
         config["b"], config["eps_margin"], x_grid=config["x_grid"],
         gamma_grid=config["gamma_grid"], depth=config["depth"],
         pair_budget=config["pair_budget"], seed=config["seed"],
@@ -205,23 +209,23 @@ def _two_var(config, out):
 
 
 def _tangency(config, out):
-    p = Params(config["b"], config["lambda"])
-    q = TangencyQuery(
+    p = _lib.Params(config["b"], config["lambda"])
+    q = _lib.TangencyQuery(
         n=config["n"], m=config["m"], eps=config["eps"], delta=config["delta"],
         depth=config["depth"], grid_per_interval=config["grid_per_interval"],
         random_tails=config["random_tails"],
     )
-    e = tangency_count(p, q, seed=config["seed"])
+    e = _lib.tangency_count(p, q, seed=config["seed"])
     return {"e": e, "threshold_gamma_b_pow_n": (p.gamma * p.b) ** config["n"]}, 0
 
 
 def _boxdim(config, out):
-    p = Params(config["b"], config["lambda"])
-    phi = _PHI_CHOICES[config["phi"]]
-    _check_fit(p.b, config["levels"], config["drop_coarsest"])  # before the grid
-    table = box_count(p, phi, levels=config["levels"],
-                      samples_per_column=config["samples_per_column"])
-    fit = fit_box_dimension(table, drop_coarsest=config["drop_coarsest"])
+    p = _lib.Params(config["b"], config["lambda"])
+    phi = _PHI_CHOICES[config["phi"]]()
+    _lib._check_fit(p.b, config["levels"], config["drop_coarsest"])  # before the grid
+    table = _lib.box_count(p, phi, levels=config["levels"],
+                           samples_per_column=config["samples_per_column"])
+    fit = _lib.fit_box_dimension(table, drop_coarsest=config["drop_coarsest"])
     rows = [{"epsilon": e, "boxes": h} for e, h in table.levels]
     return {
         "rows": rows,
@@ -235,14 +239,14 @@ def _boxdim(config, out):
 def _measure(draw):
     """The call of a measure mode whose sample is draw(config, params)."""
     def call(config, out):
-        p = Params(config["b"], config["lambda"])
+        p = _lib.Params(config["b"], config["lambda"])
         bins = config["bins"]
         if bins:
-            _check_bins(bins)  # before any draw
+            _lib._check_bins(bins)  # before any draw
         s = draw(config, p)
         payload = s.summary()
         if bins:
-            payload["histogram"] = [[c, m] for c, m in density_histogram(s, bins)]
+            payload["histogram"] = [[c, m] for c, m in _lib.density_histogram(s, bins)]
         if out.out_csv:
             s.to_csv(out.out_csv)
             print(f"wrote {s.count} points to {out.out_csv}", file=sys.stderr)
@@ -252,7 +256,7 @@ def _measure(draw):
 
 def _reproduce(config, out):
     claims = []
-    for name, check in reproduce_rows(config["perturb_eta"]):
+    for name, check in _lib.reproduce_rows(config["perturb_eta"]):
         ok, detail = check()
         claims.append({"claim": name, "pass": bool(ok), "detail": detail})
         if not ok:
@@ -283,12 +287,14 @@ _MODES = {
                                      "random_tails seed", _tangency),
     ("boxdim", None): ("b lambda levels samples_per_column drop_coarsest phi", _boxdim),
     ("measure", "transversal"): ("b lambda kind x count depth seed bins", _measure(
-        lambda c, p: sample_transversal(p, c["x"], c["count"], depth=c["depth"], seed=c["seed"]))),
+        lambda c, p: _lib.sample_transversal(p, c["x"], c["count"], depth=c["depth"],
+                                             seed=c["seed"]))),
     ("measure", "sbr"): ("b lambda kind count depth seed bins psi", _measure(
-        lambda c, p: sample_sbr(p, _PHI_CHOICES[c["psi"]], c["count"], depth=c["depth"],
-                                seed=c["seed"]))),
+        lambda c, p: _lib.sample_sbr(p, _PHI_CHOICES[c["psi"]](), c["count"], depth=c["depth"],
+                                     seed=c["seed"]))),
     ("measure", "graph"): ("b lambda kind count seed bins phi", _measure(
-        lambda c, p: sample_graph_lift(p, _PHI_CHOICES[c["phi"]], c["count"], seed=c["seed"]))),
+        lambda c, p: _lib.sample_graph_lift(p, _PHI_CHOICES[c["phi"]](), c["count"],
+                                            seed=c["seed"]))),
     ("reproduce", None): ("perturb_eta", _reproduce),
 }
 _OUTPUT = ("format", "out", "out_csv")

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -666,16 +667,142 @@ class TestDeterminism:
     def test_import_starts_no_thread(self):
         # numpy's OpenBLAS would start a spinning thread per extra core; the package does no BLAS
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-        code = "import os, weierdim; print(len(os.listdir('/proc/self/task')))"
+        code = ("import os, sys, weierdim; weierdim.slope_grid; assert 'numpy' in sys.modules; "
+                "print(len(os.listdir('/proc/self/task')))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
         assert proc.returncode == 0 and proc.stdout.split() == [b"1"]
 
     def test_import_keeps_the_users_blas_threads(self):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "3"}
-        code = "import os, weierdim; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        code = ("import os, sys, weierdim; weierdim.slope_grid; assert 'numpy' in sys.modules; "
+                "print(os.environ['OPENBLAS_NUM_THREADS'])")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
         assert proc.returncode == 0 and proc.stdout.split() == [b"3"]
+
+    def test_import_loads_no_numpy(self):
+        code = "import sys, weierdim; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+        assert proc.returncode == 0 and proc.stdout.split() == [b"False"]
 
     def test_thread_count_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.setenv("WEIERDIM_THREADS", "100000")
         assert worker_count() <= (os.cpu_count() or 1)
+
+
+# Each probe: the argv a fresh interpreter runs through main, the weierdim submodules it then
+# holds and whether it holds numpy.  A mode imports only what it runs; --version, --help and
+# usage errors import no library module.
+_SERIES = {"cli", "parallel", "rng", "series"}
+_THRESHOLDS = _SERIES | {"certificates", "thresholds"}
+_COLD_PROBES = {
+    "version": (["--version"], {"cli"}, False),
+    "help": (["eval", "--help"], {"cli"}, False),
+    "usage-error": (["eval", "--b", "2"], {"cli"}, False),
+    "eval": (["eval", "--b", "2", "--lambda", "0.9", "--x", "0.1"], _SERIES, True),
+    "measure": (["measure", "--kind", "sbr", "--b", "2", "--lambda", "0.9", "--count", "10"],
+                _SERIES | {"measures"}, True),
+    "boxdim": (["boxdim", "--b", "2", "--lambda", "0.9", "--levels", "6"],
+               _SERIES | {"measures", "boxdim"}, True),
+    "star-verify": (["star-verify", "--beta", "2", "--k", "2", "--eta", "0.1", "--t", "0.5"],
+                    _SERIES | {"certificates"}, True),
+    "star-verify-b": (["star-verify", "--b", "3", "--lambda0", "0.9", "--k", "2", "--eta", "0.1",
+                       "--t", "0.5"], _THRESHOLDS, True),
+    "thresholds": (["thresholds", "--b-range", "2:2"], _THRESHOLDS, True),
+    "transversality": (["transversality", "--b", "2", "--x-grid", "10", "--pair-budget", "4"],
+                       _THRESHOLDS | {"transversality"}, True),
+    "reproduce": (["reproduce"], _THRESHOLDS | {"transversality", "claims"}, True),
+}
+_PROBE = """
+import contextlib, io, json, sys
+from weierdim.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        main(sys.argv[1:])
+    except SystemExit:
+        pass
+print(json.dumps([sorted(m[len("weierdim."):] for m in sys.modules if m.startswith("weierdim.")),
+                  "numpy" in sys.modules]))
+"""
+
+
+class TestColdImports:
+    @pytest.fixture(scope="class")
+    def probes(self):
+        """Every probe's (submodules, numpy loaded), the processes run side by side."""
+        procs = {name: subprocess.Popen([sys.executable, "-c", _PROBE, *argv],
+                                        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                 for name, (argv, _, _) in _COLD_PROBES.items()}
+        results = {}
+        for name, proc in procs.items():
+            out, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err.decode()
+            modules, numpy = json.loads(out)
+            results[name] = set(modules), numpy
+        return results
+
+    @pytest.mark.parametrize("name", _COLD_PROBES)
+    def test_mode_imports_only_what_it_runs(self, probes, name):
+        _, modules, numpy = _COLD_PROBES[name]
+        assert probes[name] == (modules, numpy)
+
+
+class _Sentinel(Exception):
+    pass
+
+
+# A mode run that reaches each name the benchmark's tracer replaces on cli.
+_TRACED_CALLS = {
+    "_emit": ("eval", "--b", "2", "--lambda", "0.9", "--x", "0.1"),
+    "eval_weierstrass": ("eval", "--b", "2", "--lambda", "0.9", "--x", "0.1"),
+    "sample_transversal": ("measure", "--kind", "transversal", "--b", "2", "--lambda", "0.9",
+                           "--count", "10"),
+    "sample_sbr": ("measure", "--kind", "sbr", "--b", "2", "--lambda", "0.9", "--count", "10"),
+    "sample_graph_lift": ("measure", "--kind", "graph", "--b", "2", "--lambda", "0.9",
+                          "--count", "10"),
+    "density_histogram": ("measure", "--kind", "transversal", "--b", "2", "--lambda", "0.9",
+                          "--count", "10", "--bins", "4"),
+    "box_count": ("boxdim", "--b", "2", "--lambda", "0.9", "--levels", "6"),
+    "fit_box_dimension": ("boxdim", "--b", "2", "--lambda", "0.9", "--levels", "6"),
+    "empirical_delta": ("transversality", "--b", "2", "--x-grid", "10", "--pair-budget", "4"),
+    "two_var_delta": ("transversality", "--b", "2", "--mode", "two-var", "--x-grid", "10",
+                      "--gamma-grid", "2", "--pair-budget", "4"),
+    "tangency_count": ("transversality", "--b", "2", "--mode", "tangency", "--eps", "0.5",
+                       "--delta", "0.5"),
+    "solve_critical_lambda": ("thresholds", "--b-range", "2:2"),
+    "solve_ae_critical_lambda": ("thresholds", "--b-range", "2:2"),
+    "search_certificate": ("star-verify", "--beta", "2", "--search", "--t-target", "0.5"),
+    "verify_certificate": ("star-verify", "--beta", "2", "--k", "2", "--eta", "0.1", "--t", "0.5"),
+}
+
+
+def test_traced_calls_cover_every_name_the_tracer_replaces():
+    spec = importlib.util.spec_from_file_location(
+        "spans", Path(__file__).resolve().parent.parent / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    wrapped = set()
+
+    class Recorder(spans.Tracer):
+        def wrap(self, owner, attr, *args, **kwargs):
+            if owner is cli:
+                wrapped.add(attr)
+
+        wrap_tally = wrap_map = wrap
+
+    before = dict(vars(cli))
+    try:
+        spans.install(Recorder())  # it also sets some names on cli itself
+        replaced = {name for name, value in before.items() if vars(cli)[name] is not value}
+    finally:
+        vars(cli).update(before)
+    assert wrapped | replaced == set(_TRACED_CALLS)
+
+
+@pytest.mark.parametrize("name", _TRACED_CALLS)
+def test_name_replaced_on_cli_is_the_one_called(monkeypatch, name):
+    def sentinel(*args, **kwargs):
+        raise _Sentinel(name)
+
+    monkeypatch.setattr(cli, name, sentinel)
+    with pytest.raises(_Sentinel):
+        main(list(_TRACED_CALLS[name]))
