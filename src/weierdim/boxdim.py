@@ -5,15 +5,17 @@ self-affine structure.  The finest columns are read off a grid of base-b
 rational points; on that grid each series argument reduces mod 1 to an exact
 rational, and every term beyond the grid depth is phi(0) exactly, so the
 sampled values carry no truncation error at all.  Term n reads phi at
-s / b**(grid_depth - n); from the first level k whose period fits in _TABLE
-points (16 MiB of float64) on, that argument is bit for bit a level-k
-argument, so one table of phi serves every such level and only the levels
-before k evaluate phi per point.  The grid is streamed in chunks that keep
-only the min and max of each finest column, and each coarser level takes the
-min/max over its b child columns.  The oscillation inside a column is
-bracketed by sampling (min/max over the grid points including both
-endpoints), which can undercount boxes in y but is exact in x; doubling the
-sample density never removes a counted box.
+s / b**(grid_depth - n).  Let k be the first level whose period fits in
+_TABLE points (8 MiB of float64).  From k on, every argument is bit for bit a
+level-k argument, so one table of phi serves every such level; a level
+before k reads the table at its multiples of b**(k - n) and evaluates phi
+only on its other residues, a few thousand points per call.  The grid is
+streamed in chunks that keep only the min, max and first value of each
+finest column, and each coarser level takes the min/max over its b child
+columns.  The oscillation inside a column is bracketed by sampling (min/max
+over the grid points including both endpoints), which can undercount boxes
+in y but is exact in x; doubling the sample density never removes a counted
+box.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ from .parallel import _CHUNK_CELLS, WorkBudgetError, map_ordered
 from .series import Params, PhiSpec, _check_int
 
 _MAX_GRID = 1 << 26
-_TABLE = 1 << 21  # points of the shared phi table: 16 MiB of float64
+_TABLE = 1 << 20  # points of the shared phi table: 8 MiB of float64
 _TILE = 1 << 12  # narrowest row a periodic level is added in
+_PIECE = 1 << 13  # most points one phi call takes: it bounds phi's temporaries
 _KEPT = "levels left after dropping the coarsest"
 
 
@@ -47,21 +50,26 @@ def _grid_values(p: Params, phi: PhiSpec, grid_depth: int, span: int) -> np.ndar
     the grid x = t / b**grid_depth, both end points included, exactly.
 
     Term n of _graph_sum at t is lam^n phi(s / P_n) with P_n = b**(grid_depth - n)
-    and s = t mod P_n, so each level is periodic in t.  For n >= k the argument
-    s / P_n is bit for bit (s * b**(n - k)) / P_k: both are the correctly rounded
-    quotient of one rational, with integer operands below 2^53.  So one table
-    T[j] = phi(j / P_k), k the first level with P_k <= _TABLE (at most 16 MiB),
-    serves every level from k on; it is filled once, in pieces, on the pool.  A
-    level whose period fits in a chunk is one periodic row, tiled to at least
-    _TILE points, added to every chunk; a wider level adds its residues' slice
-    of T, or below k evaluates phi on them.  The operands and the order of the
-    additions are _graph_sum's, so the values are its bits.  A chunk holds whole
-    columns (span is a power of b) and returns their extremes.
+    and s = t mod P_n, so each level is periodic in t.  Where P_n = m * P_k, s = m * j
+    is the rational j / P_k: both quotients are correctly rounded, with integer
+    operands below 2^53, so they are one double.  So one table T[j] = phi(j / P_k),
+    k the first level with P_k <= _TABLE (at most 8 MiB), serves every level from k
+    on at its strides, and each level before k at its multiples of m; phi runs only
+    on the other residues.  The table is filled once on the pool, and every phi
+    call takes a piece of at most _PIECE points.  A level whose period fits in a
+    chunk is one periodic row, tiled to at least _TILE points, added to every chunk;
+    a wider level is scaled into the task's scratch row and added from there.  The
+    operands and the order of the additions are _graph_sum's, so the values are its
+    bits.  A chunk holds whole columns (span is a power of b) and writes their min,
+    max and first value into one (3, columns) array.
     """
     b, total = p.b, p.b ** grid_depth
     step = span  # whole columns: the largest span * b**i within _CHUNK_CELLS, at least span
     while step * b <= min(_CHUNK_CELLS, total):
         step *= b
+    piece = b  # a power of b, so that it divides every longer row
+    while piece * b <= _PIECE:
+        piece *= b
     lam_pows = []
     lam_pow = 1.0  # the running product of _graph_sum
     for _ in range(grid_depth):
@@ -71,20 +79,32 @@ def _grid_values(p: Params, phi: PhiSpec, grid_depth: int, span: int) -> np.ndar
     tail = lam_pow * float(phi.eval(0.0)) / (1.0 - p.lam)
     periods = [b ** (grid_depth - n) for n in range(grid_depth)]
     k = next((n for n, period in enumerate(periods) if period <= _TABLE), grid_depth)
-    table = np.empty(periods[k] if k < grid_depth else 0)
+    table = np.empty(b ** (grid_depth - k))  # P_k points; just phi(0) when k = grid_depth
 
     def fill(j0):
-        j = np.arange(j0, min(j0 + _CHUNK_CELLS, table.size))
-        table[j0:j0 + j.size] = phi.eval(j / table.size)
+        for j in range(j0, min(j0 + _CHUNK_CELLS, table.size), piece):
+            part = table[j:min(j + piece, j0 + _CHUNK_CELLS)]
+            part[:] = phi.eval(np.arange(j, j + part.size) / table.size)
 
     map_ordered(fill, range(0, table.size, _CHUNK_CELLS))
 
-    def phi_at(n, start, count):
-        """phi(s / P_n) for s = start .. start + count - 1, all below P_n."""
-        if n < k:
-            return phi.eval(np.arange(start, start + count) / periods[n])
-        stride = periods[k] // periods[n]
-        return table[start * stride:(start + count) * stride:stride]
+    def phi_at(n, start, row):
+        """phi(s / P_n) for s = start .. start + row.size - 1, all below P_n: a strided
+        view of the table from level k on, else written into row.  m, the pieces and
+        row.size are powers of b, and start is a multiple of row.size, so a piece's
+        multiples of m are the first column of its (-1, min(m, width)) view."""
+        if n >= k:
+            stride = table.size // periods[n]
+            return table[start * stride:(start + row.size) * stride:stride]
+        m = periods[n] // table.size
+        width = min(piece, row.size)
+        for a in range(0, row.size, width):
+            s = np.arange(start + a, start + a + width).reshape(-1, min(m, width))
+            cells = row[a:a + width].reshape(s.shape)
+            cells[:, 1:] = phi.eval(s[:, 1:] / periods[n])
+            j, off = divmod(start + a, m)
+            cells[:, 0] = phi.eval(s[:, 0] / periods[n]) if off else table[j:j + len(cells)]
+        return row
 
     tiles = {}
     for n, period in enumerate(periods):
@@ -92,26 +112,33 @@ def _grid_values(p: Params, phi: PhiSpec, grid_depth: int, span: int) -> np.ndar
             width = period
             while width < _TILE and width * b <= step:
                 width *= b
-            tiles[n] = np.tile(lam_pows[n] * phi_at(n, 0, period), width // period)
+            tiles[n] = np.tile(lam_pows[n] * phi_at(n, 0, np.empty(period)), width // period)
+
+    ext = np.empty((3, total // span))  # min, max and first value of each column
 
     def chunk_extremes(t0):
         acc = np.zeros(step)
+        row = np.empty(step)
         for n, period in enumerate(periods):
             if n in tiles:
                 rows = acc.reshape(-1, tiles[n].size)  # a view: tile widths divide step
                 rows += tiles[n]
             else:
-                acc += lam_pows[n] * phi_at(n, t0 % period, step)
+                acc += np.multiply(lam_pows[n], phi_at(n, t0 % period, row), out=row)
         acc += tail
-        cols = acc.reshape(-1, span)  # copy the first values: a view keeps acc alive
-        return cols.min(axis=1), cols.max(axis=1), cols[:, 0].copy()
+        cols = acc.reshape(-1, span)
+        c0, c1 = t0 // span, (t0 + step) // span
+        cols.min(axis=1, out=ext[0, c0:c1])
+        cols.max(axis=1, out=ext[1, c0:c1])
+        ext[2, c0:c1] = cols[:, 0]
 
-    parts = map_ordered(chunk_extremes, range(0, total, step))
-    table = tiles = None  # released before the extremes are joined
-    lo, hi, first = map(np.concatenate, zip(*parts))
+    map_ordered(chunk_extremes, range(0, total, step))
     # column c ends where column c + 1 starts; t = b**grid_depth reduces to t = 0
-    right = np.roll(first, -1)
-    return np.stack([np.minimum(lo, right), np.maximum(hi, right)])
+    first = ext[2]
+    for extreme, pick in ((ext[0], np.minimum), (ext[1], np.maximum)):
+        pick(extreme[:-1], first[1:], out=extreme[:-1])
+        pick(extreme[-1:], first[:1], out=extreme[-1:])
+    return ext[:2]
 
 
 def box_count(
@@ -122,10 +149,11 @@ def box_count(
 ) -> BoxCountTable:
     """Count eps-boxes hit by the graph for eps = b^-1 .. b^-levels.
 
-    Within each finest x-column the spanned y-range is bracketed by sampling
-    at least samples_per_column interior points plus both endpoints (actual
-    density is the next power of b).  A coarser column's closed x-range is
-    the union of its b children's, so its min and max are theirs.
+    Each finest x-column spans b**extra >= samples_per_column grid steps, the
+    least such power of b, so its y-range is bracketed by sampling at least
+    samples_per_column - 1 interior points plus both endpoints (63 and 2 at
+    64 samples).  A coarser column's closed x-range is the union of its b
+    children's, so its min and max are theirs.
     """
     levels = _check_int("levels", levels, 4)
     samples_per_column = _check_int("samples_per_column", samples_per_column, 2)

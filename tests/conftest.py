@@ -35,9 +35,9 @@ def counted_trig(monkeypatch) -> dict:
     """{"sin": n, "cos": n}: elements that np.sin and np.cos receive from here on."""
     calls = {"sin": 0, "cos": 0}
     for name, fn in [(name, getattr(np, name)) for name in calls]:
-        def counted(u, _fn=fn, _name=name):
+        def counted(u, *args, _fn=fn, _name=name, **kwargs):  # forwards out= and the like
             calls[_name] += np.size(u)
-            return _fn(u)
+            return _fn(u, *args, **kwargs)
         monkeypatch.setattr(np, name, counted)
     return calls
 

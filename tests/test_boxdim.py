@@ -4,7 +4,7 @@ import hashlib
 
 import numpy as np
 import pytest
-from conftest import traced_peak
+from conftest import counted_trig, traced_peak
 
 from weierdim import (
     COSINE,
@@ -191,6 +191,30 @@ class TestBoxCount:
         peak = traced_peak(lambda: box_count(Params(2, 0.9), COSINE, levels=10,
                                              samples_per_column=2 ** 10))
         assert peak < 5 * 2 ** 20
+
+    @pytest.mark.parametrize("b, levels, samples, depth, k, chunk", [
+        (2, 8, 16, 12, 4, 2 ** 6),  # chunks of 64 points; level 3's period is 512
+        (3, 5, 9, 7, 3, 3 ** 3),  # chunks of 27 points; level 2's period is 243
+    ])
+    def test_phi_work_count(self, monkeypatch, b, levels, samples, depth, k, chunk):
+        # the table's P_k points, then each level n < k on every grid point but its
+        # multiples of b**(k - n), which read the table; + 1 is the tail's phi(0)
+        table = b ** (depth - k)
+        monkeypatch.setenv("WEIERDIM_THREADS", "1")
+        monkeypatch.setattr(boxdim, "_TABLE", table)
+        monkeypatch.setattr(boxdim, "_CHUNK_CELLS", chunk)
+        calls = counted_trig(monkeypatch)
+        box_count(Params(b, 0.9), COSINE, levels=levels, samples_per_column=samples)
+        assert calls == {"sin": 0, "cos": table + sum(b ** depth - table * b ** n
+                                                      for n in range(k)) + 1}
+
+    def test_benchmark_grid_peak(self, monkeypatch):
+        # the 2^20-point table takes 8 MiB: 12.0 MiB measured; a 2^21-point table and
+        # whole-chunk phi calls took 20.8 MiB
+        monkeypatch.setenv("WEIERDIM_THREADS", "1")
+        peak = traced_peak(lambda: box_count(Params(2, 0.9), COSINE, levels=16,
+                                             samples_per_column=64))
+        assert peak < 14 * 2 ** 20
 
     def test_streams_the_grid(self):
         # the 2^22-point grid alone would take 32 MB
