@@ -32,6 +32,7 @@ _MAX_GRID = 1 << 26
 _TABLE = 1 << 20  # points of the shared phi table: 8 MiB of float64
 _TILE = 1 << 12  # narrowest row a periodic level is added in
 _PIECE = 1 << 13  # most points one phi call takes: it bounds phi's temporaries
+_RESIDUES = 4  # a level of m <= this many residues runs phi per residue, not on a (-1, m) view
 _KEPT = "levels left after dropping the coarsest"
 
 
@@ -92,17 +93,27 @@ def _grid_values(p: Params, phi: PhiSpec, grid_depth: int, span: int) -> np.ndar
         """phi(s / P_n) for s = start .. start + row.size - 1, all below P_n: a strided
         view of the table from level k on, else written into row.  m, the pieces and
         row.size are powers of b, and start is a multiple of row.size, so a piece's
-        multiples of m are the first column of its (-1, min(m, width)) view."""
+        multiples of m are the first column of its (-1, min(m, width)) view.  For
+        m <= _RESIDUES that view's rows are too short for numpy's inner loops, so the
+        row is written one residue at a time, in strided slices of width points."""
         if n >= k:
             stride = table.size // periods[n]
             return table[start * stride:(start + row.size) * stride:stride]
         m = periods[n] // table.size
         width = min(piece, row.size)
+        if m <= min(_RESIDUES, row.size):  # so m divides row.size and start
+            for i in range(0, row.size // m, width):  # points i .. i + width - 1 of each residue
+                stop = min(m * (i + width), row.size)
+                for c in range(1, m):
+                    row[m * i + c:stop:m] = phi.eval(np.arange(start + m * i + c, start + stop, m)
+                                                     / periods[n])
+            row[::m] = table[start // m:(start + row.size) // m]
+            return row
         for a in range(0, row.size, width):
+            j, off = divmod(start + a, m)
             s = np.arange(start + a, start + a + width).reshape(-1, min(m, width))
             cells = row[a:a + width].reshape(s.shape)
             cells[:, 1:] = phi.eval(s[:, 1:] / periods[n])
-            j, off = divmod(start + a, m)
             cells[:, 0] = phi.eval(s[:, 0] / periods[n]) if off else table[j:j + len(cells)]
         return row
 
@@ -171,9 +182,12 @@ def box_count(
     rows = []
     for j in range(levels, 0, -1):
         eps = float(b) ** (-j)
-        k_min = np.floor(lo / eps).astype(np.int64)
-        k_max = np.floor(hi / eps).astype(np.int64)
-        rows.append((eps, int((k_max - k_min + 1).sum())))
+        boxes = lo.size  # a column's boxes: floor(hi / eps) - floor(lo / eps) + 1
+        for c0 in range(0, lo.size, _CHUNK_CELLS):  # in blocks: no column-sized temporaries
+            k_min = np.floor(lo[c0:c0 + _CHUNK_CELLS] / eps).astype(np.int64)
+            k_max = np.floor(hi[c0:c0 + _CHUNK_CELLS] / eps).astype(np.int64)
+            boxes += int((k_max - k_min).sum())
+        rows.append((eps, boxes))
         lo = lo.reshape(-1, b).min(axis=1)
         hi = hi.reshape(-1, b).max(axis=1)
     return BoxCountTable(tuple(rows[::-1]))

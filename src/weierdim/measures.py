@@ -2,15 +2,17 @@
 
 Samplers draw digit words (and base points) from the counter-based generator,
 so a SampleSet is a pure function of (params, seed, depth, count) and is
-identical for any worker count: each sampler states a chunk fill that writes
+identical for any worker count: each sampler states a task fill that writes
 its own columns, x draw included, for one row range, and _sample runs it over
-row chunks on the worker pool.  The result is the only count-sized array:
-every count-sized pass (summary(), density_histogram, local dimension) walks
-the sample in chunks, so the byte budget on a sample's result bounds the peak
-up to the per-chunk temporaries.  Local dimension is estimated by a finite
-ladder of radii with a least-squares slope of log-mass against log-radius; no
-convergence claim is attached, the estimates are regression-stable
-diagnostics with a reported standard error.
+tasks of _TASK_ROWS rows on the worker pool.  The transversal sampler's rows
+all start at x, so it runs every short digit prefix's orbit once, in one tree
+built before the pool, and its tasks gather their rows' prefix states from it.
+The result is the only count-sized array: every count-sized pass (summary(),
+density_histogram, local dimension) walks the sample in chunks, so the byte
+budget on a sample's result bounds the peak up to the per-task temporaries.
+Local dimension is estimated by a finite ladder of radii with a least-squares
+slope of log-mass against log-radius; no convergence claim is attached, the
+estimates are regression-stable diagnostics with a reported standard error.
 """
 
 from __future__ import annotations
@@ -31,12 +33,15 @@ from .series import (
     _check_int,
     _graph_terms,
     _orbit_sums,
+    _prefix_states,
     _terms_for,
     eval_weierstrass,
     orbit_tail,
 )
 
 
+_TASK_ROWS = 1 << 15  # sample rows per pooled task: its working set is a few such columns
+_PREFIX_LEAVES = 1 << 16  # most digit prefixes of the transversal tree: 1 MiB of u and Y
 _BLOCK = 1 << 13  # values per block of summary() and density_histogram: numpy's own buffer size
 _BIN_BYTES = 512  # per histogram bin: its arrays, output row and JSON text (410 B measured)
 
@@ -153,13 +158,13 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
 def _sample(kind: str, shape, seed: int, depth: int, tail_bound: float,
             fill: Callable[[np.ndarray, int, int], None]) -> SampleSet:
     """The SampleSet of one preallocated points array of `shape`, with fill(points, r0, r1)
-    writing rows r0..r1-1 over consecutive ranges of _CHUNK_CELLS rows on the worker pool.
+    writing rows r0..r1-1 over consecutive ranges of _TASK_ROWS rows on the worker pool.
     Every row is its own counter-RNG stream and its arithmetic is elementwise, so the bits
     do not depend on the chunking."""
     points = np.empty(shape)
     count = len(points)
-    map_ordered(lambda r0: fill(points, r0, min(r0 + _CHUNK_CELLS, count)),
-                range(0, count, _CHUNK_CELLS))
+    map_ordered(lambda r0: fill(points, r0, min(r0 + _TASK_ROWS, count)),
+                range(0, count, _TASK_ROWS))
     return SampleSet(points, seed, depth, kind, tail_bound)
 
 
@@ -170,7 +175,11 @@ def sample_transversal(
     depth: Optional[int] = None,
     seed: int = 0,
 ) -> SampleSet:
-    """Draw `count` stable-slope values at x with i.i.d. uniform digits."""
+    """Draw `count` stable-slope values at x with i.i.d. uniform digits.
+
+    Every row starts at x, so the orbit of each prefix of t digits, b^t <= min(count,
+    _PREFIX_LEAVES), runs once, before the pool; a task reads its rows' prefixes off their
+    first t digits and steps each row from there."""
     count = _check_count(count, 1)
     seed = _check_int("seed", seed)
     if not (0.0 <= x <= 1.0):
@@ -178,11 +187,15 @@ def sample_transversal(
     gamma = p.gamma
     tail = orbit_tail("Y", p.b, gamma)
     depth = _terms_for(_TAIL_TARGET, tail, 1, depth, "depth")
+    t = 0
+    while t < depth and p.b ** (t + 1) <= min(count, _PREFIX_LEAVES):
+        t += 1
+    prefixes = _prefix_states(float(x), p.b, gamma, (p.b,) * t, ("Y",))
 
     def slopes(points, r0, r1):
         columns = rng.digit_columns(seed, rng.STREAM_TRANSVERSAL, r1 - r0, depth, p.b, r0)
-        # every row starts at x: _orbit_sums runs each digit prefix's orbit once
-        points[r0:r1] = _orbit_sums(float(x), p.b, gamma, columns, ("Y",), rows=r1 - r0)["Y"]
+        points[r0:r1] = _orbit_sums(float(x), p.b, gamma, columns, ("Y",), rows=r1 - r0,
+                                    prefixes=prefixes)["Y"]
 
     return _sample("transversal", count, seed, depth, tail(depth), slopes)
 

@@ -10,7 +10,6 @@ Estimators that refuse work beyond a fixed budget raise WorkBudgetError.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -47,5 +46,7 @@ def map_ordered(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
     workers = worker_count()
     if workers <= 1 or len(seq) <= 1:
         return [fn(it) for it in seq]
+    from concurrent.futures import ThreadPoolExecutor  # it imports logging: only a pool pays
+
     with ThreadPoolExecutor(max_workers=min(workers, len(seq))) as pool:
         return list(pool.map(fn, seq))

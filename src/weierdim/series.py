@@ -10,8 +10,12 @@ of a digit word (i_1, i_2, ...) over {0, .., b-1}, with gamma = 1/(b*lam):
     S(x)        = sum_{n>=1} gamma^(n-1) psi(u_n)              the skew product's fiber sum
 
 Each is a row of _ORBIT_SUMS (Y, Ydx, Ydgamma, S): a scale, a trig polynomial, a weight
-and its tail.  _orbit_sums runs one step body for every row, eval_orbit_sum evaluates one,
-and orbit_tail's one rule gives the row's tail at coefficient scale * sup|polynomial|.
+and its tail.  _steps is the one step body for every row; _orbit_sums runs it over digit
+columns, eval_orbit_sum evaluates one row, and orbit_tail's one rule gives the row's tail
+at coefficient scale * sup|polynomial|.  Rows that all start at one x share their first
+steps: _prefix_states runs every digit prefix's orbit once, and each row gathers its
+prefix's orbit point and partial sums by index (a slope grid builds this tree per x block,
+the transversal sampler once per sample).
 Every result carries an absolute bound on the omitted remainder, derived from
 the closed-form tail, so truncation depth is always chosen from the requested
 tolerance rather than a fixed count.
@@ -24,13 +28,14 @@ floating-point cancellation.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -313,6 +318,65 @@ _ORBIT_SUMS = {
 }
 
 
+class _Prefixes(NamedTuple):
+    """Every digit prefix's orbit point u and unscaled partial sums acc after len(radices)
+    steps, and the step body's weights there.  Prefix j has the digits of j written in the
+    mixed radices, step 1's digit most significant; u has shape (prefixes,) + the start's
+    shape and each sum a leading gamma axis before it."""
+
+    u: np.ndarray
+    acc: dict
+    weights: tuple
+    radices: tuple
+
+
+def _gamma_axes(gamma, ndim: int):
+    """A 1-D gamma on a leading axis before ndim axes of orbit points; a scalar as it is."""
+    lead = np.shape(gamma)
+    return np.reshape(gamma, lead + (1,) * ndim) if lead else gamma
+
+
+def _steps(u: np.ndarray, b: int, gamma, columns: Iterable, acc: dict,
+           psi: Optional[PhiSpec], weights: tuple) -> tuple:
+    """The one step body, once per digit column: u <- (u + digit) / b in place, then each sum
+    of acc gains weight * polynomial(u), evaluating each distinct polynomial once (Y and
+    Ydgamma share one sin).  weights are n, gamma^n and (gamma/b)^n after step n, returned
+    after the last column; gamma has its axes (_gamma_axes) against u."""
+    polys = {}  # each distinct polynomial: the sums that read it
+    for k in acc:
+        polys.setdefault(_ORBIT_SUMS[k][1] or psi, []).append(k)
+    n, g, r = weights
+    for digit in columns:
+        n += 1
+        u += digit
+        del digit  # free a sampler's column before the sums (enumerate would keep it)
+        u /= b
+        g0, g, r = g, g * gamma, r * (gamma / b)
+        for poly, keys in polys.items():
+            value = poly.oscillating(u)
+            for k in keys:
+                acc[k] += _ORBIT_SUMS[k][2](n, g0, g, r) * value
+    return n, g, r
+
+
+def _prefix_states(u, b: int, gamma, radices: Sequence[int], want: Collection[str],
+                   psi: Optional[PhiSpec] = None) -> _Prefixes:
+    """The _Prefixes of a start u: level by level, every prefix branches into one state per
+    digit below its level's radix, and the step body runs on all states of the level."""
+    u = np.array(u, dtype=np.float64)[None]
+    gamma_axes, axis = _gamma_axes(gamma, u.ndim), np.ndim(gamma)
+    acc = {k: np.zeros(np.shape(gamma) + u.shape) for k in want}
+    weights = (0, 1.0, 1.0)
+    for radix in radices:
+        u = np.repeat(u, radix, axis=0)
+        acc = {k: np.repeat(v, radix, axis=axis) for k, v in acc.items()}
+        # each prefix's last digit, in the narrowest dtype: it adds to u exactly
+        last = np.arange(radix, dtype=np.min_scalar_type(radix))
+        digit = np.tile(last, len(u) // radix).reshape((-1,) + (1,) * (u.ndim - 1))
+        weights = _steps(u, b, gamma_axes, (digit,), acc, psi, weights)
+    return _Prefixes(u, acc, weights, tuple(radices))
+
+
 def _orbit_sums(
     u: np.ndarray,
     b: int,
@@ -321,6 +385,7 @@ def _orbit_sums(
     want: Collection[str],
     psi: Optional[PhiSpec] = None,
     rows: int = 0,
+    prefixes: Optional[_Prefixes] = None,
 ) -> dict[str, np.ndarray]:
     """Weighted sums along the backward orbit u_n = (u_{n-1} + i_n)/b.
 
@@ -336,55 +401,42 @@ def _orbit_sums(
     A 1-D gamma stacks the sums on a leading axis, sharing each polynomial value.
     rows > 0 starts all `rows` rows at u (the transversal sampler's 0-d x, a
     slope grid's x points): each column then has one more leading axis than u,
-    of length rows.  Rows with the same first n digits share u_1 .. u_n, so
-    the first floor(log_b rows) steps run once per digit prefix, level by
-    level, on states of shape (prefix,) + u.shape; the first column with a
-    negative digit or more branches than rows first gives each row its
-    prefix's state, and it and every later column step per row.
+    of length rows.  Rows with the same first digits share those steps in a
+    _prefix_states tree: its radices are read off the columns, up to the first
+    one with a negative digit or more branches than rows, unless `prefixes`
+    (built from this u, gamma, want and psi) is given, whose radices the rows'
+    digits must fit.  Each row's first len(radices) digits index its prefix's
+    state, and every later column steps per row.
 
-    Every path runs each cell through the one step body below in the same
-    order, so the slope grids, samplers and single-word evaluators share
-    their rounding: a step updates the weights once, evaluates each distinct
-    polynomial once (Y and Ydgamma share one sin) and adds weight * value to each sum.
+    Every path runs each cell through _steps in the same order, so the slope
+    grids, samplers and single-word evaluators share their rounding.
     """
     u = np.array(u, dtype=np.float64)
-    idx = None
-    if rows:
-        u = u[None]
-        idx = np.zeros(rows, dtype=np.int64)  # each row's digit prefix, read in its levels' radices
     lead = np.shape(gamma)
-    gamma = np.reshape(gamma, lead + (1,) * u.ndim) if lead else gamma
-    acc = {k: np.zeros(lead + u.shape) for k in want}
-    polys = {}  # each distinct polynomial: the sums that read it
-    for k in want:
-        polys.setdefault(_ORBIT_SUMS[k][1] or psi, []).append(k)
-    n, g, r = 0, 1.0, 1.0  # gamma^n and (gamma/b)^n after step n
-    for digit in columns:
-        if idx is not None:
-            radix = max(b, int(digit.max()) + 1)  # a branch for every digit value
-            if digit.min() < 0 or len(u) * radix > rows:
-                u = u[idx]
-                acc = {k: np.take(v, idx, axis=len(lead)) for k, v in acc.items()}
-                idx = None
-            else:
-                idx *= radix
-                idx += digit.reshape(rows)
-                u = np.repeat(u, radix, axis=0)
-                acc = {k: np.repeat(v, radix, axis=len(lead)) for k, v in acc.items()}
-                # each prefix's last digit, in the narrowest dtype: it adds to u exactly
-                last = np.arange(radix, dtype=np.min_scalar_type(radix))
-                digit = np.tile(last, len(u) // radix).reshape((-1,) + (1,) * (u.ndim - 1))
-        n += 1
-        u += digit
-        del digit  # free a sampler's column before the sums (enumerate would keep it)
-        u /= b
-        g0, g, r = g, g * gamma, r * (gamma / b)
-        for poly, keys in polys.items():
-            value = poly.oscillating(u)
-            for k in keys:
-                acc[k] += _ORBIT_SUMS[k][2](n, g0, g, r) * value
-    if idx is not None:  # the columns ran out with prefixes still shared
-        acc = {k: np.take(v, idx, axis=len(lead)) for k, v in acc.items()}
+    weights = (0, 1.0, 1.0)
+    if rows:
+        columns = iter(columns)
+        if prefixes is None:
+            radices, head = [], []
+            for digit in columns:
+                head.append(digit)
+                radix = max(b, int(digit.max()) + 1)  # a branch for every digit value
+                if digit.min() < 0 or math.prod(radices) * radix > rows:
+                    break
+                radices.append(radix)
+            columns = itertools.chain(head, columns)
+            prefixes = _prefix_states(u, b, gamma, radices, want, psi)
+        idx = np.zeros(rows, dtype=np.int64)  # each row's prefix: its first digits in the radices
+        for radix in prefixes.radices:
+            idx *= radix
+            idx += next(columns).reshape(rows)
+        u, weights = prefixes.u[idx], prefixes.weights
+        acc = {k: np.take(v, idx, axis=len(lead)) for k, v in prefixes.acc.items()}
+        del idx
+    else:
+        acc = {k: np.zeros(lead + u.shape) for k in want}
+    gamma = _gamma_axes(gamma, u.ndim)
+    _steps(u, b, gamma, columns, acc, psi, weights)
     for k, v in acc.items():
         v *= _ORBIT_SUMS[k][0]
     if "S" in acc:

@@ -169,6 +169,7 @@ class TestBoxCount:
         (2, 0.9, COSINE, 8, 16, 12),
         (3, 0.7, MIX, 5, 9, 7),
         (5, 0.6, SINE, 4, 25, 6),
+        (2, 0.6, MIX, 4, 2, 5),  # chunk 1: rows of 2 points on levels of m = 4 residues
     ])
     def test_table_size_independent(self, monkeypatch, b, lam, phi, levels, samples, depth):
         p, span = Params(b, lam), b ** (depth - levels)
@@ -215,6 +216,17 @@ class TestBoxCount:
         peak = traced_peak(lambda: box_count(Params(2, 0.9), COSINE, levels=16,
                                              samples_per_column=64))
         assert peak < 14 * 2 ** 20
+
+    def test_count_phase_peak(self, monkeypatch):
+        # the count walks the 2^18 columns in blocks: 4.0 MiB measured, the first coarser
+        # level's lo and hi and a few blocks; column-sized quotients and floors took 8.0
+        rnd = np.random.default_rng(5)
+        lo = rnd.uniform(-3.0, 3.0, 1 << 18)
+        ext = np.stack([lo, lo + rnd.uniform(0.0, 1.0, lo.size)])
+        monkeypatch.setattr(boxdim, "_grid_values", lambda *args: ext)
+        peak = traced_peak(lambda: box_count(Params(2, 0.9), COSINE, levels=18,
+                                             samples_per_column=2))
+        assert peak < 1.25 * ext.nbytes
 
     def test_streams_the_grid(self):
         # the 2^22-point grid alone would take 32 MB

@@ -653,6 +653,15 @@ class TestDeterminism:
         # a ragged last chunk, with a shallower digit-prefix tree than the full ones
         ("measure", "--kind", "transversal", "--b", "3", "--lambda", "0.8", "--x", "0.5",
          "--count", "140000", "--bins", "16"),
+        # one pooled sampler task (2^15 rows) less one, one and one more; a ragged last task
+        ("measure", "--kind", "transversal", "--b", "2", "--lambda", "0.95", "--x", "0.3",
+         "--count", "32767", "--bins", "16", "--seed", "5"),
+        ("measure", "--kind", "transversal", "--b", "2", "--lambda", "0.95", "--x", "0.3",
+         "--count", "32768", "--bins", "16", "--seed", "5"),
+        ("measure", "--kind", "sbr", "--b", "3", "--lambda", "0.6", "--count", "32769",
+         "--bins", "16", "--seed", "5"),
+        ("measure", "--kind", "transversal", "--b", "3", "--lambda", "0.8", "--x", "0.5",
+         "--count", "114688", "--bins", "16", "--seed", "5"),
     ])
     def test_worker_pool_output_independent_of_threads(self, capsys, monkeypatch, argv):
         outs = []
@@ -681,6 +690,12 @@ class TestDeterminism:
 
     def test_import_loads_no_numpy(self):
         code = "import sys, weierdim; print('numpy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
+        assert proc.returncode == 0 and proc.stdout.split() == [b"False"]
+
+    def test_series_import_loads_no_pool(self):
+        # concurrent.futures imports logging; only a threaded map_ordered needs it
+        code = "import sys, weierdim.series; print('concurrent.futures' in sys.modules)"
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True)
         assert proc.returncode == 0 and proc.stdout.split() == [b"False"]
 

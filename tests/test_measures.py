@@ -27,7 +27,7 @@ from weierdim import (
     sample_transversal,
 )
 from weierdim import rng
-from weierdim.measures import _BLOCK, _linear_fit
+from weierdim.measures import _BLOCK, _PREFIX_LEAVES, _TASK_ROWS, _linear_fit
 from weierdim.parallel import _CHUNK_CELLS
 from weierdim.series import _orbit_sums
 
@@ -40,14 +40,16 @@ def test_sample_budget_before_any_draw():
             sample(10 ** 11)
 
 
-C = _CHUNK_CELLS  # rows per pooled sampler task
+C = _CHUNK_CELLS  # rows per local-dimension chunk, and the transversal tree's most leaves
+R = _TASK_ROWS  # rows per pooled sampler task
 
 
 class TestPooledRows:
     """Each sampler's rows, run in chunks on the worker pool, match one whole-count evaluation."""
 
     @pytest.mark.parametrize("threads", ("1", "2"))
-    @pytest.mark.parametrize("count", (1, C - 1, C, C + 1, 3 * C + 1))
+    @pytest.mark.parametrize("count", (1, R - 1, R, R + 1, 3 * R + R // 2, C - 1, C, C + 1,
+                                       3 * C + 1))
     def test_matches_whole_count_reference(self, monkeypatch, threads, count):
         monkeypatch.setenv("WEIERDIM_THREADS", threads)
         p, depth, seed = Params(3, 0.6), 9, 5
@@ -85,13 +87,14 @@ class TestSharedStart:
     @pytest.mark.parametrize("b", (2, 3, 4, 5, 7))
     def test_matches_per_row_orbits(self, monkeypatch, b):
         p, seed, t = Params(b, 1.2 / b), 7, _prefix_levels(b, C)
-        counts = sorted({1, b, b + 1, b ** t - 1, b ** t, b ** t + 1, C - 1, C, C + 1, 3 * C + 1})
+        counts = sorted({1, b, b + 1, b ** t - 1, b ** t, b ** t + 1, R - 1, R, R + 1,
+                         3 * R + R // 2, C - 1, C, C + 1, 3 * C + 1})
         for x, depth in itertools.product((0.0, 0.3, 1.0), (3, t + 2)):  # depth below and above T
             # row r of every count is the same counter stream, so one reference serves all
             digits = rng.digit_matrix(seed, rng.STREAM_TRANSVERSAL, counts[-1], depth, b)
             ref = _orbit_sums(np.full(counts[-1], x), b, p.gamma, digits.T, ("Y",))["Y"]
             for count in counts:
-                for threads in ("1", "2") if count > C else ("1",):  # one chunk runs serially
+                for threads in ("1", "2") if count > R else ("1",):  # one task runs serially
                     monkeypatch.setenv("WEIERDIM_THREADS", threads)
                     s = sample_transversal(p, x, count, depth=depth, seed=seed)
                     assert s.points.tobytes() == ref[:count].tobytes(), (x, count, depth, threads)
@@ -110,6 +113,17 @@ class TestSharedStart:
         calls.update(sin=0, cos=0)
         sample_sbr(Params(b, 1.2 / b), count=C, depth=depth, seed=1)
         assert calls == {"sin": depth * C, "cos": 0}
+
+    @pytest.mark.parametrize("b, depth", ((2, 36), (3, 25)))
+    def test_trig_count_one_tree_per_sample(self, monkeypatch, b, depth):
+        # seven tasks of R rows read one tree of b^t <= _PREFIX_LEAVES prefixes, built once
+        monkeypatch.setenv("WEIERDIM_THREADS", "1")
+        calls = counted_trig(monkeypatch)
+        count = 3 * C + 1
+        sample_transversal(Params(b, 1.2 / b), 0.3, count, depth=depth, seed=1)
+        t = _prefix_levels(b, _PREFIX_LEAVES)
+        assert calls == {"sin": sum(b ** n for n in range(1, t + 1)) + (depth - t) * count,
+                         "cos": 0}
 
 
 class TestCsv:
@@ -421,14 +435,18 @@ class TestStreamedStatistics:
 
 
 class TestSamplerPeak:
-    """A sampler, its summary and its histogram, or a local-dimension fit on it, hold the
-    result plus one task's working set: the traced peak over the result stays under 8 chunks
-    of C floats at any count (6.0 for SBR and graph lift, 7.0 for transversal and 6.0 for a
-    4-center fit on SBR measured).  Whole-count x draws, std and histogram copies read 12
-    chunks at 4C+1 SBR rows and 12 at 12C+1 transversal rows; whole-sample distance arrays
-    read 16 for that fit."""
+    """A sampler, its summary and its histogram hold the result plus one task's working set:
+    the traced peak over the result stays under 4 chunks of C floats at any count (3.0 for
+    SBR and graph lift measured), and the transversal sampler's adds its prefix tree of
+    _PREFIX_LEAVES states, 2 chunks (5.0 measured).  Tasks of C rows, each with its own tree,
+    read 6.0, 6.0 and 7.0.  A local-dimension fit walks the sample in chunks of C rows: under
+    8 chunks (6.0 for a 4-center fit on SBR measured).  Whole-count x draws, std and histogram
+    copies read 12 chunks at 4C+1 SBR rows and 12 at 12C+1 transversal rows; whole-sample
+    distance arrays read 16 for that fit."""
 
-    BOUND = 8 * C * 8
+    BOUND = 4 * C * 8
+    TREE = _PREFIX_LEAVES * 2 * 8  # u and Y of every prefix
+    LOCAL_DIM_BOUND = 8 * C * 8
 
     @staticmethod
     def _peak_over_result(monkeypatch, make, after):
@@ -452,7 +470,7 @@ class TestSamplerPeak:
         peak = self._peak_over_result(
             monkeypatch, lambda: sample_transversal(Params(2, 0.95), 0.3, count=12 * C + 1, seed=1),
             lambda s: s.summary())
-        assert peak < self.BOUND
+        assert peak < self.BOUND + self.TREE
 
     def test_graph_lift(self, monkeypatch):
         peak = self._peak_over_result(
@@ -465,4 +483,4 @@ class TestSamplerPeak:
         peak = self._peak_over_result(
             monkeypatch, lambda: sample_sbr(Params(3, 0.6), count=4 * C + 1, seed=1),
             lambda s: local_dim_estimate(s, radii, centers=4, seed=1))
-        assert peak < self.BOUND
+        assert peak < self.LOCAL_DIM_BOUND

@@ -1,5 +1,6 @@
 """Transversality estimators: separation, tangency counts, two-variable."""
 
+import concurrent.futures
 import hashlib
 import itertools
 import threading
@@ -455,12 +456,13 @@ def test_no_pool_inside_a_pool(monkeypatch):
     monkeypatch.setattr(parallel.os, "cpu_count", lambda: 2)
     pools = []
 
-    class Probe(parallel.ThreadPoolExecutor):
+    class Probe(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             pools.append(threading.current_thread() is threading.main_thread())
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(parallel, "ThreadPoolExecutor", Probe)
+    # map_ordered imports the pool class when it runs threaded
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Probe)
     two_var_delta(2, 0.05, x_grid=4, gamma_grid=5000, pair_budget=16384)
     empirical_delta(2, Params(2, 0.95).gamma, x_grid=2000, pair_budget=2048, seed=1)
     tangency_count(Params(2, 0.95), TangencyQuery(n=3, m=3, eps=0.5, delta=0.5,
