@@ -3,13 +3,16 @@
 Samplers draw digit words (and base points) from the counter-based generator,
 so a SampleSet is a pure function of (params, seed, depth, count) and is
 identical for any worker count: each sampler states a task fill that writes
-its own columns, x draw included, for one row range, and _sample runs it over
-tasks of _TASK_ROWS rows on the worker pool.  The transversal sampler's rows
-all start at x, so it runs every short digit prefix's orbit once, in one tree
-built before the pool, and its tasks gather their rows' prefix states from it.
-The result is the only count-sized array: every count-sized pass (summary(),
-density_histogram, local dimension) walks the sample in chunks, so the byte
-budget on a sample's result bounds the peak up to the per-task temporaries.
+its own rows for one row range, and _sample runs it over tasks of at most
+_TASK_ROWS rows on the worker pool.  A sample holds one float per point: the
+SBR and graph-lift x is a pure function of (seed, row), drawn into a
+task-local array and re-drawn block by block by SampleSet.rows wherever a pass
+needs it.  The transversal sampler's rows all start at x, so it runs every
+short digit prefix's orbit once, in one tree built before the pool, and its
+tasks gather their rows' prefix states from it.  The value column is the only
+count-sized array: every count-sized pass (summary(), density_histogram, local
+dimension, CSV) walks the sample in blocks, so the byte budget on 8 bytes per
+point bounds the peak up to the per-task temporaries.
 Local dimension is estimated by a finite ladder of radii with a least-squares
 slope of log-mass against log-radius; no convergence claim is attached, the
 estimates are regression-stable diagnostics with a reported standard error.
@@ -24,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .parallel import _CHUNK_CELLS, _check_bytes, map_ordered
+from .parallel import _CHUNK_CELLS, _check_bytes, map_ordered, worker_count
 from .series import (
     _TAIL_TARGET,
     COSINE_DERIV,
@@ -40,16 +43,16 @@ from .series import (
 )
 
 
-_TASK_ROWS = 1 << 15  # sample rows per pooled task: its working set is a few such columns
+_TASK_ROWS = 1 << 15  # most sample rows per pooled task or pass block: a few such columns
 _PREFIX_LEAVES = 1 << 16  # most digit prefixes of the transversal tree: 1 MiB of u and Y
 _BLOCK = 1 << 13  # values per block of summary() and density_histogram: numpy's own buffer size
 _BIN_BYTES = 512  # per histogram bin: its arrays, output row and JSON text (410 B measured)
 
 
-def _check_count(count: int, columns: int) -> int:
-    """count as an int, refused below 1 or when the count x columns result is over budget."""
+def _check_count(count: int) -> int:
+    """count as an int, refused below 1 or when its one float per point is over budget."""
     count = _check_int("count", count, 1)
-    _check_bytes(count * 8 * columns, f"{count} samples")
+    _check_bytes(count * 8, f"{count} samples")
     return count
 
 
@@ -85,7 +88,11 @@ class SampleSet:
 
     kind is "transversal" (values of the stable slope at a fixed x, one real
     per sample), "sbr" (pairs (x, fiber sum)), "graph" (pairs (x, f(x))) or
-    "synthetic".  tail_bound is the per-sample truncation error bound.
+    "synthetic".  points holds the stored columns: one value per sample, or a
+    (count, k) array.  When x_stream is set, points is the value column alone
+    and each row's x is rng.uniform_vector(seed, x_stream, ...) at its index,
+    re-drawn by rows(), the one accessor of whole rows.  tail_bound is the
+    per-sample truncation error bound.
     """
 
     points: np.ndarray
@@ -93,23 +100,33 @@ class SampleSet:
     depth: int
     kind: str
     tail_bound: float = 0.0
+    x_stream: Optional[int] = None
 
     @property
     def count(self) -> int:
         return self.points.shape[0]
 
     def values(self) -> np.ndarray:
-        """The measure coordinate: the points themselves, or the y column."""
+        """The measure coordinate: the value column, or the y column of stored pairs."""
         return self.points if self.points.ndim == 1 else self.points[:, 1]
+
+    def rows(self, r0: int, r1: int) -> np.ndarray:
+        """Rows r0..r1-1, r1 capped at count: a view of the stored points, or fresh (x, value)
+        pairs with x re-drawn from its counter stream."""
+        held = self.points[r0:r1]
+        if self.x_stream is None:
+            return held
+        out = np.empty((len(held), 2))
+        out[:, 0] = rng.uniform_vector(self.seed, self.x_stream, len(held), r0)
+        out[:, 1] = held
+        return out
 
     def to_csv(self, path) -> None:
         """One row per sample, each value as %.17g, in blocks of _CHUNK_CELLS rows."""
-        cols = 1 if self.points.ndim == 1 else self.points.shape[1]
-        pts = self.points.reshape(-1, cols)
-        row = ",".join(["%.17g"] * cols) + "\n"
         with open(path, "w") as fh:
             for r0 in range(0, self.count, _CHUNK_CELLS):
-                block = pts[r0 : r0 + _CHUNK_CELLS]
+                block = self.rows(r0, r0 + _CHUNK_CELLS)
+                row = ",".join(["%.17g"] * (block.size // len(block))) + "\n"
                 fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
     def summary(self) -> dict:
@@ -155,17 +172,17 @@ def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     return float(slope), float(intercept), float(stderr)
 
 
-def _sample(kind: str, shape, seed: int, depth: int, tail_bound: float,
-            fill: Callable[[np.ndarray, int, int], None]) -> SampleSet:
-    """The SampleSet of one preallocated points array of `shape`, with fill(points, r0, r1)
-    writing rows r0..r1-1 over consecutive ranges of _TASK_ROWS rows on the worker pool.
-    Every row is its own counter-RNG stream and its arithmetic is elementwise, so the bits
-    do not depend on the chunking."""
-    points = np.empty(shape)
-    count = len(points)
-    map_ordered(lambda r0: fill(points, r0, min(r0 + _TASK_ROWS, count)),
-                range(0, count, _TASK_ROWS))
-    return SampleSet(points, seed, depth, kind, tail_bound)
+def _sample(kind: str, count: int, seed: int, depth: int, tail_bound: float,
+            fill: Callable[[np.ndarray, int, int], None],
+            x_stream: Optional[int] = None) -> SampleSet:
+    """The SampleSet of one preallocated value column, with fill(values, r0, r1) writing rows
+    r0..r1-1 over consecutive ranges on the worker pool: _TASK_ROWS rows, or fewer when that
+    leaves a worker idle.  Every row is its own counter-RNG stream and its arithmetic is
+    elementwise, so the bits do not depend on the chunking."""
+    values = np.empty(count)
+    rows = min(_TASK_ROWS, -(-count // worker_count()))
+    map_ordered(lambda r0: fill(values, r0, min(r0 + rows, count)), range(0, count, rows))
+    return SampleSet(values, seed, depth, kind, tail_bound, x_stream)
 
 
 def sample_transversal(
@@ -180,7 +197,7 @@ def sample_transversal(
     Every row starts at x, so the orbit of each prefix of t digits, b^t <= min(count,
     _PREFIX_LEAVES), runs once, before the pool; a task reads its rows' prefixes off their
     first t digits and steps each row from there."""
-    count = _check_count(count, 1)
+    count = _check_count(count)
     seed = _check_int("seed", seed)
     if not (0.0 <= x <= 1.0):
         raise ValueError(f"x must lie in [0, 1], got {x!r}")
@@ -192,9 +209,9 @@ def sample_transversal(
         t += 1
     prefixes = _prefix_states(float(x), p.b, gamma, (p.b,) * t, ("Y",))
 
-    def slopes(points, r0, r1):
+    def slopes(values, r0, r1):
         columns = rng.digit_columns(seed, rng.STREAM_TRANSVERSAL, r1 - r0, depth, p.b, r0)
-        points[r0:r1] = _orbit_sums(float(x), p.b, gamma, columns, ("Y",), rows=r1 - r0,
+        values[r0:r1] = _orbit_sums(float(x), p.b, gamma, columns, ("Y",), rows=r1 - r0,
                                     prefixes=prefixes)["Y"]
 
     return _sample("transversal", count, seed, depth, tail(depth), slopes)
@@ -211,20 +228,20 @@ def sample_sbr(
 
     x is uniform on [0, 1), digits are i.i.d. uniform.  The constant part of
     psi is summed in closed form, so adding a constant c to psi translates
-    every sample by exactly c/(1-gamma).
+    every sample by exactly c/(1-gamma).  The sample holds S; rows() re-draws x.
     """
-    count = _check_count(count, 2)
+    count = _check_count(count)
     seed = _check_int("seed", seed)
     gamma = p.gamma
     tail = orbit_tail("S", p.b, gamma, psi)
     depth = _terms_for(_TAIL_TARGET, tail, 1, depth, "depth")
 
-    def fibers(points, r0, r1):
-        points[r0:r1, 0] = rng.uniform_vector(seed, rng.STREAM_SBR_X, r1 - r0, r0)
+    def fibers(values, r0, r1):
+        x = rng.uniform_vector(seed, rng.STREAM_SBR_X, r1 - r0, r0)
         columns = rng.digit_columns(seed, rng.STREAM_SBR_DIGITS, r1 - r0, depth, p.b, r0)
-        points[r0:r1, 1] = _orbit_sums(points[r0:r1, 0], p.b, gamma, columns, ("S",), psi)["S"]
+        values[r0:r1] = _orbit_sums(x, p.b, gamma, columns, ("S",), psi)["S"]
 
-    return _sample("sbr", (count, 2), seed, depth, tail(depth), fibers)
+    return _sample("sbr", count, seed, depth, tail(depth), fibers, rng.STREAM_SBR_X)
 
 
 def sample_graph_lift(
@@ -235,16 +252,32 @@ def sample_graph_lift(
 ) -> SampleSet:
     """Sample the lift of Lebesgue measure to the graph: pairs (x, f(x)), tail <= 1e-9.
 
-    terms x count over the graph series' term budget is refused before any draw."""
-    count = _check_count(count, 2)
+    The sample holds f(x); rows() re-draws x.  terms x count over the graph series' term
+    budget is refused before any draw."""
+    count = _check_count(count)
     seed = _check_int("seed", seed)
     terms, tail = _graph_terms(p.lam, phi, count, _TAIL_TARGET)
 
-    def heights(points, r0, r1):
-        points[r0:r1, 0] = rng.uniform_vector(seed, rng.STREAM_GRAPH_X, r1 - r0, r0)
-        points[r0:r1, 1] = eval_weierstrass(p, phi, points[r0:r1, 0], terms=terms).value
+    def heights(values, r0, r1):
+        x = rng.uniform_vector(seed, rng.STREAM_GRAPH_X, r1 - r0, r0)
+        values[r0:r1] = eval_weierstrass(p, phi, x, terms=terms).value
 
-    return _sample("graph", (count, 2), seed, terms, tail, heights)
+    return _sample("graph", count, seed, terms, tail, heights, rng.STREAM_GRAPH_X)
+
+
+def _count_hits(block: np.ndarray, centers: list, radii: list[float], hits: np.ndarray) -> None:
+    """hits[c, k] += the rows of block within radii[k] of centers[c]: each distance is
+    |d| or sqrt((d ** 2).sum(axis=1)), formed in one scratch per block."""
+    d = np.empty_like(block)
+    dist = d if d.ndim == 1 else np.empty(len(d))
+    for c, point in enumerate(centers):
+        np.subtract(block, point, out=d)
+        if d.ndim == 1:
+            np.abs(d, out=d)
+        else:
+            np.add.reduce(np.multiply(d, d, out=d), axis=1, out=dist)
+            np.sqrt(dist, out=dist)
+        hits[c] += [np.count_nonzero(dist <= r) for r in radii]
 
 
 def local_dim_estimate(
@@ -269,18 +302,14 @@ def local_dim_estimate(
         )
     centers = _check_int("centers", centers, 1)
     seed = _check_int("seed", seed)
-    pts = s.points
     n = s.count
     idx = rng.digit_vector(seed, rng.STREAM_CENTERS, 0, centers, n)  # value64(seed, stream, t) % n
+    points = [s.rows(i, i + 1)[0] for i in idx.tolist()]  # each center's row
+    hits = np.zeros((centers, len(radii)), dtype=np.int64)
+    for r0 in range(0, n, _TASK_ROWS):  # no count-sized distances; each block drawn once
+        _count_hits(s.rows(r0, r0 + _TASK_ROWS), points, radii, hits)
     log_r = np.log(radii)
-    slopes = np.empty(centers)
-    for c, i in enumerate(idx):
-        hits = np.zeros(len(radii), dtype=np.int64)
-        for r0 in range(0, n, _CHUNK_CELLS):  # no count-sized distances
-            d = pts[r0 : r0 + _CHUNK_CELLS] - pts[i]
-            dist = np.abs(d) if pts.ndim == 1 else np.sqrt((d ** 2).sum(axis=1))
-            hits += [np.count_nonzero(dist <= r) for r in radii]
-        slopes[c] = _linear_fit(log_r, np.log(hits / n))[0]
+    slopes = np.array([_linear_fit(log_r, np.log(h / n))[0] for h in hits])
     stderr = float(slopes.std(ddof=1) / math.sqrt(centers)) if centers > 1 else 0.0
     return DimFit(slope=float(slopes.mean()), stderr=stderr)
 

@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from weierdim import COSINE, Params, boxdim, claims, cli, coeff_bound, eval_weierstrass
+from weierdim import (COSINE, Params, boxdim, claims, cli, coeff_bound, eval_weierstrass,
+                      parallel, rng)
 from weierdim.cli import main
 from weierdim.parallel import worker_count
 
@@ -250,6 +251,25 @@ class TestEstimators:
         assert out == ""
         assert "over the budget" in err
 
+    @pytest.mark.parametrize("kind", ("sbr", "graph"))
+    def test_sample_budget_counts_one_float_per_point(self, capsys, monkeypatch, kind):
+        # a budget of 1000 floats: 1000 points are drawn, 1001 are refused before any draw
+        monkeypatch.setattr(parallel, "_MAX_BYTES", 8 * 1000)
+        argv = ("measure", "--kind", kind, "--b", "2", "--lambda", "0.9", "--seed", "3")
+        code, payload = run_json(capsys, *argv, "--count", "1000")
+        assert (code, payload["count"]) == (0, 1000)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drawing before the budget check")
+
+        for name in ("uniform_vector", "digit_columns"):
+            monkeypatch.setattr(rng, name, no_draw)
+        code = main([*argv, "--count", "1001"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert out == ""
+        assert "over the budget" in err
+
     def test_scale_error_lists_plain_floats(self, capsys, monkeypatch):
         def no_grid(*args, **kwargs):
             raise AssertionError("the box grid before the drop_coarsest check")
@@ -285,6 +305,20 @@ class TestEstimators:
         )
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 50
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("measure", "--kind", "sbr", "--b", "3", "--lambda", "0.6", "--count", "70000"),
+         "a2bdbcb04322c5b895ad197fe54c5febfb2f01a362d94118aa6972b550c34fc1"),
+        (("measure", "--kind", "graph", "--b", "2", "--lambda", "0.9", "--count", "40000"),
+         "ea116f730d31e68b1bafc213d10eab6a667eadb6219fd768212155c82a3ceadc"),
+    ], ids=("sbr", "graph"))
+    def test_measure_csv_pinned(self, capsys, monkeypatch, tmp_path, argv, digest):
+        # the x column is re-drawn from its counter stream: the file keeps the stored x's bytes
+        for threads in ("1", "2"):
+            monkeypatch.setenv("WEIERDIM_THREADS", threads)
+            out = tmp_path / f"{threads}.csv"
+            assert run_cli(capsys, *argv, "--seed", "3", "--out-csv", str(out))[0] == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     def test_measure_graph_histogram(self, capsys):
         code, payload = run_json(
@@ -662,6 +696,9 @@ class TestDeterminism:
          "--bins", "16", "--seed", "5"),
         ("measure", "--kind", "transversal", "--b", "3", "--lambda", "0.8", "--x", "0.5",
          "--count", "114688", "--bins", "16", "--seed", "5"),
+        # under two pooled tasks: one task per worker, of half the count each
+        ("measure", "--kind", "graph", "--b", "2", "--lambda", "0.9", "--count", "20000",
+         "--bins", "16", "--seed", "3"),
     ])
     def test_worker_pool_output_independent_of_threads(self, capsys, monkeypatch, argv):
         outs = []

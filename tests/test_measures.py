@@ -62,12 +62,12 @@ class TestPooledRows:
         xs = rng.uniform_vector(seed, rng.STREAM_SBR_X, count)
         digits = rng.digit_matrix(seed, rng.STREAM_SBR_DIGITS, count, depth, p.b)
         ref = _orbit_sums(xs, p.b, p.gamma, digits.T, ("S",), COSINE_DERIV)["S"]
-        assert s.points.tobytes() == np.column_stack([xs, ref]).tobytes()
+        assert s.rows(0, count).tobytes() == np.column_stack([xs, ref]).tobytes()
 
         s = sample_graph_lift(p, COSINE, count, seed=seed)
         xs = rng.uniform_vector(seed, rng.STREAM_GRAPH_X, count)
         ref = eval_weierstrass(p, COSINE, xs, abs_tol=1e-9)
-        assert s.points.tobytes() == np.column_stack([xs, ref.value]).tobytes()
+        assert s.rows(0, count).tobytes() == np.column_stack([xs, ref.value]).tobytes()
         assert (s.depth, s.tail_bound) == (ref.terms_used, ref.tail_bound)
 
 
@@ -130,16 +130,18 @@ class TestCsv:
     @pytest.mark.parametrize("sample", (
         lambda: sample_transversal(Params(2, 0.95), 0.3, C + 3, depth=12, seed=1),
         lambda: sample_sbr(Params(3, 0.6), count=C + 3, depth=12, seed=2),
+        lambda: sample_graph_lift(Params(2, 0.9), COSINE, C + 3, seed=2),
         lambda: SampleSet(points=np.array([[0.0, -0.0], [np.nan, np.inf], [5e-324, -1e300],
                                            [1.0 / 3, 2.0 ** 60]]), seed=0, depth=0,
                           kind="synthetic"),
         lambda: SampleSet(points=np.array([]), seed=0, depth=0, kind="synthetic"),
-    ), ids=("1-D", "2-D", "edge-values", "empty"))
+    ), ids=("1-D", "2-D", "graph", "edge-values", "empty"))
     def test_bytes_match_savetxt(self, tmp_path, sample):
         s = sample()
         s.to_csv(tmp_path / "got.csv")
-        cols = 1 if s.points.ndim == 1 else s.points.shape[1]
-        np.savetxt(tmp_path / "ref.csv", s.points, delimiter=",", fmt=["%.17g"] * cols)
+        pts = s.rows(0, s.count)
+        cols = 1 if pts.ndim == 1 else pts.shape[1]
+        np.savetxt(tmp_path / "ref.csv", pts, delimiter=",", fmt=["%.17g"] * cols)
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
@@ -192,7 +194,7 @@ class TestSbrSampler:
 
     def test_zero_psi_gives_zero_fibers(self):
         s = sample_sbr(Params(2, 0.9), PhiSpec(), count=100, depth=20, seed=3)
-        assert np.all(s.points[:, 1] == 0.0)
+        assert np.all(s.rows(0, s.count)[:, 1] == 0.0)
 
     def test_translation_equivariance_exact(self):
         p = Params(2, 0.95)
@@ -204,8 +206,9 @@ class TestSbrSampler:
         )
         moved = sample_sbr(p, shifted_psi, count=2000, seed=2)
         shift = 1.7 / (1 - p.gamma)
-        assert np.array_equal(moved.points[:, 0], base.points[:, 0])
-        assert np.array_equal(moved.points[:, 1], base.points[:, 1] + shift)
+        moved_rows, base_rows = moved.rows(0, moved.count), base.rows(0, base.count)
+        assert np.array_equal(moved_rows[:, 0], base_rows[:, 0])
+        assert np.array_equal(moved_rows[:, 1], base_rows[:, 1] + shift)
 
     def test_fibers_match_negated_slope_over_gamma(self):
         p = Params(2, 1.0 / (2 * 0.6))
@@ -217,13 +220,13 @@ class TestSbrSampler:
             word = DigitWord(tuple(int(d) for d in digits[i]))
             y = eval_orbit_sum(p, word, float(xs[i]), terms=s.depth)
             expect = -y.value / p.gamma
-            assert s.points[i, 1] == pytest.approx(expect, abs=1e-12)
+            assert s.rows(i, i + 1)[0, 1] == pytest.approx(expect, abs=1e-12)
 
 
 class TestGraphLift:
     def test_zero_phi_flat(self):
         s = sample_graph_lift(Params(2, 0.9), PhiSpec(), 200, seed=3)
-        assert np.all(s.points[:, 1] == 0.0)
+        assert np.all(s.rows(0, s.count)[:, 1] == 0.0)
 
     def test_reports_the_series_tail(self):
         p = Params(2, 0.9)
@@ -235,12 +238,13 @@ class TestGraphLift:
     def test_bounded_by_geometric_sum(self):
         p = Params(2, 0.95)
         s = sample_graph_lift(p, COSINE, 500, seed=3)
-        assert np.abs(s.points[:, 1]).max() <= 1.0 / (1 - 0.95) + 1e-6
+        assert np.abs(s.rows(0, s.count)[:, 1]).max() <= 1.0 / (1 - 0.95) + 1e-6
 
     def test_summary_regression_pin(self):
         s = sample_graph_lift(Params(2, 0.9), COSINE, 2000, seed=3)
-        assert float(s.points[:, 1].mean()) == pytest.approx(0.0952272994652484, abs=0)
-        assert float(s.points[:, 1].max()) == pytest.approx(6.344386662685107, abs=0)
+        heights = s.rows(0, s.count)[:, 1]
+        assert float(heights.mean()) == pytest.approx(0.0952272994652484, abs=0)
+        assert float(heights.max()) == pytest.approx(6.344386662685107, abs=0)
 
 
 class TestLocalDimension:
@@ -284,7 +288,7 @@ class TestLocalDimension:
 def _per_center_fit(s, radii, centers, seed):
     """(slope, stderr) from one whole-sample distance array per center: the reference that
     local_dim_estimate's walk over chunks of the sample must match bit for bit."""
-    pts, n = s.points, s.count
+    pts, n = s.rows(0, s.count), s.count
     idx = rng.digit_vector(seed, rng.STREAM_CENTERS, 0, centers, n)
     log_r = np.log(radii)
     slopes = np.empty(centers)
@@ -426,27 +430,39 @@ class TestStreamedStatistics:
         assert summary["std"] == (float(vals.std(ddof=1)) if count > 1 else 0.0)
         assert density_histogram(s, 64) == _numpy_histogram(vals, 64)
 
-    def test_sbr_column_equal_numpy(self):
-        s = sample_sbr(Params(3, 0.6), count=2 * C + 3, depth=12, seed=3)
+    def test_strided_column_equal_numpy(self):
+        points = np.random.default_rng(5).standard_normal((2 * C + 3, 2)) * 0.37 + 5.0
+        s = SampleSet(points=points, seed=0, depth=1, kind="synthetic")
         vals = s.values()
         assert not vals.flags.contiguous
         assert s.summary()["std"] == float(vals.std(ddof=1))
         assert density_histogram(s, 64) == _numpy_histogram(vals, 64)
 
+    def test_sbr_column_equal_numpy(self):
+        s = sample_sbr(Params(3, 0.6), count=2 * C + 3, depth=12, seed=3)
+        vals = s.values()
+        assert vals.flags.contiguous
+        assert vals.tobytes() == s.rows(0, s.count)[:, 1].tobytes()
+        assert s.summary()["std"] == float(vals.std(ddof=1))
+        assert density_histogram(s, 64) == _numpy_histogram(vals, 64)
+
 
 class TestSamplerPeak:
-    """A sampler, its summary and its histogram hold the result plus one task's working set:
-    the traced peak over the result stays under 4 chunks of C floats at any count (3.0 for
-    SBR and graph lift measured), and the transversal sampler's adds its prefix tree of
-    _PREFIX_LEAVES states, 2 chunks (5.0 measured).  Tasks of C rows, each with its own tree,
-    read 6.0, 6.0 and 7.0.  A local-dimension fit walks the sample in chunks of C rows: under
-    8 chunks (6.0 for a 4-center fit on SBR measured).  Whole-count x draws, std and histogram
-    copies read 12 chunks at 4C+1 SBR rows and 12 at 12C+1 transversal rows; whole-sample
-    distance arrays read 16 for that fit."""
+    """A sampler, its summary and its histogram hold the result, one float per point, plus one
+    task's working set: the traced peak over the result stays under 4 chunks of C floats at
+    any count (3.5 for SBR and graph lift measured, their task-local x included), and the
+    transversal sampler's adds its prefix tree of _PREFIX_LEAVES states, 2 chunks (5.0
+    measured).  Tasks of C rows, each with its own tree, read 6.0, 6.0 and 7.0.  SBR and
+    graph-lift results that stored x beside the value read 7.0 over 8 bytes per point.  A
+    local-dimension fit walks the sample in blocks of R rows, x re-drawn once per block and
+    distances formed in one scratch: the sampler's 3.5 sets that test's peak (the fit alone
+    reads 2.6); fresh d, d ** 2, row sums and roots per chunk of C rows read 6.0.  Whole-count
+    x draws, std and histogram copies read 12 chunks at 4C+1 SBR rows and 12 at 12C+1
+    transversal rows; whole-sample distance arrays read 16 for that fit."""
 
     BOUND = 4 * C * 8
     TREE = _PREFIX_LEAVES * 2 * 8  # u and Y of every prefix
-    LOCAL_DIM_BOUND = 8 * C * 8
+    LOCAL_DIM_BOUND = 4 * C * 8
 
     @staticmethod
     def _peak_over_result(monkeypatch, make, after):
@@ -477,6 +493,20 @@ class TestSamplerPeak:
             monkeypatch, lambda: sample_graph_lift(Params(2, 0.9), COSINE, 4 * C + 1),
             lambda s: (s.summary(), density_histogram(s, 64)))
         assert peak < self.BOUND
+
+    @pytest.mark.parametrize("make", (
+        lambda: sample_sbr(Params(3, 0.6), count=4 * C + 1, seed=1),
+        lambda: sample_graph_lift(Params(2, 0.9), COSINE, 4 * C + 1),
+    ), ids=("sbr", "graph"))
+    def test_total_one_float_per_point(self, monkeypatch, make):
+        monkeypatch.setenv("WEIERDIM_THREADS", "1")
+
+        def run():
+            s = make()
+            s.summary()
+            density_histogram(s, 64)
+
+        assert traced_peak(run) < 8 * (4 * C + 1) + self.BOUND
 
     def test_local_dimension(self, monkeypatch):
         radii = [0.05 * 2.0 ** -j for j in range(5)]
