@@ -27,7 +27,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import rng
-from .parallel import _CHUNK_CELLS, _check_bytes, map_ordered, worker_count
+from .parallel import _check_bytes, map_ordered, worker_count
 from .series import (
     _TAIL_TARGET,
     COSINE_DERIV,
@@ -44,8 +44,7 @@ from .series import (
 
 
 _TASK_ROWS = 1 << 15  # most sample rows per pooled task or pass block: a few such columns
-_PREFIX_LEAVES = 1 << 16  # most digit prefixes of the transversal tree: 1 MiB of u and Y
-_BLOCK = 1 << 13  # values per block of summary() and density_histogram: numpy's own buffer size
+_BLOCK = 1 << 13  # values per summary() and histogram block (numpy's buffer size), CSV rows
 _BIN_BYTES = 512  # per histogram bin: its arrays, output row and JSON text (410 B measured)
 
 
@@ -122,10 +121,10 @@ class SampleSet:
         return out
 
     def to_csv(self, path) -> None:
-        """One row per sample, each value as %.17g, in blocks of _CHUNK_CELLS rows."""
+        """One row per sample, each value as %.17g, in blocks of _BLOCK rows."""
         with open(path, "w") as fh:
-            for r0 in range(0, self.count, _CHUNK_CELLS):
-                block = self.rows(r0, r0 + _CHUNK_CELLS)
+            for r0 in range(0, self.count, _BLOCK):
+                block = self.rows(r0, r0 + _BLOCK)
                 row = ",".join(["%.17g"] * (block.size // len(block))) + "\n"
                 fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
@@ -194,9 +193,9 @@ def sample_transversal(
 ) -> SampleSet:
     """Draw `count` stable-slope values at x with i.i.d. uniform digits.
 
-    Every row starts at x, so the orbit of each prefix of t digits, b^t <= min(count,
-    _PREFIX_LEAVES), runs once, before the pool; a task reads its rows' prefixes off their
-    first t digits and steps each row from there."""
+    Every row starts at x, so the orbit of each digit prefix in one _prefix_states tree
+    runs once, before the pool; a task reads its rows' prefixes off their first digits and
+    steps each row from there."""
     count = _check_count(count)
     seed = _check_int("seed", seed)
     if not (0.0 <= x <= 1.0):
@@ -204,10 +203,7 @@ def sample_transversal(
     gamma = p.gamma
     tail = orbit_tail("Y", p.b, gamma)
     depth = _terms_for(_TAIL_TARGET, tail, 1, depth, "depth")
-    t = 0
-    while t < depth and p.b ** (t + 1) <= min(count, _PREFIX_LEAVES):
-        t += 1
-    prefixes = _prefix_states(float(x), p.b, gamma, (p.b,) * t, ("Y",))
+    prefixes = _prefix_states(float(x), p.b, gamma, count, depth, ("Y",))
 
     def slopes(values, r0, r1):
         columns = rng.digit_columns(seed, rng.STREAM_TRANSVERSAL, r1 - r0, depth, p.b, r0)

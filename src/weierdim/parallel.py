@@ -21,7 +21,7 @@ class WorkBudgetError(ValueError):
 
 
 _MAX_BYTES = 1 << 28  # bytes one sample set, digit matrix or slope grid may hold
-_CHUNK_CELLS = 1 << 16  # cells per pooled task: an x block's grid or comparison cells, sampler rows
+_CHUNK_CELLS = 1 << 16  # cells per task or block: slope-grid and box-grid cells, digit remainders
 
 
 def _check_bytes(nbytes: int, what: str) -> None:

@@ -13,9 +13,10 @@ Each is a row of _ORBIT_SUMS (Y, Ydx, Ydgamma, S): a scale, a trig polynomial, a
 and its tail.  _steps is the one step body for every row; _orbit_sums runs it over digit
 columns, eval_orbit_sum evaluates one row, and orbit_tail's one rule gives the row's tail
 at coefficient scale * sup|polynomial|.  Rows that all start at one x share their first
-steps: _prefix_states runs every digit prefix's orbit once, and each row gathers its
-prefix's orbit point and partial sums by index (a slope grid builds this tree per x block,
-the transversal sampler once per sample).
+steps: _prefix_states runs every digit prefix's orbit once, over the most levels t <= depth
+with b^t <= min(rows, _PREFIX_LEAVES), and each row gathers its prefix's orbit point
+and partial sums by index (a slope grid builds this tree per x block, the transversal
+sampler once per sample).
 Every result carries an absolute bound on the omitted remainder, derived from
 the closed-form tail, so truncation depth is always chosen from the requested
 tolerance rather than a fixed count.
@@ -28,7 +29,6 @@ floating-point cancellation.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from bisect import bisect_left
@@ -47,6 +47,7 @@ FOUR_PI_SQ = 4.0 * math.pi ** 2
 _MAX_TERMS = 10_000_000
 _TAIL_TARGET = 1e-9  # series tail of the samplers' default depths
 _MAX_TERM_POINTS = 1 << 30  # terms x points one graph-series evaluation may sum
+_PREFIX_LEAVES = 1 << 16  # most digit prefixes of a shared-start tree: 1 MiB of u and Y
 
 
 def _check_int(name: str, value, least: Optional[int] = None) -> int:
@@ -319,15 +320,15 @@ _ORBIT_SUMS = {
 
 
 class _Prefixes(NamedTuple):
-    """Every digit prefix's orbit point u and unscaled partial sums acc after len(radices)
-    steps, and the step body's weights there.  Prefix j has the digits of j written in the
-    mixed radices, step 1's digit most significant; u has shape (prefixes,) + the start's
-    shape and each sum a leading gamma axis before it."""
+    """Every digit prefix's orbit point u and unscaled partial sums acc after `levels` steps,
+    and the step body's weights there.  Prefix j has the base-b digits of j, step 1's digit
+    most significant; u has shape (prefixes,) + the start's shape and each sum a leading
+    gamma axis before it."""
 
     u: np.ndarray
     acc: dict
     weights: tuple
-    radices: tuple
+    levels: int
 
 
 def _gamma_axes(gamma, ndim: int):
@@ -359,22 +360,24 @@ def _steps(u: np.ndarray, b: int, gamma, columns: Iterable, acc: dict,
     return n, g, r
 
 
-def _prefix_states(u, b: int, gamma, radices: Sequence[int], want: Collection[str],
+def _prefix_states(u, b: int, gamma, rows: int, depth: int, want: Collection[str],
                    psi: Optional[PhiSpec] = None) -> _Prefixes:
-    """The _Prefixes of a start u: level by level, every prefix branches into one state per
-    digit below its level's radix, and the step body runs on all states of the level."""
+    """The _Prefixes of a start u shared by `rows` rows of `depth` digits, over the most
+    levels t <= depth with b^t <= min(rows, _PREFIX_LEAVES): level by level, every prefix
+    branches into one state per digit, and the step body runs on all states of the level."""
     u = np.array(u, dtype=np.float64)[None]
     gamma_axes, axis = _gamma_axes(gamma, u.ndim), np.ndim(gamma)
     acc = {k: np.zeros(np.shape(gamma) + u.shape) for k in want}
-    weights = (0, 1.0, 1.0)
-    for radix in radices:
-        u = np.repeat(u, radix, axis=0)
-        acc = {k: np.repeat(v, radix, axis=axis) for k, v in acc.items()}
-        # each prefix's last digit, in the narrowest dtype: it adds to u exactly
-        last = np.arange(radix, dtype=np.min_scalar_type(radix))
-        digit = np.tile(last, len(u) // radix).reshape((-1,) + (1,) * (u.ndim - 1))
+    weights, levels = (0, 1.0, 1.0), 0
+    # each prefix's last digit, in the narrowest dtype: it adds to u exactly
+    last = np.arange(b, dtype=np.min_scalar_type(b))
+    while levels < depth and b ** (levels + 1) <= min(rows, _PREFIX_LEAVES):
+        levels += 1
+        u = np.repeat(u, b, axis=0)
+        acc = {k: np.repeat(v, b, axis=axis) for k, v in acc.items()}
+        digit = np.tile(last, len(u) // b).reshape((-1,) + (1,) * (u.ndim - 1))
         weights = _steps(u, b, gamma_axes, (digit,), acc, psi, weights)
-    return _Prefixes(u, acc, weights, tuple(radices))
+    return _Prefixes(u, acc, weights, levels)
 
 
 def _orbit_sums(
@@ -401,12 +404,9 @@ def _orbit_sums(
     A 1-D gamma stacks the sums on a leading axis, sharing each polynomial value.
     rows > 0 starts all `rows` rows at u (the transversal sampler's 0-d x, a
     slope grid's x points): each column then has one more leading axis than u,
-    of length rows.  Rows with the same first digits share those steps in a
-    _prefix_states tree: its radices are read off the columns, up to the first
-    one with a negative digit or more branches than rows, unless `prefixes`
-    (built from this u, gamma, want and psi) is given, whose radices the rows'
-    digits must fit.  Each row's first len(radices) digits index its prefix's
-    state, and every later column steps per row.
+    of length rows, and `prefixes` is the _prefix_states tree of this u, gamma,
+    want and psi.  Each row's first prefixes.levels digits, all in 0..b-1,
+    index its prefix's state, and every later column steps per row.
 
     Every path runs each cell through _steps in the same order, so the slope
     grids, samplers and single-word evaluators share their rounding.
@@ -416,19 +416,9 @@ def _orbit_sums(
     weights = (0, 1.0, 1.0)
     if rows:
         columns = iter(columns)
-        if prefixes is None:
-            radices, head = [], []
-            for digit in columns:
-                head.append(digit)
-                radix = max(b, int(digit.max()) + 1)  # a branch for every digit value
-                if digit.min() < 0 or math.prod(radices) * radix > rows:
-                    break
-                radices.append(radix)
-            columns = itertools.chain(head, columns)
-            prefixes = _prefix_states(u, b, gamma, radices, want, psi)
-        idx = np.zeros(rows, dtype=np.int64)  # each row's prefix: its first digits in the radices
-        for radix in prefixes.radices:
-            idx *= radix
+        idx = np.zeros(rows, dtype=np.int64)  # each row's prefix: its first digits in base b
+        for _ in range(prefixes.levels):
+            idx *= b
             idx += next(columns).reshape(rows)
         u, weights = prefixes.u[idx], prefixes.weights
         acc = {k: np.take(v, idx, axis=len(lead)) for k, v in prefixes.acc.items()}
@@ -495,11 +485,16 @@ def slope_grid(
     depth.  One _orbit_sums call with no pool: the estimators call it from
     their own pool tasks, one x block each, and each cell's arithmetic is
     elementwise, so the bits do not depend on the blocks.  Every word starts
-    at x (rows = words), so words with the same first digits share those
-    steps, as in the transversal sampler.
+    at x, so words with the same first digits share those steps in one
+    _prefix_states tree, as in the transversal sampler.  Digits outside
+    0..b-1 are refused before any orbit work.
     """
     b = _check_int("base", b, 2)
-    _check_int("depth", digits.shape[1], 1)  # a slope of no terms is not a truncated series
+    rows, depth = digits.shape
+    _check_int("depth", depth, 1)  # a slope of no terms is not a truncated series
+    if rows and (digits.min() < 0 or digits.max() >= b):
+        raise ValueError(f"words have digits < 0 or >= base {b}")
     want = ("Y", "Ydx", "Ydgamma") if want_dgamma else ("Y", "Ydx")
-    out = _orbit_sums(x, b, gamma, digits.T[:, :, None], want, rows=digits.shape[0])
+    prefixes = _prefix_states(x, b, gamma, rows, depth, want)
+    out = _orbit_sums(x, b, gamma, digits.T[:, :, None], want, rows=rows, prefixes=prefixes)
     return out["Y"], out["Ydx"], out.get("Ydgamma")

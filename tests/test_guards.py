@@ -85,7 +85,8 @@ def _forbid_work(monkeypatch):
     def no_work(*args, **kwargs):
         raise AssertionError("work before the argument check")
 
-    for target in ("series._orbit_sums", "measures._orbit_sums", "series._graph_sum",
+    for target in ("series._orbit_sums", "measures._orbit_sums", "series._prefix_states",
+                   "measures._prefix_states", "series._graph_sum",
                    "rng.digit_matrix", "rng.digit_columns", "rng.uniform_vector", "rng.value64",
                    "boxdim._grid_values", "certificates._g", "thresholds._bisect"):
         monkeypatch.setattr(f"weierdim.{target}", no_work)
@@ -96,6 +97,15 @@ def test_integer_arguments_checked_before_any_work(monkeypatch, name, call, bad)
     _forbid_work(monkeypatch)
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
         call(bad)
+
+
+@pytest.mark.parametrize("digit", (2, -1))
+def test_slope_grid_digits_checked_before_any_work(monkeypatch, digit):
+    _forbid_work(monkeypatch)
+    words = np.zeros((3, 4), dtype=np.int64)
+    words[1, 2] = digit
+    with pytest.raises(ValueError, match="^words have digits < 0 or >= base 2$"):
+        w.slope_grid(2, 0.6, np.zeros(2), words)
 
 
 @pytest.mark.parametrize("call", SEEDED.values(), ids=SEEDED.keys())

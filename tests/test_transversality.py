@@ -261,7 +261,7 @@ def _separation_queries(count, seed):
     words, pairs = _pair_words(3, 12, 300, 5)
     low = [(i, j) for i, j in pairs if max(words[i, 0], words[j, 0]) == 1]
     raised, n = words.copy(), words.shape[0]
-    raised[:, 0] += 1
+    raised[:, 0] = np.minimum(raised[:, 0] + 1, 2)  # words of first digit 2 are in no pair
     tie_words, tie_pairs = np.vstack([words, raised]), [(i + n, j + n) for i, j in low] + low
     for k in range(61):
         xs = (k + np.arange(4)) / 64.0
