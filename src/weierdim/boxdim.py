@@ -7,9 +7,10 @@ rational, and every term beyond the grid depth is phi(0) exactly, so the
 sampled values carry no truncation error at all.  Term n reads phi at
 s / b**(grid_depth - n).  Let k be the first level whose period fits in
 _TABLE points (8 MiB of float64).  From k on, every argument is bit for bit a
-level-k argument, so one table of phi serves every such level; a level
-before k reads the table at its multiples of b**(k - n) and evaluates phi
-only on its other residues, a few thousand points per call.  The grid is
+level-k argument, so one table of phi serves every such level.  The table
+and each level before k run phi on contiguous pieces of at most _PIECE
+points, but a level of at most _RESIDUES residues mod b**(k - n) reads the
+table at its multiples and runs phi on its other residues.  The grid is
 streamed in chunks that keep only the min, max and first value of each
 finest column, and each coarser level takes the min/max over its b child
 columns.  The oscillation inside a column is bracketed by sampling (min/max
@@ -32,7 +33,7 @@ _MAX_GRID = 1 << 26
 _TABLE = 1 << 20  # points of the shared phi table: 8 MiB of float64
 _TILE = 1 << 12  # narrowest row a periodic level is added in
 _PIECE = 1 << 13  # most points one phi call takes: it bounds phi's temporaries
-_RESIDUES = 4  # a level of m <= this many residues runs phi per residue, not on a (-1, m) view
+_RESIDUES = 4  # a level of m <= this many residues reads the table at its multiples
 _KEPT = "levels left after dropping the coarsest"
 
 
@@ -55,22 +56,19 @@ def _grid_values(p: Params, phi: PhiSpec, grid_depth: int, span: int) -> np.ndar
     is the rational j / P_k: both quotients are correctly rounded, with integer
     operands below 2^53, so they are one double.  So one table T[j] = phi(j / P_k),
     k the first level with P_k <= _TABLE (at most 8 MiB), serves every level from k
-    on at its strides, and each level before k at its multiples of m; phi runs only
-    on the other residues.  The table is filled once on the pool, and every phi
-    call takes a piece of at most _PIECE points.  A level whose period fits in a
-    chunk is one periodic row, tiled to at least _TILE points, added to every chunk;
-    a wider level is scaled into the task's scratch row and added from there.  The
-    operands and the order of the additions are _graph_sum's, so the values are its
-    bits.  A chunk holds whole columns (span is a power of b) and writes their min,
-    max and first value into one (3, columns) array.
+    on at its strides.  The pool fills the table, and each level before k its row,
+    with phi on contiguous pieces of at most _PIECE points; a level of m <= _RESIDUES
+    reads its multiples of m off the table and runs phi per residue.  A level whose
+    period fits in a chunk is one periodic row, tiled to at least _TILE points, added
+    to every chunk; a wider level is scaled into the task's scratch row and added
+    from there.  The operands and the order of the additions are _graph_sum's, so
+    the values are its bits.  A chunk holds whole columns (span is a power of b) and
+    writes their min, max and first value into one (3, columns) array.
     """
     b, total = p.b, p.b ** grid_depth
     step = span  # whole columns: the largest span * b**i within _CHUNK_CELLS, at least span
     while step * b <= min(_CHUNK_CELLS, total):
         step *= b
-    piece = b  # a power of b, so that it divides every longer row
-    while piece * b <= _PIECE:
-        piece *= b
     lam_pows = []
     lam_pow = 1.0  # the running product of _graph_sum
     for _ in range(grid_depth):
@@ -82,39 +80,34 @@ def _grid_values(p: Params, phi: PhiSpec, grid_depth: int, span: int) -> np.ndar
     k = next((n for n, period in enumerate(periods) if period <= _TABLE), grid_depth)
     table = np.empty(b ** (grid_depth - k))  # P_k points; just phi(0) when k = grid_depth
 
-    def fill(j0):
-        for j in range(j0, min(j0 + _CHUNK_CELLS, table.size), piece):
-            part = table[j:min(j + piece, j0 + _CHUNK_CELLS)]
-            part[:] = phi.eval(np.arange(j, j + part.size) / table.size)
+    def phi_into(out, start, period):
+        """out[i] = phi((start + i) / period), _PIECE points per phi call."""
+        for a in range(0, out.size, _PIECE):
+            part = out[a:a + _PIECE]
+            part[:] = phi.eval(np.arange(start + a, start + a + part.size) / period)
+        return out
 
-    map_ordered(fill, range(0, table.size, _CHUNK_CELLS))
+    map_ordered(lambda j0: phi_into(table[j0:j0 + _CHUNK_CELLS], j0, table.size),
+                range(0, table.size, _CHUNK_CELLS))
 
     def phi_at(n, start, row):
         """phi(s / P_n) for s = start .. start + row.size - 1, all below P_n: a strided
-        view of the table from level k on, else written into row.  m, the pieces and
-        row.size are powers of b, and start is a multiple of row.size, so a piece's
-        multiples of m are the first column of its (-1, min(m, width)) view.  For
-        m <= _RESIDUES that view's rows are too short for numpy's inner loops, so the
-        row is written one residue at a time, in strided slices of width points."""
+        view of the table from level k on, else written into row.  m and row.size are
+        powers of b, and start is a multiple of row.size, so for m <= row.size, m divides
+        both; at m <= _RESIDUES the row reads the table at its multiples of m and runs
+        phi one residue at a time, in strided slices of _PIECE points."""
         if n >= k:
             stride = table.size // periods[n]
             return table[start * stride:(start + row.size) * stride:stride]
         m = periods[n] // table.size
-        width = min(piece, row.size)
-        if m <= min(_RESIDUES, row.size):  # so m divides row.size and start
-            for i in range(0, row.size // m, width):  # points i .. i + width - 1 of each residue
-                stop = min(m * (i + width), row.size)
-                for c in range(1, m):
-                    row[m * i + c:stop:m] = phi.eval(np.arange(start + m * i + c, start + stop, m)
-                                                     / periods[n])
-            row[::m] = table[start // m:(start + row.size) // m]
-            return row
-        for a in range(0, row.size, width):
-            j, off = divmod(start + a, m)
-            s = np.arange(start + a, start + a + width).reshape(-1, min(m, width))
-            cells = row[a:a + width].reshape(s.shape)
-            cells[:, 1:] = phi.eval(s[:, 1:] / periods[n])
-            cells[:, 0] = phi.eval(s[:, 0] / periods[n]) if off else table[j:j + len(cells)]
+        if m > min(_RESIDUES, row.size):
+            return phi_into(row, start, periods[n])
+        for i in range(0, row.size // m, _PIECE):  # points i .. i + _PIECE - 1 of each residue
+            stop = min(m * (i + _PIECE), row.size)
+            for c in range(1, m):
+                row[m * i + c:stop:m] = phi.eval(np.arange(start + m * i + c, start + stop, m)
+                                                 / periods[n])
+        row[::m] = table[start // m:(start + row.size) // m]
         return row
 
     tiles = {}

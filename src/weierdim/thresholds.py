@@ -139,20 +139,16 @@ def _bisect(defect, b: int, tol: float) -> RootBracket:
     f_lo, f_hi = defect(b, lo), defect(b, hi)
     if not (f_lo > 0.0 > f_hi or f_lo < 0.0 < f_hi):
         raise ValueError("no sign change on the bracketing interval")
-    for _ in range(400):  # a safety cap: halving reaches adjacent floats in about 60 steps
-        if hi - lo <= tol:
-            break
+    while hi - lo > tol:  # halving reaches adjacent floats in about 60 steps
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            break
+            raise ValueError(f"tol {tol!r} is below the float spacing near the root: the "
+                             f"tightest bracket reached is {hi - lo!r} wide")
         f_mid = defect(b, mid)
         if (f_mid > 0.0) == (f_lo > 0.0):
             lo, f_lo = mid, f_mid
         else:
             hi = mid
-    if hi - lo > tol:
-        raise ValueError(f"tol {tol!r} is below the float spacing near the root: the "
-                         f"tightest bracket reached is {hi - lo!r} wide")
     return RootBracket(lo, hi)
 
 

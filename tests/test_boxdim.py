@@ -196,18 +196,23 @@ class TestBoxCount:
     @pytest.mark.parametrize("b, levels, samples, depth, k, chunk", [
         (2, 8, 16, 12, 4, 2 ** 6),  # chunks of 64 points; level 3's period is 512
         (3, 5, 9, 7, 3, 3 ** 3),  # chunks of 27 points; level 2's period is 243
+        # the benchmark's boxdim ops, whose k is the default table's: 6,291,457 cos calls
+        # (m = 4, 2) and 8,503,057 (m = 9, 3)
+        (2, 16, 64, 22, 2, boxdim._CHUNK_CELLS),
+        (3, 11, 27, 14, 2, boxdim._CHUNK_CELLS),
     ])
     def test_phi_work_count(self, monkeypatch, b, levels, samples, depth, k, chunk):
-        # the table's P_k points, then each level n < k on every grid point but its
-        # multiples of b**(k - n), which read the table; + 1 is the tail's phi(0)
+        # the table's P_k points, then each level n < k on every grid point, but a level
+        # of m = b**(k - n) <= _RESIDUES skips its multiples of m, which read the table;
+        # + 1 is the tail's phi(0)
         table = b ** (depth - k)
         monkeypatch.setenv("WEIERDIM_THREADS", "1")
         monkeypatch.setattr(boxdim, "_TABLE", table)
         monkeypatch.setattr(boxdim, "_CHUNK_CELLS", chunk)
         calls = counted_trig(monkeypatch)
         box_count(Params(b, 0.9), COSINE, levels=levels, samples_per_column=samples)
-        assert calls == {"sin": 0, "cos": table + sum(b ** depth - table * b ** n
-                                                      for n in range(k)) + 1}
+        skipped = sum(b ** (depth - k + n) for n in range(k) if b ** (k - n) <= boxdim._RESIDUES)
+        assert calls == {"sin": 0, "cos": table + k * b ** depth - skipped + 1}
 
     def test_benchmark_grid_peak(self, monkeypatch):
         # the 2^20-point table takes 8 MiB: 12.0 MiB measured; a 2^21-point table and
@@ -263,6 +268,7 @@ class TestGridValues:
         (3, 0.8, 12, COSINE),
         (4099, 0.5, 1, COSINE),  # one level, period b
         (2, 0.6, 19, SINE),
+        (1030, 0.5, 2, MIX),  # level 0 is over the default table: m = 1030 > _RESIDUES
     ])
     def test_matches_graph_sum_kernel(self, b, lam, depth, phi):
         vals = _exact_grid(Params(b, lam), phi, depth)
