@@ -6,7 +6,7 @@ rational points; on that grid each series argument reduces mod 1 to an exact
 rational, and every term beyond the grid depth is phi(0) exactly, so the
 sampled values carry no truncation error at all.  Term n reads phi at
 s / b**(grid_depth - n).  Let k be the first level whose period fits in
-_TABLE points (8 MiB of float64).  From k on, every argument is bit for bit a
+_TABLE points (4 MiB of float64).  From k on, every argument is bit for bit a
 level-k argument, so one table of phi serves every such level.  The table
 and each level before k run phi on contiguous pieces of at most _PIECE
 points, but a level of at most _RESIDUES residues mod b**(k - n) reads the
@@ -30,7 +30,7 @@ from .parallel import _CHUNK_CELLS, WorkBudgetError, map_ordered
 from .series import Params, PhiSpec, _check_int
 
 _MAX_GRID = 1 << 26
-_TABLE = 1 << 20  # points of the shared phi table: 8 MiB of float64
+_TABLE = 1 << 19  # points of the shared phi table: 4 MiB of float64
 _TILE = 1 << 12  # narrowest row a periodic level is added in
 _PIECE = 1 << 13  # most points one phi call takes: it bounds phi's temporaries
 _RESIDUES = 4  # a level of m <= this many residues reads the table at its multiples
@@ -55,7 +55,7 @@ def _grid_values(p: Params, phi: PhiSpec, grid_depth: int, span: int) -> np.ndar
     and s = t mod P_n, so each level is periodic in t.  Where P_n = m * P_k, s = m * j
     is the rational j / P_k: both quotients are correctly rounded, with integer
     operands below 2^53, so they are one double.  So one table T[j] = phi(j / P_k),
-    k the first level with P_k <= _TABLE (at most 8 MiB), serves every level from k
+    k the first level with P_k <= _TABLE (at most 4 MiB), serves every level from k
     on at its strides.  The pool fills the table, and each level before k its row,
     with phi on contiguous pieces of at most _PIECE points; a level of m <= _RESIDUES
     reads its multiples of m off the table and runs phi per residue.  A level whose

@@ -15,8 +15,9 @@ columns, eval_orbit_sum evaluates one row, and orbit_tail's one rule gives the r
 at coefficient scale * sup|polynomial|.  Rows that all start at one x share their first
 steps: _prefix_states runs every digit prefix's orbit once, over the most levels t <= depth
 with b^t <= min(rows, _PREFIX_LEAVES), and each row gathers its prefix's orbit point
-and partial sums by index (a slope grid builds this tree per x block, the transversal
-sampler once per sample).
+and partial sums by index.  The transversal sampler builds one tree per sample and
+holds it while its pool tasks read it; a slope grid leaves its x block's tree to
+_orbit_sums, which drops it right after the gather, before the remaining steps.
 Every result carries an absolute bound on the omitted remainder, derived from
 the closed-form tail, so truncation depth is always chosen from the requested
 tolerance rather than a fixed count.
@@ -406,7 +407,10 @@ def _orbit_sums(
     slope grid's x points): each column then has one more leading axis than u,
     of length rows, and `prefixes` is the _prefix_states tree of this u, gamma,
     want and psi.  Each row's first prefixes.levels digits, all in 0..b-1,
-    index its prefix's state, and every later column steps per row.
+    index its prefix's state, and every later column steps per row.  With no
+    `prefixes`, columns is a sequence of digit columns; the tree is built from
+    it and dropped as soon as every row has gathered its state.  A caller's
+    tree is only read.
 
     Every path runs each cell through _steps in the same order, so the slope
     grids, samplers and single-word evaluators share their rounding.
@@ -415,6 +419,8 @@ def _orbit_sums(
     lead = np.shape(gamma)
     weights = (0, 1.0, 1.0)
     if rows:
+        if prefixes is None:
+            prefixes = _prefix_states(u, b, gamma, rows, len(columns), want, psi)
         columns = iter(columns)
         idx = np.zeros(rows, dtype=np.int64)  # each row's prefix: its first digits in base b
         for _ in range(prefixes.levels):
@@ -422,7 +428,7 @@ def _orbit_sums(
             idx += next(columns).reshape(rows)
         u, weights = prefixes.u[idx], prefixes.weights
         acc = {k: np.take(v, idx, axis=len(lead)) for k, v in prefixes.acc.items()}
-        del idx
+        del idx, prefixes  # a tree built here is freed now, before the remaining steps
     else:
         acc = {k: np.zeros(lead + u.shape) for k in want}
     gamma = _gamma_axes(gamma, u.ndim)
@@ -486,7 +492,8 @@ def slope_grid(
     their own pool tasks, one x block each, and each cell's arithmetic is
     elementwise, so the bits do not depend on the blocks.  Every word starts
     at x, so words with the same first digits share those steps in one
-    _prefix_states tree, as in the transversal sampler.  Digits outside
+    _prefix_states tree, which _orbit_sums builds and drops once every word
+    has gathered its prefix's state.  Digits outside
     0..b-1 are refused before any orbit work.
     """
     b = _check_int("base", b, 2)
@@ -495,6 +502,5 @@ def slope_grid(
     if rows and (digits.min() < 0 or digits.max() >= b):
         raise ValueError(f"words have digits < 0 or >= base {b}")
     want = ("Y", "Ydx", "Ydgamma") if want_dgamma else ("Y", "Ydx")
-    prefixes = _prefix_states(x, b, gamma, rows, depth, want)
-    out = _orbit_sums(x, b, gamma, digits.T[:, :, None], want, rows=rows, prefixes=prefixes)
+    out = _orbit_sums(x, b, gamma, digits.T[:, :, None], want, rows=rows)
     return out["Y"], out["Ydx"], out.get("Ydgamma")

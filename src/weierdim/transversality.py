@@ -158,6 +158,16 @@ def _x_blocks(fn, n_x: int, cells_per_x: int, step: int) -> list:
     return map_ordered(lambda x0: fn(x0, min(x0 + width, n_x)), range(0, n_x, width))
 
 
+def _gap(grid: np.ndarray, si: np.ndarray, sj: np.ndarray, out: np.ndarray,
+         scratch: np.ndarray) -> np.ndarray:
+    """|grid[..., si, :] - grid[..., sj, :]| into out, using scratch.  The indices must
+    lie in 0..rows-1: the unbuffered mode="clip" gather would clip one that does not."""
+    np.take(grid, si, axis=-2, out=out, mode="clip")
+    np.take(grid, sj, axis=-2, out=scratch, mode="clip")
+    np.subtract(out, scratch, out=out)
+    return np.abs(out, out=out)
+
+
 def _min_separation(
     b: int, gamma, xs: np.ndarray, words: np.ndarray,
     pairs: list[tuple[int, int]], depth: int, with_dgamma: bool,
@@ -169,8 +179,11 @@ def _min_separation(
     A 1-D gamma appends the gamma index to the tuple.  Each _x_blocks task
     sums the slope grids of every gamma and word on one x block of about
     _CHUNK_CELLS cells and scores every pair on it, as many pairs at a time
-    as there are words; the least (score, gamma index, pair index, x index)
-    over all blocks is the first minimiser, and the full grid is never held.
+    as there are words, in three buffers of one grid's size that the task
+    reuses for every chunk of pairs; the least (score, gamma index, pair
+    index, x index) over all blocks is the first minimiser, and the full grid
+    is never held.  A pair index outside 0..rows-1 raises IndexError before
+    any orbit work.
     """
     gammas = np.atleast_1d(gamma).tolist()
 
@@ -182,18 +195,23 @@ def _min_separation(
         t_d += tail("Ydgamma")
     ii, jj = np.asarray(pairs, dtype=np.int64).T
     rows = words.shape[0]
+    if min(ii.min(), jj.min()) < 0 or max(ii.max(), jj.max()) >= rows:
+        raise IndexError(f"pair indices must lie in 0..{rows - 1}")
 
     def block_min(x0, x1):
         xb = xs[x0:x1]
         y, ydx, ydg = slope_grid(b, gamma, xb, words, want_dgamma=with_dgamma)
+        bufs = [np.empty(y.size) for _ in range(3)]
         best = []
         for p0 in range(0, ii.size, rows):
             si, sj = ii[p0 : p0 + rows], jj[p0 : p0 + rows]
-            d = np.abs(ydx[..., si, :] - ydx[..., sj, :])
+            shape = y.shape[:-2] + (si.size, xb.size)
+            d, e, scratch = (buf[: math.prod(shape)].reshape(shape) for buf in bufs)
+            _gap(ydx, si, sj, d, scratch)
             if with_dgamma:
-                d += np.abs(ydg[..., si, :] - ydg[..., sj, :])
+                d += _gap(ydg, si, sj, e, scratch)
             d -= 2.0 * t_d
-            score = np.abs(y[..., si, :] - y[..., sj, :])
+            score = _gap(y, si, sj, e, scratch)
             score -= 2.0 * t_y
             np.maximum(score, d, out=score)
             k = int(np.argmin(score))

@@ -196,8 +196,12 @@ class TestBoxCount:
     @pytest.mark.parametrize("b, levels, samples, depth, k, chunk", [
         (2, 8, 16, 12, 4, 2 ** 6),  # chunks of 64 points; level 3's period is 512
         (3, 5, 9, 7, 3, 3 ** 3),  # chunks of 27 points; level 2's period is 243
-        # the benchmark's boxdim ops, whose k is the default table's: 6,291,457 cos calls
-        # (m = 4, 2) and 8,503,057 (m = 9, 3)
+        # the benchmark's boxdim ops at the default 2^19-point table, k = 3: 9,961,473 cos
+        # calls (m = 8, 4, 2) and 12,931,732 (m = 27, 9, 3)
+        (2, 16, 64, 22, 3, boxdim._CHUNK_CELLS),
+        (3, 11, 27, 14, 3, boxdim._CHUNK_CELLS),
+        # the same at the former 2^20-point table, k = 2: 6,291,457 (m = 4, 2) and
+        # 8,503,057 (m = 9, 3)
         (2, 16, 64, 22, 2, boxdim._CHUNK_CELLS),
         (3, 11, 27, 14, 2, boxdim._CHUNK_CELLS),
     ])
@@ -215,12 +219,12 @@ class TestBoxCount:
         assert calls == {"sin": 0, "cos": table + k * b ** depth - skipped + 1}
 
     def test_benchmark_grid_peak(self, monkeypatch):
-        # the 2^20-point table takes 8 MiB: 12.0 MiB measured; a 2^21-point table and
-        # whole-chunk phi calls took 20.8 MiB
+        # the 2^19-point table takes 4 MiB: 8.0 MiB measured; the 2^20-point table took
+        # 12.0 MiB, and a 2^21-point table with whole-chunk phi calls 20.8 MiB
         monkeypatch.setenv("WEIERDIM_THREADS", "1")
         peak = traced_peak(lambda: box_count(Params(2, 0.9), COSINE, levels=16,
                                              samples_per_column=64))
-        assert peak < 14 * 2 ** 20
+        assert peak < 10 * 2 ** 20
 
     def test_count_phase_peak(self, monkeypatch):
         # the count walks the 2^18 columns in blocks: 4.0 MiB measured, the first coarser

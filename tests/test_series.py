@@ -384,6 +384,22 @@ class TestSharedPrefixes:
             for grid, one in zip(got, _reference_slope_grid(b, gamma, x, digits, want_dgamma)):
                 assert grid is one is None or np.array_equal(grid, one), (case, b, depth, rows)
 
+    @pytest.mark.parametrize("gamma", (0.6, np.array([0.55, 0.7, 0.93])))
+    def test_caller_tree_left_intact(self, gamma):
+        # the transversal sampler's tasks share one tree: a call only reads it, and a
+        # call without one builds and drops its own, with the same bits
+        d = rng.digit_matrix(4, rng.STREAM_PAIR_WORDS, 200, 25, 3)
+        want = ("Y", "Ydx", "Ydgamma", "S")
+        tree = _prefix_states(0.3, 3, gamma, 200, 25, want, COSINE_DERIV)
+        assert tree.levels == 4
+        before = tree.u.tobytes(), {k: v.tobytes() for k, v in tree.acc.items()}
+        calls = [_orbit_sums(0.3, 3, gamma, d.T, want, COSINE_DERIV, rows=200, prefixes=tree)
+                 for _ in range(2)]
+        calls.append(_orbit_sums(0.3, 3, gamma, d.T, want, COSINE_DERIV, rows=200))
+        assert (tree.u.tobytes(), {k: v.tobytes() for k, v in tree.acc.items()}) == before
+        for key in want:
+            assert calls[0][key].tobytes() == calls[1][key].tobytes() == calls[2][key].tobytes()
+
     def test_depth_zero_refused(self):
         with pytest.raises(ValueError, match="^depth must be an integer >= 1"):
             slope_grid(2, 0.6, np.linspace(0.0, 1.0, 4), np.zeros((3, 0), dtype=np.int64))

@@ -222,22 +222,31 @@ class TestPairChunks:
 
 
 def _reference_min_separation(b, gamma, xs, words, pairs, depth, with_dgamma):
-    """_min_separation as the whole slope grid, every pair scored at once over every x."""
+    """_min_separation as the whole slope grid, every pair scored at once over every x.
+    A 1-D gamma scores every gamma too and appends the gamma index."""
+
+    def tail(what):  # each gamma's bound, broadcast over (pair, x)
+        return np.reshape([orbit_tail(what, b, g)(depth) for g in np.atleast_1d(gamma)],
+                          np.shape(gamma) + (1, 1))
+
     y, ydx, ydg = slope_grid(b, gamma, xs, words, want_dgamma=with_dgamma)
-    t_y = orbit_tail("Y", b, gamma)(depth)
-    t_d = orbit_tail("Ydx", b, gamma)(depth)
+    t_y, t_d = tail("Y"), tail("Ydx")
     if with_dgamma:
-        t_d += orbit_tail("Ydgamma", b, gamma)(depth)
+        t_d += tail("Ydgamma")
     ii, jj = np.asarray(pairs, dtype=np.int64).T
-    d = np.abs(ydx[ii] - ydx[jj])
+    d = np.abs(ydx[..., ii, :] - ydx[..., jj, :])
     if with_dgamma:
-        d += np.abs(ydg[ii] - ydg[jj])
+        d += np.abs(ydg[..., ii, :] - ydg[..., jj, :])
     d -= 2.0 * t_d
-    score = np.abs(y[ii] - y[jj])
+    score = np.abs(y[..., ii, :] - y[..., jj, :])
     score -= 2.0 * t_y
     np.maximum(score, d, out=score)
-    k, x_idx = divmod(int(np.argmin(score)), xs.size)  # the first minimiser, pair-major
-    return float(score[k, x_idx]), pairs[k], float(xs[x_idx]), 2.0 * max(t_y, t_d)
+    # the first minimiser in (gamma, pair, x) order
+    at = np.unravel_index(int(np.argmin(score)), score.shape)
+    g_i, k, x_idx = (0,) * (3 - len(at)) + tuple(int(i) for i in at)
+    found = (float(score[at]), pairs[k], float(xs[x_idx]),
+             2.0 * max(float(t_y.flat[g_i]), float(t_d.flat[g_i])))
+    return found + (g_i,) if np.ndim(gamma) else found
 
 
 def _separation_queries(count, seed):
@@ -272,6 +281,22 @@ def _separation_queries(count, seed):
     raise AssertionError("no tied window")
 
 
+def _gamma_queries(count, seed):
+    """Two-var-style scans: a 1-D gamma of 2-5 values, the Y_gamma term, and a pair count
+    that leaves a ragged last chunk of pairs."""
+    rnd = np.random.default_rng(seed)
+    queries = []
+    while len(queries) < count:
+        b = int(rnd.integers(2, 5))
+        gammas = np.sort(rnd.uniform(1.0 / b + 0.01, 0.99, size=int(rnd.integers(2, 6))))
+        depth = int(rnd.integers(3, 25))
+        words, pairs = _pair_words(b, depth, int(rnd.integers(20, 300)), int(rnd.integers(0, 100)))
+        if len(pairs) > words.shape[0] and len(pairs) % words.shape[0]:
+            xs = np.linspace(0.0, 1.0, int(rnd.integers(2, 40)))
+            queries.append((b, gammas, xs, words, pairs, depth, True))
+    return queries
+
+
 class TestFusedScan:
     """The x-block scan finds the minimiser that scoring the whole slope grid finds."""
 
@@ -293,11 +318,43 @@ class TestFusedScan:
                                     cells or q[3].shape[0] * width + 1)
                 assert transversality._min_separation(*q) == want, (cells, q[:2], q[5:])
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_matches_whole_grid_scan_over_gamma(self, monkeypatch, threads):
+        monkeypatch.setenv("WEIERDIM_THREADS", threads)
+        queries = _gamma_queries(4, 19)
+        expect = [_reference_min_separation(*q) for q in queries]
+        assert len({e[-1] for e in expect}) > 1  # the minimising gamma varies
+        for cells in (1, None, 2 ** 30):
+            for q, want in zip(queries, expect):
+                # None: blocks of 2-5 x points
+                width = len(q[1]) * q[3].shape[0] * (2 + len(q[4]) % 4)
+                monkeypatch.setattr(transversality, "_CHUNK_CELLS", cells or width)
+                assert transversality._min_separation(*q) == want, (cells, q[0], q[5])
+
+    def test_pair_index_out_of_range(self):
+        words, pairs = _pair_words(2, 6, 20, 1)
+        xs = np.linspace(0.0, 1.0, 5)
+        for bad in ((0, words.shape[0]), (-1, 1)):
+            with pytest.raises(IndexError):
+                transversality._min_separation(2, 0.6, xs, words, pairs + [bad], 6, False)
+
     def test_streams_the_grid(self):
         # the whole 257 x 8000 slope grid and its derivative alone would take 33 MB
         peak = traced_peak(lambda: empirical_delta(2, 1 / 1.9, x_grid=8000, pair_budget=16384,
                                                    seed=1))
         assert peak < 16 * 2 ** 20
+
+    @pytest.mark.parametrize("scan, bound", [
+        # the words' prefix tree is dropped at the gather: 3.8 MiB measured; a tree held
+        # through every orbit step took 5.3 MiB
+        (lambda: empirical_delta(2, 1 / 1.9, x_grid=8000, pair_budget=16384, seed=1), 4.5),
+        # the pairs are scored in three buffers reused per chunk: 2.6 MiB measured; fresh
+        # (gamma, pairs, x) temporaries per chunk took 3.2 MiB
+        (lambda: two_var_delta(2, 0.05, seed=1), 2.9),
+    ], ids=["delta-x8000", "two-var"])
+    def test_scan_working_set(self, monkeypatch, scan, bound):
+        monkeypatch.setenv("WEIERDIM_THREADS", "1")
+        assert traced_peak(scan) < bound * 2 ** 20
 
 
 class TestScaleIdentity:
