@@ -80,11 +80,12 @@ def _grid_values(p: Params, phi: PhiSpec, grid_depth: int, span: int) -> np.ndar
     k = next((n for n, period in enumerate(periods) if period <= _TABLE), grid_depth)
     table = np.empty(b ** (grid_depth - k))  # P_k points; just phi(0) when k = grid_depth
 
-    def phi_into(out, start, period):
-        """out[i] = phi((start + i) / period), _PIECE points per phi call."""
+    def phi_into(out, start, period, stride=1):
+        """out[i] = phi((start + stride * i) / period), _PIECE points per phi call."""
         for a in range(0, out.size, _PIECE):
             part = out[a:a + _PIECE]
-            part[:] = phi.eval(np.arange(start + a, start + a + part.size) / period)
+            s0 = start + stride * a
+            part[:] = phi.eval(np.arange(s0, s0 + stride * part.size, stride) / period)
         return out
 
     map_ordered(lambda j0: phi_into(table[j0:j0 + _CHUNK_CELLS], j0, table.size),
@@ -94,19 +95,16 @@ def _grid_values(p: Params, phi: PhiSpec, grid_depth: int, span: int) -> np.ndar
         """phi(s / P_n) for s = start .. start + row.size - 1, all below P_n: a strided
         view of the table from level k on, else written into row.  m and row.size are
         powers of b, and start is a multiple of row.size, so for m <= row.size, m divides
-        both; at m <= _RESIDUES the row reads the table at its multiples of m and runs
-        phi one residue at a time, in strided slices of _PIECE points."""
+        both; at m <= _RESIDUES the row reads the table at its multiples of m and fills
+        each other residue's strided slice with phi_into."""
         if n >= k:
             stride = table.size // periods[n]
             return table[start * stride:(start + row.size) * stride:stride]
         m = periods[n] // table.size
         if m > min(_RESIDUES, row.size):
             return phi_into(row, start, periods[n])
-        for i in range(0, row.size // m, _PIECE):  # points i .. i + _PIECE - 1 of each residue
-            stop = min(m * (i + _PIECE), row.size)
-            for c in range(1, m):
-                row[m * i + c:stop:m] = phi.eval(np.arange(start + m * i + c, start + stop, m)
-                                                 / periods[n])
+        for c in range(1, m):
+            phi_into(row[c::m], start + c, periods[n], m)
         row[::m] = table[start // m:(start + row.size) // m]
         return row
 

@@ -20,7 +20,6 @@ reproduced directly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -89,11 +88,15 @@ def case_bounds_base2(gamma: float) -> tuple[float, float, float, float]:
     if not (0.0 < gamma < 1.0):
         raise ValueError(f"gamma must lie in (0, 1), got {gamma!r}")
     core = gamma ** 4 / (1.0 - gamma) ** 2 + gamma ** 4 / (4.0 * (2.0 - gamma) ** 2)
-    c_00 = core - gamma ** 2 / 8.0 + gamma / 2.0 - 1.0
-    c_11 = core - gamma ** 2 / 8.0 + gamma / 2.0 - 1.0
+    c_00 = c_11 = core - gamma ** 2 / 8.0 + gamma / 2.0 - 1.0
     c_10 = core - 5.0 * gamma ** 2 / 16.0 - gamma / 2.0 - 1.0
     c_01 = core - gamma ** 2 / 2.0 + math.sqrt(2.0) * gamma - 1.0
     return c_00, c_11, c_10, c_01
+
+
+def _prefixes(b: int, d: int, reps: int = 1) -> np.ndarray:
+    """The b**d digit words of length d in lexicographic order, each `reps` times."""
+    return np.repeat(np.arange(b ** d), reps)[:, None] // b ** np.arange(d - 1, -1, -1) % b
 
 
 def _pair_counts(b: int, depth: int, pair_budget: int, points: int = 0, outputs: int = 0):
@@ -129,33 +132,26 @@ def _pair_words(
     member comes first, so the first minimiser is unchanged.
     """
     d_ex, n_sampled, pool = _pair_counts(b, depth, pair_budget)
-    prefixes = list(itertools.product(range(b), repeat=d_ex))
-    n_ex = len(prefixes)
-    words = [np.zeros((n_ex, depth), dtype=np.int64)]
-    words[0][:, :d_ex] = prefixes
-    pairs = [
-        (i, j)
-        for i in range(n_ex)
-        for j in range(i + 1, n_ex)
-        if prefixes[i][0] != prefixes[j][0]
-    ]
+    n_ex = b ** d_ex
+    words = np.zeros((n_ex + pool, depth), dtype=np.int64)
+    words[:n_ex, :d_ex] = _prefixes(b, d_ex)
     if n_sampled:
-        raw = rng.digit_matrix(seed, rng.STREAM_PAIR_WORDS, pool, depth, b)
-        raw[:, 0] = np.arange(pool, dtype=np.int64) % b
-        ii, jj = np.nonzero(raw[:, :1] != raw[None, :, 0])
-        ii, jj = ii[:n_sampled], jj[:n_sampled]
-        keep = ii < jj
-        pairs.extend(zip((n_ex + ii[keep]).tolist(), (n_ex + jj[keep]).tolist()))
-        words.append(raw)
-    return np.vstack(words), pairs
+        words[n_ex:] = rng.digit_matrix(seed, rng.STREAM_PAIR_WORDS, pool, depth, b)
+        words[n_ex:, 0] = np.arange(pool, dtype=np.int64) % b
+    pairs = []
+    for r0, r1, limit in ((0, n_ex, None), (n_ex, n_ex + pool, n_sampled)):
+        first = words[r0:r1, 0]  # the block's first `limit` ordered pairs, i < j kept
+        i, j = (k[:limit] for k in np.nonzero(first[:, None] != first))
+        pairs += zip((r0 + i[i < j]).tolist(), (r0 + j[i < j]).tolist())
+    return words, pairs
 
 
-def _x_blocks(fn, n_x: int, cells_per_x: int, step: int) -> list:
-    """fn(x0, x1) on the worker pool, in x order, over consecutive blocks [x0, x1) of
-    the n_x grid points: whole runs of `step` points, as many as hold about
-    _CHUNK_CELLS cells of cells_per_x per point, and at least one run."""
-    width = step * max(1, _CHUNK_CELLS // (cells_per_x * step))
-    return map_ordered(lambda x0: fn(x0, min(x0 + width, n_x)), range(0, n_x, width))
+def _x_blocks(fn, n: int, cells: int) -> list:
+    """fn(i0, i1) on the worker pool, in order, over consecutive blocks [i0, i1) of the
+    caller's n grid units (points, or whole intervals of points): as many units as hold
+    about _CHUNK_CELLS cells of `cells` per unit, and at least one."""
+    width = max(1, _CHUNK_CELLS // cells)
+    return map_ordered(lambda i0: fn(i0, min(i0 + width, n)), range(0, n, width))
 
 
 def _gap(grid: np.ndarray, si: np.ndarray, sj: np.ndarray, out: np.ndarray,
@@ -219,7 +215,7 @@ def _min_separation(
             best.append((float(score.flat[k]), g_i, p0 + c // xb.size, x0 + c % xb.size))
         return min(best)
 
-    score, g_i, k, x_idx = min(_x_blocks(block_min, xs.size, rows * len(gammas), 1))
+    score, g_i, k, x_idx = min(_x_blocks(block_min, xs.size, rows * len(gammas)))
     found = score, pairs[k], float(xs[x_idx]), 2.0 * float(max(t_y.flat[g_i], t_d.flat[g_i]))
     return found + (g_i,) if np.ndim(gamma) else found
 
@@ -234,13 +230,6 @@ def _estimate(words: np.ndarray, found, gamma: Optional[float] = None) -> DeltaE
         tail_slack=slack,
         argmin_gamma=gamma,
     )
-
-
-def _check_gamma(b: int, gamma: float) -> int:
-    b = _check_int("base", b, 2)
-    if not (1.0 / b < gamma < 1.0):
-        raise ValueError(f"gamma must lie in (1/{b}, 1), got {gamma!r}")
-    return b
 
 
 def empirical_delta(
@@ -259,7 +248,9 @@ def empirical_delta(
     rounding is not charged, so a positive value is not yet a proof.
     The depth-1 prefix pairs are always scored, even above pair_budget.
     """
-    b = _check_gamma(b, gamma)
+    b = _check_int("base", b, 2)
+    if not (1.0 / b < gamma < 1.0):
+        raise ValueError(f"gamma must lie in (1/{b}, 1), got {gamma!r}")
     depth = _terms_for(None, None, 1, depth, "depth")
     x_grid = _check_int("x_grid", x_grid, 2)
     pair_budget = _check_int("pair_budget", pair_budget, 0)
@@ -281,11 +272,11 @@ def tangency_count(p: Params, q: TangencyQuery, seed: int = 0) -> int:
     (float rounding is not charged) so the decision errs toward tangency as
     far as truncation goes.  The thresholds apply to the fiber
     sums; their slope-series equivalents are gamma * eps and gamma * delta.
-    Each pool task sums the slope grids of every word on a block of whole
-    intervals and marks the pairs tangent on each, so the full grid is never
-    held.  An interval too wide for one task's _CHUNK_CELLS comparisons is
-    scanned in pieces inside its task, OR-ed into its own slice of the
-    table, so no two threads write one cell.
+    The x grid is built once, before the pool; each task sums the slope grids
+    of every word on a block of whole intervals and marks the pairs tangent on
+    each, so the full slope grid is never held.  An interval too wide for one
+    task's _CHUNK_CELLS comparisons is scanned in pieces inside its task,
+    OR-ed into its own slice of the table, so no two threads write one cell.
     """
     seed = _check_int("seed", seed)
     b, gamma = p.b, p.gamma
@@ -298,15 +289,13 @@ def tangency_count(p: Params, q: TangencyQuery, seed: int = 0) -> int:
             f"budget of {_MAX_TANGENCY_WORK:.2e}; reduce n, m or the grid"
         )
     depth = max(q.depth, q.n + 1)
-    # the grid term bounds work, as in _pair_counts: a task holds one x block of it
+    # the slope-grid term bounds work, as in _pair_counts: a task holds one block of it
     _check_bytes(8 * n_cyl * reps * (depth + 2 * n_int * g), "the tangency words and slope grid")
-    prefixes = list(itertools.product(range(b), repeat=q.n))
-    digits = rng.digit_matrix(
-        seed, rng.STREAM_TANGENCY_TAILS, n_cyl * reps, depth, b
-    )
-    for c, pref in enumerate(prefixes):
-        digits[c * reps : (c + 1) * reps, : q.n] = pref
-        digits[c * reps, q.n :] = 0
+    digits = rng.digit_matrix(seed, rng.STREAM_TANGENCY_TAILS, n_cyl * reps, depth, b)
+    digits[:, : q.n] = _prefixes(b, q.n, reps)  # cylinder c's rows c*reps .. c*reps+reps-1
+    digits[::reps, q.n :] = 0  # the all-zero completion first
+    # interval k's g points at k * g .. k * g + g - 1, as np.linspace(k / n_int, (k + 1) / n_int, g)
+    xs = np.linspace(np.arange(n_int) / n_int, np.arange(1, n_int + 1) / n_int, g, axis=1).ravel()
     thr_y = gamma * q.eps + 2.0 * orbit_tail("Y", b, gamma)(depth)
     thr_ydx = gamma * q.delta + 2.0 * orbit_tail("Ydx", b, gamma)(depth)
     table = np.zeros((n_cyl, n_cyl, n_int), dtype=bool)
@@ -314,9 +303,8 @@ def tangency_count(p: Params, q: TangencyQuery, seed: int = 0) -> int:
     cells = n_cyl * reps * reps  # a task's largest arrays: one row's comparisons per point
     width = max(1, _CHUNK_CELLS // cells)  # points per piece; a block of whole intervals fits
 
-    def near_block(x0, x1):
-        k0, k1 = x0 // g, x1 // g  # the block's whole intervals
-        xb = np.concatenate([np.linspace(k / n_int, (k + 1) / n_int, g) for k in range(k0, k1)])
+    def near_block(k0, k1):  # the intervals k0 .. k1-1
+        xb = xs[k0 * g : k1 * g]
         # one piece for the whole block, or pieces of its one interval when that is too wide
         for p0 in range(0, xb.size, width):
             y, ydx, _ = slope_grid(b, gamma, xb[p0 : p0 + width], digits)
@@ -329,7 +317,7 @@ def tangency_count(p: Params, q: TangencyQuery, seed: int = 0) -> int:
                 table[ci, ci:, k0:k1] |= near
                 table[ci:, ci, k0:k1] |= near
 
-    _x_blocks(near_block, n_int * g, cells, g)
+    _x_blocks(near_block, n_int, cells * g)
     return int(table.sum(axis=1).max())
 
 

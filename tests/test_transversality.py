@@ -214,11 +214,13 @@ class TestPairChunks:
             random_tails=2), seed=3), 1),
     ], ids=("delta-b2", "delta-b3", "two-var-b2", "tangency-b2"))
     def test_chunk_size_independent(self, monkeypatch, estimate, small):
-        ests = [estimate()]
-        for cells in (small, 2 ** 30):
-            monkeypatch.setattr(transversality, "_CHUNK_CELLS", cells)
-            ests.append(estimate())
-        assert ests[0] == ests[1] == ests[2]
+        ests = []
+        for threads in ("1", "2"):  # the small blocks, and tangency's pieces, under the pool too
+            monkeypatch.setenv("WEIERDIM_THREADS", threads)
+            for cells in (parallel._CHUNK_CELLS, small, 2 ** 30):
+                monkeypatch.setattr(transversality, "_CHUNK_CELLS", cells)
+                ests.append(estimate())
+        assert ests == ests[:1] * 6
 
 
 def _reference_min_separation(b, gamma, xs, words, pairs, depth, with_dgamma):
