@@ -12,6 +12,7 @@ checked with a strictness margin to rule out sign flips from rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,9 +25,10 @@ from .series import _check_int
 SIGN_MARGIN = 1e-9
 
 
-def _check_beta(beta: float) -> None:
-    if not (beta >= 1.0):
-        raise ValueError(f"beta must be >= 1, got {beta!r}")
+def _check_beta(beta: float, k: int, eta: float, t: float) -> None:
+    # the terms of g and g' sum to at most (beta (4k + 1) + |eta| k) / (1 - t)^2: below 8e307
+    if not (beta >= 1.0 and k <= (8e307 * (1.0 - t) ** 2 - beta) / (4.0 * beta + abs(eta))):
+        raise ValueError(f"beta={beta!r} is below 1 or overflows g, g' at k={k}, eta={eta!r}, t={t!r}")
 
 
 def _check_unit(name: str, t: float) -> None:
@@ -42,9 +44,9 @@ class StarCertificate:
     t: float
 
     def __post_init__(self):
-        _check_beta(self.beta)
         object.__setattr__(self, "k", _check_int("k", self.k, 1))
         _check_unit("t", self.t)
+        _check_beta(self.beta, self.k, self.eta, self.t)
 
 
 @dataclass(frozen=True)
@@ -76,10 +78,10 @@ def verify_certificate(cert: StarCertificate) -> CertificateReport:
     """Check g > 0 and g' < 0 with margin; a valid report licenses y(beta) > t."""
     g = _g(cert.beta, cert.k, cert.eta, cert.t)
     gp = _g_prime(cert.beta, cert.k, cert.eta, cert.t)
-    margin = min(g, -gp)
-    valid = margin > SIGN_MARGIN
+    # min() would pass over a NaN g', and an overflowed g or g' proves nothing
+    margin = min(g, -gp) if math.isfinite(g) and math.isfinite(gp) else math.nan
     note = "borderline" if 0.0 < margin <= SIGN_MARGIN else ""
-    return CertificateReport(g, gp, valid, margin, note)
+    return CertificateReport(g, gp, margin > SIGN_MARGIN, margin, note)
 
 
 def search_certificate(
@@ -98,7 +100,6 @@ def search_certificate(
     t_target ** k_max below the smallest normal float is refused with WorkBudgetError:
     there the eta term is far below rounding, so larger k add no certificate.
     """
-    _check_beta(beta)
     _check_unit("t_target", t_target)
     k_max = _check_int("k_max", k_max, 1)
     eta_grid = _check_int("eta_grid", eta_grid, 1)
@@ -106,6 +107,7 @@ def search_certificate(
         raise WorkBudgetError(f"k_max {k_max} is over the budget: {t_target!r} ** k_max underflows")
     ts = np.arange(t_target, 1.0, 1e-4)
     ts = ts[ts < 1.0]  # never empty: it starts at t_target < 1
+    _check_beta(beta, k_max, 2.0 * beta, float(ts[-1]))  # the grid's largest k, |eta| and t
     etas = np.linspace(-2.0 * beta, 2.0 * beta, eta_grid)
     # pre-filter on the grid with a doubled margin, then confirm exactly
     grid_margin = 2.0 * SIGN_MARGIN

@@ -14,8 +14,8 @@ sub-rectangle.  The slack covers truncation only; float rounding is not
 charged, and in Y_x it can exceed the tail (1.2e-14 against 1.9e-15 at b = 2,
 lam = 0.85, depth 30), so no result here is a proof.
 
-Grid minima are reported with their argmin witnesses so a failure can be
-reproduced directly.
+Word pairs are one (n, 2) int64 array from draw to score.  Grid minima are
+reported with their argmin witnesses so a failure can be reproduced directly.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .series import (
 from .thresholds import solve_ae_critical_lambda
 
 _MAX_TANGENCY_WORK = 5e7  # b^(2n) b^m grid reps^2 comparisons per tangency count
-_PAIR_BYTES = 128  # per budgeted pair: its index tuple and pool-mask share (75-86 B measured)
+_PAIR_BYTES = 48  # per budgeted pair: the index-array draw's traced peak (23-36 B measured, b 2-10)
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,8 @@ def _pair_counts(b: int, depth: int, pair_budget: int, points: int = 0, outputs:
     point and output, are over the byte budget.  The scan holds one x block of that grid at
     a time, so its term bounds work, not resident bytes.  The b^d prefixes hold
     b^(2d-1) (b-1) ordered distinct-first-digit pairs."""
-    d_ex = 1
-    for d in range(2, min(depth, int(12 / math.log2(b))) + 1):
-        if b ** (2 * d - 1) * (b - 1) > pair_budget:
-            break
-        d_ex = d
+    d_ex = max((d for d in range(2, min(depth, int(12 / math.log2(b))) + 1)
+                if b ** (2 * d - 1) * (b - 1) <= pair_budget), default=1)
     n_sampled = max(0, pair_budget - b ** (2 * d_ex - 1) * (b - 1))
     pool = math.ceil(math.sqrt(n_sampled / (1.0 - 1.0 / b))) + 1 if n_sampled else 0
     _check_bytes(8 * (b ** d_ex + pool) * (depth + points * outputs) + _PAIR_BYTES * pair_budget,
@@ -119,8 +116,8 @@ def _pair_counts(b: int, depth: int, pair_budget: int, points: int = 0, outputs:
 
 def _pair_words(
     b: int, depth: int, pair_budget: int, seed: int
-) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Digit rows and index pairs i < j with distinct first digits.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Digit rows, and one (n, 2) int64 array of row pairs i < j with distinct first digits.
 
     All prefix pairs up to the exhaustive depth (kept within the pair budget)
     come first, completed by zeros; the remaining budget is filled with pairs
@@ -142,8 +139,8 @@ def _pair_words(
     for r0, r1, limit in ((0, n_ex, None), (n_ex, n_ex + pool, n_sampled)):
         first = words[r0:r1, 0]  # the block's first `limit` ordered pairs, i < j kept
         i, j = (k[:limit] for k in np.nonzero(first[:, None] != first))
-        pairs += zip((r0 + i[i < j]).tolist(), (r0 + j[i < j]).tolist())
-    return words, pairs
+        pairs.append(np.stack((i[i < j], j[i < j]), axis=1) + r0)
+    return words, np.concatenate(pairs)
 
 
 def _x_blocks(fn, n: int, cells: int) -> list:
@@ -166,20 +163,20 @@ def _gap(grid: np.ndarray, si: np.ndarray, sj: np.ndarray, out: np.ndarray,
 
 def _min_separation(
     b: int, gamma, xs: np.ndarray, words: np.ndarray,
-    pairs: list[tuple[int, int]], depth: int, with_dgamma: bool,
+    pairs: np.ndarray, depth: int, with_dgamma: bool,
 ) -> tuple:
-    """(score, pair, x, slack) at the first minimiser in pair-major order.
+    """(score, (i, j), x, slack) at the first minimiser in pair-major order.
 
     The score is max(|dY| - 2 tY, |dY_x| [+ |dY_gamma|] - 2 tD), tD being the
     Y_x tail bound plus, `with_dgamma`, the Y_gamma one; slack = 2 max(tY, tD).
     A 1-D gamma appends the gamma index to the tuple.  Each _x_blocks task
     sums the slope grids of every gamma and word on one x block of about
-    _CHUNK_CELLS cells and scores every pair on it, as many pairs at a time
-    as there are words, in three buffers of one grid's size that the task
-    reuses for every chunk of pairs; the least (score, gamma index, pair
-    index, x index) over all blocks is the first minimiser, and the full grid
-    is never held.  A pair index outside 0..rows-1 raises IndexError before
-    any orbit work.
+    _CHUNK_CELLS cells and scores every row of the (n, 2) pair array, through
+    its column views, as many rows at a time as there are words, in three
+    buffers of one grid's size reused for every chunk; the least (score, gamma
+    index, pair index, x index) over all blocks is the first minimiser, and
+    the full grid is never held.  A pair index outside 0..rows-1 raises
+    IndexError before any orbit work.
     """
     gammas = np.atleast_1d(gamma).tolist()
 
@@ -189,9 +186,9 @@ def _min_separation(
     t_y, t_d = tail("Y"), tail("Ydx")
     if with_dgamma:
         t_d += tail("Ydgamma")
-    ii, jj = np.asarray(pairs, dtype=np.int64).T
+    ii, jj = pairs.T
     rows = words.shape[0]
-    if min(ii.min(), jj.min()) < 0 or max(ii.max(), jj.max()) >= rows:
+    if pairs.min() < 0 or pairs.max() >= rows:
         raise IndexError(f"pair indices must lie in 0..{rows - 1}")
 
     def block_min(x0, x1):
@@ -216,7 +213,8 @@ def _min_separation(
         return min(best)
 
     score, g_i, k, x_idx = min(_x_blocks(block_min, xs.size, rows * len(gammas)))
-    found = score, pairs[k], float(xs[x_idx]), 2.0 * float(max(t_y.flat[g_i], t_d.flat[g_i]))
+    slack = 2.0 * float(max(t_y.flat[g_i], t_d.flat[g_i]))
+    found = score, (int(ii[k]), int(jj[k])), float(xs[x_idx]), slack
     return found + (g_i,) if np.ndim(gamma) else found
 
 

@@ -1,10 +1,12 @@
-"""Point `python -m weierdim.cli` subprocesses at the package under test, and
-cap the address space so that a guard regression fails a test with
-MemoryError instead of exhausting the host.
+"""Point `python -m weierdim.cli` subprocesses at the package under test, make
+warnings fail them, and cap the address space so that a guard regression
+fails a test with MemoryError instead of exhausting the host.
 
-pytest's `pythonpath` setting reaches only its own process, so a plain
-`pytest` run from a checkout exports the same source root to children.
-Children also inherit the address-space limit.
+pytest's `pythonpath` and `filterwarnings` settings reach only its own
+process, so a plain `pytest` run from a checkout exports the same source root
+to children, and PYTHONWARNINGS=error, so a RuntimeWarning in a child fails
+its test as one in-process does.  Children also inherit the address-space
+limit.
 
 traced_peak is the memory tests' one probe: `from conftest import traced_peak`;
 counted_trig is the work-count tests' one probe.
@@ -45,6 +47,7 @@ def counted_trig(monkeypatch) -> dict:
 def pytest_configure(config):
     src = os.path.dirname(os.path.dirname(os.path.abspath(weierdim.__file__)))
     os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    os.environ["PYTHONWARNINGS"] = "error"
     soft, hard = resource.getrlimit(resource.RLIMIT_AS)
     # lower the soft limit only: never above the hard limit or an existing soft limit
     cap = min([_MAX_ADDRESS_SPACE, *(v for v in (soft, hard) if v != resource.RLIM_INFINITY)])

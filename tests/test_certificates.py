@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from weierdim import (
     search_certificate,
     verify_certificate,
 )
+from weierdim import certificates
 from weierdim.certificates import _g, _g_prime
 
 
@@ -31,6 +33,16 @@ def direct_series(cert, n_terms=1000):
         else:
             total += beta * t ** n
     return total
+
+
+def exact_signs(*cert):
+    """The signs of g and g' at (beta, k, eta, t) as floats, in exact arithmetic."""
+    beta, k, eta, t = (Fraction(v) for v in cert)
+    g = 1 - beta * sum(t ** n for n in range(1, cert[1])) + eta * t ** k
+    g += beta * t ** (k + 1) / (1 - t)
+    gp = -beta * sum(n * t ** (n - 1) for n in range(1, cert[1])) + eta * k * t ** (k - 1)
+    gp += beta * ((k + 1) * t ** k * (1 - t) + t ** (k + 1)) / (1 - t) ** 2
+    return (g > 0) - (g < 0), (gp > 0) - (gp < 0)
 
 
 def g_of(cert):
@@ -122,6 +134,21 @@ class TestVerify:
         assert not rep.valid
         assert rep.note == "borderline"
 
+    def test_overflowing_certificate_refused(self):
+        # g' overflows in floats; exactly it is about +32.9 beta, so this is no certificate
+        overflowing = (4e307, 4, -8e307, 0.8590999999999605)
+        assert exact_signs(*overflowing)[1] == 1
+        with pytest.raises(ValueError, match="beta=4e[+]307"):
+            StarCertificate(*overflowing)
+
+    @pytest.mark.parametrize("g, gp", [(1.0, math.nan), (math.inf, -math.inf),
+                                       (math.nan, -1.0), (math.inf, -1.0)])
+    def test_non_finite_never_valid(self, monkeypatch, g, gp):
+        monkeypatch.setattr(certificates, "_g", lambda *args: g)
+        monkeypatch.setattr(certificates, "_g_prime", lambda *args: gp)
+        rep = verify_certificate(StarCertificate(2.0, 2, 0.1, 0.5))
+        assert not rep.valid and rep.note == ""
+
 
 class TestSearch:
     def test_recovers_published_level(self):
@@ -162,6 +189,24 @@ class TestSearch:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # an overflowed eta bound is +-inf, not a warning
             assert search_certificate(50.0, 0.3, k_max=588) is None
+
+    @pytest.mark.parametrize("t_target", (0.01, 0.5, 0.99, 0.9999))
+    def test_overflowing_beta_refused(self, t_target):
+        # every found certificate has the exact signs; an overflowing beta is refused before
+        # any grid work, and no beta leaks a RuntimeWarning
+        betas = (1e270, 1e280, 1e290, 1e298, 1e299, 1e303, 4e307, 4.5e307, 1e308, 1.7e308)
+        refused = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for beta in betas:
+                try:
+                    found = search_certificate(beta, t_target, k_max=6, eta_grid=401)
+                except ValueError as exc:
+                    assert f"beta={beta!r}" in str(exc)
+                    refused.append(beta)
+                    continue
+                assert found is None or exact_signs(*vars(found).values()) == (1, -1)
+        assert 4e307 in refused and refused == list(betas[-len(refused):])
 
 
 def _reference_search(beta, t_target, k_max, eta_grid):

@@ -166,6 +166,12 @@ class TestStarVerify:
         assert payload["beta"] == coeff_bound(2, 0.81)
         assert payload["config"]["beta"] is None
 
+    def test_overflowing_beta_domain_error(self, capsys):
+        # g' overflows on this search grid: a domain error, never a found certificate
+        assert main(["star-verify", "--beta", "4e307", "--search", "--t-target", "0.5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and "beta=4e+307" in err
+
     @pytest.mark.parametrize("source", [
         ("--beta", "3", "--b", "2", "--lambda0", "0.81"),
         ("--beta", "3", "--b", "2"),

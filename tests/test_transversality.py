@@ -144,8 +144,9 @@ class TestDeltaPins:
     def test_each_unordered_pair_once(self):
         # the budget counts ordered pairs: 16384 ordered pairs, 8255 unordered
         words, pairs = _pair_words(2, 30, 16384, 1)
-        assert len(pairs) == len(set(pairs)) == 8255
-        assert all(i < j and words[i, 0] != words[j, 0] for i, j in pairs)
+        assert len(pairs) == len(np.unique(pairs, axis=0)) == 8255
+        i, j = pairs.T
+        assert (i < j).all() and (words[i, 0] != words[j, 0]).all()
 
     def test_two_var_base3(self):
         # the gamma lattice tops out at 1/(b lambda0), the b = 3 certificate's lambda0 = 0.55
@@ -171,14 +172,23 @@ class TestDeltaPins:
     def test_pair_words(self, case, n_words, n_pairs, words_sha, pairs_sha):
         words, pairs = _pair_words(*case)
         assert words.shape == (n_words, case[1]) and words.dtype == np.int64
-        assert len(pairs) == n_pairs
-        assert all(type(i) is int and type(j) is int for i, j in pairs)
+        assert pairs.shape == (n_pairs, 2) and pairs.dtype == np.int64
+        i, j = pairs.T
+        assert (i < j).all() and (words[i, 0] != words[j, 0]).all()
         assert hashlib.sha256(words.tobytes()).hexdigest() == words_sha
-        assert hashlib.sha256(repr(pairs).encode()).hexdigest() == pairs_sha
+        # the pin of the list of (int, int) tuples this array replaces
+        listed = repr([tuple(p) for p in pairs.tolist()])
+        assert hashlib.sha256(listed.encode()).hexdigest() == pairs_sha
+
+    def test_draw_working_set(self, monkeypatch):
+        # the index array draw at 1.0M unordered pairs: 53.7 MiB measured; the list of
+        # (int, int) tuples it replaces took 153.0 MiB
+        monkeypatch.setenv("WEIERDIM_THREADS", "1")
+        assert traced_peak(lambda: _pair_words(2, 30, 2_000_000, 1)) < 76.5 * 2 ** 20
 
 
 def _reference_pairs(words, n_ex, pair_budget):
-    """The ordered-pair loops that _pair_words replaces with np.nonzero."""
+    """The ordered-pair loops that _pair_words replaces with np.nonzero, as (n, 2) int64."""
     first = [int(d) for d in words[:, 0]]
     pairs = [(i, j) for i in range(n_ex) for j in range(i + 1, n_ex) if first[i] != first[j]]
     left = max(0, pair_budget - 2 * len(pairs))
@@ -188,7 +198,7 @@ def _reference_pairs(words, n_ex, pair_budget):
                 left -= 1
                 if i < j:
                     pairs.append((i, j))
-    return pairs
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2)
 
 
 @pytest.mark.parametrize("b", (2, 3, 5, 10))
@@ -196,7 +206,8 @@ def _reference_pairs(words, n_ex, pair_budget):
 def test_pair_words_match_loop_reference(b, pair_budget):
     words, pairs = _pair_words(b, 12, pair_budget, 3)
     n_ex = b ** transversality._pair_counts(b, 12, pair_budget)[0]
-    assert pairs == _reference_pairs(words, n_ex, pair_budget)
+    want = _reference_pairs(words, n_ex, pair_budget)
+    assert pairs.dtype == want.dtype and np.array_equal(pairs, want)
 
 
 class TestPairChunks:
@@ -235,7 +246,7 @@ def _reference_min_separation(b, gamma, xs, words, pairs, depth, with_dgamma):
     t_y, t_d = tail("Y"), tail("Ydx")
     if with_dgamma:
         t_d += tail("Ydgamma")
-    ii, jj = np.asarray(pairs, dtype=np.int64).T
+    ii, jj = pairs.T
     d = np.abs(ydx[..., ii, :] - ydx[..., jj, :])
     if with_dgamma:
         d += np.abs(ydg[..., ii, :] - ydg[..., jj, :])
@@ -246,7 +257,7 @@ def _reference_min_separation(b, gamma, xs, words, pairs, depth, with_dgamma):
     # the first minimiser in (gamma, pair, x) order
     at = np.unravel_index(int(np.argmin(score)), score.shape)
     g_i, k, x_idx = (0,) * (3 - len(at)) + tuple(int(i) for i in at)
-    found = (float(score[at]), pairs[k], float(xs[x_idx]),
+    found = (float(score[at]), tuple(pairs[k].tolist()), float(xs[x_idx]),
              2.0 * max(float(t_y.flat[g_i]), float(t_d.flat[g_i])))
     return found + (g_i,) if np.ndim(gamma) else found
 
@@ -270,10 +281,10 @@ def _separation_queries(count, seed):
     # of four grid points whose minimum is such a tie, the first minimiser in
     # pair-major order comes after another one in x order.
     words, pairs = _pair_words(3, 12, 300, 5)
-    low = [(i, j) for i, j in pairs if max(words[i, 0], words[j, 0]) == 1]
+    low = pairs[words[pairs, 0].max(axis=1) == 1]
     raised, n = words.copy(), words.shape[0]
     raised[:, 0] = np.minimum(raised[:, 0] + 1, 2)  # words of first digit 2 are in no pair
-    tie_words, tie_pairs = np.vstack([words, raised]), [(i + n, j + n) for i, j in low] + low
+    tie_words, tie_pairs = np.vstack([words, raised]), np.concatenate([low + n, low])
     for k in range(61):
         xs = (k + np.arange(4)) / 64.0
         tie = (3, 0.8, np.concatenate([xs, xs - 1.0]), tie_words, tie_pairs, 12, True)
@@ -293,7 +304,7 @@ def _gamma_queries(count, seed):
         gammas = np.sort(rnd.uniform(1.0 / b + 0.01, 0.99, size=int(rnd.integers(2, 6))))
         depth = int(rnd.integers(3, 25))
         words, pairs = _pair_words(b, depth, int(rnd.integers(20, 300)), int(rnd.integers(0, 100)))
-        if len(pairs) > words.shape[0] and len(pairs) % words.shape[0]:
+        if pairs.shape[0] > words.shape[0] and pairs.shape[0] % words.shape[0]:
             xs = np.linspace(0.0, 1.0, int(rnd.integers(2, 40)))
             queries.append((b, gammas, xs, words, pairs, depth, True))
     return queries
@@ -338,7 +349,8 @@ class TestFusedScan:
         xs = np.linspace(0.0, 1.0, 5)
         for bad in ((0, words.shape[0]), (-1, 1)):
             with pytest.raises(IndexError):
-                transversality._min_separation(2, 0.6, xs, words, pairs + [bad], 6, False)
+                transversality._min_separation(2, 0.6, xs, words, np.vstack([pairs, bad]), 6,
+                                               False)
 
     def test_streams_the_grid(self):
         # the whole 257 x 8000 slope grid and its derivative alone would take 33 MB
