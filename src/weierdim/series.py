@@ -175,7 +175,12 @@ class DigitWord:
 
 @dataclass(frozen=True)
 class SeriesValue:
-    """A value (or array of values) with an absolute bound on the omitted tail."""
+    """A value (or array of values) with an absolute bound on the omitted tail.
+
+    tail_bound covers truncation only: the float rounding of the summed terms is
+    not charged, and at tight tolerances it can exceed the bound, so
+    |value - true sum| <= tail_bound is not guaranteed.
+    """
 
     value: float | np.ndarray
     tail_bound: float
@@ -297,6 +302,7 @@ def eval_weierstrass(
 
     The argument b^n x is reduced mod 1 exactly (integer arithmetic on the
     dyadic representation of x), so every summed term is accurate to rounding.
+    The returned tail_bound covers the omitted terms only, not that rounding.
     """
     b, lam = _series_scale(p)
     n_terms, tail = _graph_terms(lam, phi, np.size(x), abs_tol, terms)
@@ -465,7 +471,8 @@ def eval_orbit_sum(
     """The orbit sum `what` ("Y", "Ydx", "Ydgamma" or "S") at (x, word).
 
     It is truncated after n terms: `terms` if given, else the least n >= 1 with
-    orbit_tail(what, ...)(n) <= abs_tol, which is also the returned tail bound.
+    orbit_tail(what, ...)(n) <= abs_tol, which is also the returned tail bound;
+    it covers the omitted terms only, not the float rounding of the summed ones.
     The vector (1, Y) spans the stable line at x for this word.  S sums the
     constant of psi in closed form (exactly constant/(1-gamma)), so only its
     oscillating part is truncated; with psi = COSINE_DERIV, Y = -gamma * S.

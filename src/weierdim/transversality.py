@@ -14,13 +14,22 @@ sub-rectangle.  The slack covers truncation only; float rounding is not
 charged, and in Y_x it can exceed the tail (1.2e-14 against 1.9e-15 at b = 2,
 lam = 0.85, depth 30), so no result here is a proof.
 
-Word pairs are one (n, 2) int64 array from draw to score.  Grid minima are
-reported with their argmin witnesses so a failure can be reproduced directly.
+Word pairs are one (n, 2) int64 array from draw to score.  The separation
+scan runs two depths per x block: every pair is scored on a shallow orbit of
+K digits, the least K with 2K <= depth whose tails are at most 2^-7, and only
+the x columns whose least shallow score lies within 4 tails of the block's
+least are summed again at full depth.  The tails are exact sums of the term
+bounds, so a full score lies between the shallow score and that plus 4 tails:
+the minimum stays in a kept column, and since a slope grid's bits do not
+depend on which x points share a call, the result is the one-depth scan's bit
+for bit.  Grid minima are reported with their argmin witnesses so a failure
+can be reproduced directly.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,7 +48,8 @@ from .series import (
 from .thresholds import solve_ae_critical_lambda
 
 _MAX_TANGENCY_WORK = 5e7  # b^(2n) b^m grid reps^2 comparisons per tangency count
-_PAIR_BYTES = 48  # per budgeted pair: the index-array draw's traced peak (23-36 B measured, b 2-10)
+_SHALLOW_TAIL = 2.0 ** -7  # the separation scan's stage-1 tail: its depth is the least that meets it
+_PAIR_BYTES = 16  # per budgeted pair: the upper-triangle draw's traced peak (9.2-9.7 B measured, b 2-10)
 
 
 @dataclass(frozen=True)
@@ -126,7 +136,9 @@ def _pair_words(
     The budget counts ordered pairs in row-major order; the depth-1 prefix
     pairs are always scored, even above the budget.  Only the i < j member
     of each is returned: the separation scores are symmetric, and that
-    member comes first, so the first minimiser is unchanged.
+    member comes first, so the first minimiser is unchanged.  They are
+    written along the upper triangle, a block of rows at a time, into one
+    array counted in advance, so the draw holds about the result alone.
     """
     d_ex, n_sampled, pool = _pair_counts(b, depth, pair_budget)
     n_ex = b ** d_ex
@@ -135,12 +147,37 @@ def _pair_words(
     if n_sampled:
         words[n_ex:] = rng.digit_matrix(seed, rng.STREAM_PAIR_WORDS, pool, depth, b)
         words[n_ex:, 0] = np.arange(pool, dtype=np.int64) % b
-    pairs = []
-    for r0, r1, limit in ((0, n_ex, None), (n_ex, n_ex + pool, n_sampled)):
-        first = words[r0:r1, 0]  # the block's first `limit` ordered pairs, i < j kept
-        i, j = (k[:limit] for k in np.nonzero(first[:, None] != first))
-        pairs.append(np.stack((i[i < j], j[i < j]), axis=1) + r0)
-    return words, np.concatenate(pairs)
+    first = words[:, 0]
+    blocks = ((0, n_ex, None), (n_ex, n_ex + pool, n_sampled))
+    upper = np.concatenate([_upper_counts(first[r0:r1], limit) for r0, r1, limit in blocks])
+    ends = np.cumsum(upper)
+    pairs = np.empty((int(ends[-1]), 2), dtype=np.int64)
+    for r0, r1, _ in blocks:  # the upper triangle in blocks of rows, each row up to its count
+        cols = np.arange(r0, r1)
+        step = max(1, _CHUNK_CELLS // max(1, r1 - r0))
+        for a in range(r0, r1, step):
+            c = min(a + step, r1)
+            keep = (first[a:c, None] != first[r0:r1]) & (cols > np.arange(a, c)[:, None])
+            keep &= np.cumsum(keep, axis=1) <= upper[a:c, None]
+            i, j = np.nonzero(keep)
+            pairs[ends[c - 1] - i.size : ends[c - 1]] = np.stack((i + a, j + r0), axis=1)
+    return words, pairs
+
+
+def _upper_counts(first: np.ndarray, limit: Optional[int]) -> np.ndarray:
+    """Per row i, its pairs (i, j > i) with distinct first digits among the first `limit`
+    such ordered pairs (i, j != i) in row-major order, all of them for None.  Row i's
+    ordered partners j < i come before those j > i, so of the `kept` partners the cut
+    leaves it, the first kept - (partners j < i) are pairs j > i."""
+    n = first.size
+    counts = np.bincount(first)
+    order = np.argsort(first, kind="stable")
+    rank = np.empty(n, dtype=np.int64)  # the rows before each one with its first digit
+    rank[order] = np.arange(n) - np.repeat(np.cumsum(counts) - counts, counts)
+    partners = n - counts[first]  # each row's ordered pairs
+    ahead = np.cumsum(partners) - partners  # the ordered pairs of the rows before it
+    kept = partners if limit is None else np.clip(limit - ahead, 0, partners)
+    return np.maximum(kept - (np.arange(n) - rank), 0)
 
 
 def _x_blocks(fn, n: int, cells: int) -> list:
@@ -161,6 +198,28 @@ def _gap(grid: np.ndarray, si: np.ndarray, sj: np.ndarray, out: np.ndarray,
     return np.abs(out, out=out)
 
 
+def _chunk_scores(grids: tuple, ii: np.ndarray, jj: np.ndarray, t_y, t_d):
+    """Yield (p0, score) for each chunk of pairs p0, p0 + 1, ... of (ii, jj): the score of
+    every (gamma, pair, x) cell of the slope grids (Y, Y_x, Y_gamma or None), as many pairs
+    at a time as the grids have words, max(|dY| - 2 t_y, |dY_x| [+ |dY_gamma|] - 2 t_d).
+    Three buffers of one grid's size serve every chunk, so a chunk's scores live until
+    the next is drawn."""
+    y, ydx, ydg = grids
+    bufs = [np.empty(y.size) for _ in range(3)]
+    rows, n_x = y.shape[-2:]
+    for p0 in range(0, ii.size, rows):
+        si, sj = ii[p0 : p0 + rows], jj[p0 : p0 + rows]
+        shape = y.shape[:-2] + (si.size, n_x)
+        d, e, scratch = (buf[: math.prod(shape)].reshape(shape) for buf in bufs)
+        _gap(ydx, si, sj, d, scratch)
+        if ydg is not None:
+            d += _gap(ydg, si, sj, e, scratch)
+        d -= 2.0 * t_d
+        score = _gap(y, si, sj, e, scratch)
+        score -= 2.0 * t_y
+        yield p0, np.maximum(score, d, out=score)
+
+
 def _min_separation(
     b: int, gamma, xs: np.ndarray, words: np.ndarray,
     pairs: np.ndarray, depth: int, with_dgamma: bool,
@@ -170,22 +229,43 @@ def _min_separation(
     The score is max(|dY| - 2 tY, |dY_x| [+ |dY_gamma|] - 2 tD), tD being the
     Y_x tail bound plus, `with_dgamma`, the Y_gamma one; slack = 2 max(tY, tD).
     A 1-D gamma appends the gamma index to the tuple.  Each _x_blocks task
-    sums the slope grids of every gamma and word on one x block of about
-    _CHUNK_CELLS cells and scores every row of the (n, 2) pair array, through
-    its column views, as many rows at a time as there are words, in three
-    buffers of one grid's size reused for every chunk; the least (score, gamma
-    index, pair index, x index) over all blocks is the first minimiser, and
-    the full grid is never held.  A pair index outside 0..rows-1 raises
-    IndexError before any orbit work.
+    takes one x block of about _CHUNK_CELLS cells and scores every row of the
+    (n, 2) pair array through _chunk_scores, in three buffers of one grid's
+    size; the least (score, gamma index, pair index, x index) over all blocks
+    is the first minimiser, and the full grid is never held.  A pair index
+    outside 0..rows-1 raises IndexError before any orbit work.
+
+    A task runs two depths.  Stage 1 scores every cell on the first K digits
+    of each word, K the least k with 2k <= depth whose tail R = max(tY(k),
+    tD(k)) over the gammas is at most _SHALLOW_TAIL; stage 2 rescores at full
+    depth only the x columns whose least stage-1 score is within 4R (plus
+    1e-9 for rounding) of the block's least.  The tails are exact sums of the
+    term bounds, so a cell's full score lies between its depth-K score and
+    that plus 4R: every cell at the block's minimum is in a kept column, and
+    the first minimiser is the full-depth scan's.  slope_grid's bits do not
+    depend on which x points share a call, so stage 2's are the one-stage
+    scan's.  With no such K the task runs stage 2 on every column.
     """
     gammas = np.atleast_1d(gamma).tolist()
 
-    def tail(what):  # each gamma's tail bound, broadcast over (pair, x)
-        return np.reshape([orbit_tail(what, b, g)(depth) for g in gammas], np.shape(gamma) + (1, 1))
+    def tails(n):  # each gamma's (tY, tD) after n terms, broadcast over (pair, x)
+        def tail(what):
+            return np.reshape([orbit_tail(what, b, g)(n) for g in gammas], np.shape(gamma) + (1, 1))
 
-    t_y, t_d = tail("Y"), tail("Ydx")
-    if with_dgamma:
-        t_d += tail("Ydgamma")
+        t_d = tail("Ydx")
+        if with_dgamma:
+            t_d += tail("Ydgamma")
+        return tail("Y"), t_d
+
+    def reach(n):  # R(n): the largest tail over the gammas, decreasing in n
+        return float(np.maximum(*tails(n)).max())
+
+    t_y, t_d = tails(depth)
+    ks = range(1, depth // 2 + 1)
+    at = bisect_left(ks, True, key=lambda k: reach(k) <= _SHALLOW_TAIL)
+    shallow = ks[at] if at < len(ks) else 0  # K, or 0 for one stage
+    if shallow:
+        t_k, margin = tails(shallow), 4.0 * (reach(shallow) + 1e-9)
     ii, jj = pairs.T
     rows = words.shape[0]
     if pairs.min() < 0 or pairs.max() >= rows:
@@ -193,23 +273,21 @@ def _min_separation(
 
     def block_min(x0, x1):
         xb = xs[x0:x1]
-        y, ydx, ydg = slope_grid(b, gamma, xb, words, want_dgamma=with_dgamma)
-        bufs = [np.empty(y.size) for _ in range(3)]
+        cols = np.arange(xb.size)
+        if shallow:
+            least = np.full(xb.size, np.inf)  # each column's least depth-K score
+            grids = slope_grid(b, gamma, xb, words[:, :shallow], want_dgamma=with_dgamma)
+            for _, score in _chunk_scores(grids, ii, jj, *t_k):
+                np.minimum(least, score.reshape(-1, xb.size).min(axis=0), out=least)
+            del grids, score  # stage 1's grids and buffers go before stage 2's orbit
+            cols = np.flatnonzero(least <= least.min() + margin)
+        grids = slope_grid(b, gamma, xb[cols], words, want_dgamma=with_dgamma)
         best = []
-        for p0 in range(0, ii.size, rows):
-            si, sj = ii[p0 : p0 + rows], jj[p0 : p0 + rows]
-            shape = y.shape[:-2] + (si.size, xb.size)
-            d, e, scratch = (buf[: math.prod(shape)].reshape(shape) for buf in bufs)
-            _gap(ydx, si, sj, d, scratch)
-            if with_dgamma:
-                d += _gap(ydg, si, sj, e, scratch)
-            d -= 2.0 * t_d
-            score = _gap(y, si, sj, e, scratch)
-            score -= 2.0 * t_y
-            np.maximum(score, d, out=score)
+        for p0, score in _chunk_scores(grids, ii, jj, t_y, t_d):
             k = int(np.argmin(score))
-            g_i, c = divmod(k, si.size * xb.size)
-            best.append((float(score.flat[k]), g_i, p0 + c // xb.size, x0 + c % xb.size))
+            g_i, c = divmod(k, score.shape[-2] * cols.size)
+            best.append((float(score.flat[k]), g_i, p0 + c // cols.size,
+                         x0 + int(cols[c % cols.size])))
         return min(best)
 
     score, g_i, k, x_idx = min(_x_blocks(block_min, xs.size, rows * len(gammas)))

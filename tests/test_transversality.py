@@ -61,6 +61,39 @@ class TestCaseBounds:
             case_bounds_base2(1.0)
 
 
+def _grid_calls(monkeypatch) -> list:
+    """(gammas, words, depth, x points) of every slope grid the scans sum from here on."""
+    grids = []
+
+    def spy(b, gamma, x, digits, want_dgamma=False):
+        grids.append((np.size(gamma), *digits.shape, x.size))
+        return slope_grid(b, gamma, x, digits, want_dgamma)
+
+    monkeypatch.setattr(transversality, "slope_grid", spy)
+    return grids
+
+
+def _assert_one_orbit_per_point(monkeypatch, estimate, b, depth, x_grid):
+    """Run estimate at one thread and check that np.sin and np.cos each see one element
+    per orbit point of its slope grids, which it returns as _grid_calls does.  A grid's
+    first L steps run once per digit prefix (b^L <= words), the rest once per word.
+    Each x block runs two stages: every point to the shallow depth K, 2K <= depth, then
+    the full depth on the points that can still hold the minimum."""
+    monkeypatch.setenv("WEIERDIM_THREADS", "1")
+    calls, grids = counted_trig(monkeypatch), _grid_calls(monkeypatch)
+    estimate()
+    shallow, full = grids[::2], grids[1::2]
+    assert len({k for _, _, k, _ in shallow}) == 1 and 2 * shallow[0][2] <= depth
+    assert {d for _, _, d, _ in full} == {depth}
+    assert sum(n for *_, n in shallow) == x_grid > sum(n for *_, n in full)
+    points = 0
+    for _, rows, n_terms, n_x in grids:
+        tree = max(t for t in range(n_terms + 1) if b ** t <= rows)
+        points += n_x * (sum(b ** n for n in range(1, tree + 1)) + (n_terms - tree) * rows)
+    assert calls == {"sin": points, "cos": points}
+    return grids
+
+
 class TestEmpiricalDelta:
     def test_positive_above_threshold_base3(self):
         p = Params(3, 0.8)
@@ -89,6 +122,11 @@ class TestEmpiricalDelta:
                 p = Params(b, float(lam))
                 est = empirical_delta(b, p.gamma, x_grid=400, depth=25, pair_budget=256, seed=1)
                 assert est.delta_hat > 0, (b, lam)
+
+    def test_one_orbit_per_point(self, monkeypatch):
+        grids = _assert_one_orbit_per_point(monkeypatch, lambda: empirical_delta(
+            2, Params(2, 0.95).gamma, x_grid=600, pair_budget=16384, seed=1), 2, 30, 600)
+        assert len(grids) > 2  # more than one x block
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -181,10 +219,11 @@ class TestDeltaPins:
         assert hashlib.sha256(listed.encode()).hexdigest() == pairs_sha
 
     def test_draw_working_set(self, monkeypatch):
-        # the index array draw at 1.0M unordered pairs: 53.7 MiB measured; the list of
-        # (int, int) tuples it replaces took 153.0 MiB
+        # the upper-triangle draw at 1.0M unordered pairs, a 15.3 MiB result: 17.5 MiB
+        # measured; the full ordered-pair mask took 53.7 MiB, the list of (int, int)
+        # tuples before it 153.0 MiB
         monkeypatch.setenv("WEIERDIM_THREADS", "1")
-        assert traced_peak(lambda: _pair_words(2, 30, 2_000_000, 1)) < 76.5 * 2 ** 20
+        assert traced_peak(lambda: _pair_words(2, 30, 2_000_000, 1)) < 25 * 2 ** 20
 
 
 def _reference_pairs(words, n_ex, pair_budget):
@@ -275,22 +314,26 @@ def _separation_queries(count, seed):
         n_x = int(rnd.integers(2, 60))
         xs = np.linspace(0.0, 1.0, n_x) if q % 2 else (np.arange(n_x) + 0.5) / n_x
         queries.append((b, gamma, xs, words, pairs, depth, bool(rnd.integers(0, 2))))
-    # a tie: each word with its first digit raised by one scores at x - 1 as the
-    # word does at x, exactly so on a dyadic grid.  The raised pairs come first in
-    # pair order and their x - 1 copies come last in x order; in the first window
-    # of four grid points whose minimum is such a tie, the first minimiser in
-    # pair-major order comes after another one in x order.
-    words, pairs = _pair_words(3, 12, 300, 5)
+    return queries + [_tie_query(0.8, 12)]
+
+
+def _tie_query(gamma, depth):
+    """A b = 3 scan with a tie: each word with its first digit raised by one scores at
+    x - 1 as the word does at x, exactly so on a dyadic grid.  The raised pairs come
+    first in pair order and their x - 1 copies come last in x order; in the first window
+    of four grid points whose minimum is such a tie, the first minimiser in pair-major
+    order comes after another one in x order."""
+    words, pairs = _pair_words(3, depth, 300, 5)
     low = pairs[words[pairs, 0].max(axis=1) == 1]
     raised, n = words.copy(), words.shape[0]
     raised[:, 0] = np.minimum(raised[:, 0] + 1, 2)  # words of first digit 2 are in no pair
     tie_words, tie_pairs = np.vstack([words, raised]), np.concatenate([low + n, low])
     for k in range(61):
         xs = (k + np.arange(4)) / 64.0
-        tie = (3, 0.8, np.concatenate([xs, xs - 1.0]), tie_words, tie_pairs, 12, True)
+        tie = (3, gamma, np.concatenate([xs, xs - 1.0]), tie_words, tie_pairs, depth, True)
         _, (i, _), x, _ = _reference_min_separation(*tie)
         if i >= n and x < 0.0:
-            return queries + [tie]
+            return tie
     raise AssertionError("no tied window")
 
 
@@ -369,6 +412,47 @@ class TestFusedScan:
     def test_scan_working_set(self, monkeypatch, scan, bound):
         monkeypatch.setenv("WEIERDIM_THREADS", "1")
         assert traced_peak(scan) < bound * 2 ** 20
+
+
+class TestTwoDepthScan:
+    """The shallow stage only drops x columns that cannot hold the minimum: each estimate
+    is the one-stage scan's, bit for bit, at any thread count and block width."""
+
+    @pytest.mark.parametrize("estimate, two_stage", [
+        # below the mirror floor (delta_hat 0.0093): no K with 2K <= 30 meets the tail rule
+        (lambda: empirical_delta(2, Params(2, 0.80).gamma, seed=1), False),
+        (lambda: empirical_delta(6, Params(6, 0.49).gamma, x_grid=4000, pair_budget=16384,
+                                 seed=1), True),
+        # the minimiser at the grid's last point, x = 1.0
+        (lambda: empirical_delta(10, Params(10, 0.45).gamma, seed=1), True),
+        (lambda: two_var_delta(2, 0.05, seed=1), True),
+        (lambda: two_var_delta(3, 0.05, seed=1), True),
+    ], ids=["delta-b2-l0.80", "delta-b6-l0.49", "delta-b10-l0.45", "two-var-b2", "two-var-b3"])
+    def test_matches_one_stage(self, monkeypatch, estimate, two_stage):
+        grids = _grid_calls(monkeypatch)
+        shallow_tail = transversality._SHALLOW_TAIL
+        monkeypatch.setattr(transversality, "_SHALLOW_TAIL", -1.0)  # no depth meets it
+        want = estimate()
+        assert len({depth for _, _, depth, _ in grids}) == 1
+        monkeypatch.setattr(transversality, "_SHALLOW_TAIL", shallow_tail)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("WEIERDIM_THREADS", threads)
+            for cells in (parallel._CHUNK_CELLS, 4096):  # 4096: tens of blocks
+                monkeypatch.setattr(transversality, "_CHUNK_CELLS", cells)
+                grids.clear()
+                assert estimate() == want, (threads, cells)
+                assert len({depth for _, _, depth, _ in grids}) == (2 if two_stage else 1)
+
+    def test_tie_in_two_stages(self, monkeypatch):
+        # the tied window of TestFusedScan at a gamma and depth that run two stages
+        grids = _grid_calls(monkeypatch)
+        tie = _tie_query(0.4, 24)
+        want = _reference_min_separation(*tie)
+        for cells in (1, 2 ** 30):
+            monkeypatch.setattr(transversality, "_CHUNK_CELLS", cells)
+            grids.clear()
+            assert transversality._min_separation(*tie) == want
+            assert len({depth for _, _, depth, _ in grids}) == 2
 
 
 class TestScaleIdentity:
@@ -566,23 +650,11 @@ class TestTwoVariable:
                                               True) == one + (0,)
 
     def test_one_orbit_for_every_gamma(self, monkeypatch):
-        # one sin and one cos per orbit point, however many gammas share the orbit: the
-        # first L steps once per digit prefix (b^L <= words), then once per word
-        monkeypatch.setenv("WEIERDIM_THREADS", "1")
-        calls, blocks = counted_trig(monkeypatch), []
-
-        def spy(b, gamma, x, digits, want_dgamma=False):
-            blocks.append((np.size(gamma), digits.size * x.size))
-            return slope_grid(b, gamma, x, digits, want_dgamma)
-
-        monkeypatch.setattr(transversality, "slope_grid", spy)
-        two_var_delta(2, 0.05, x_grid=300, seed=1)
-        assert {g for g, _ in blocks} == {4}
-        words = _pair_words(2, 40, 512, 1)[0].shape[0]
-        assert sum(c for _, c in blocks) == 40 * 300 * words  # words x points x depth
-        tree = int(np.log2(words))
-        points = 300 * (sum(2 ** n for n in range(1, tree + 1)) + (40 - tree) * words)
-        assert calls == {"sin": points, "cos": points}
+        # one sin and one cos per orbit point, however many gammas share the orbit
+        grids = _assert_one_orbit_per_point(monkeypatch, lambda: two_var_delta(
+            2, 0.05, x_grid=300, seed=1), 2, 40, 300)
+        assert {g for g, *_ in grids} == {4}
+        assert {rows for _, rows, _, _ in grids} == {_pair_words(2, 40, 512, 1)[0].shape[0]}
 
 
 class TestTailSlackAccounting:
