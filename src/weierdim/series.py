@@ -9,10 +9,11 @@ of a digit word (i_1, i_2, ...) over {0, .., b-1}, with gamma = 1/(b*lam):
     Y_gamma(x)  = 2 pi sum_{n>=1} n gamma^(n-1) sin(2 pi u_n)  its gamma-derivative
     S(x)        = sum_{n>=1} gamma^(n-1) psi(u_n)              the skew product's fiber sum
 
-Each is a row of _ORBIT_SUMS (Y, Ydx, Ydgamma, S): a scale, a trig polynomial, a weight
-and its tail.  _steps is the one step body for every row; _orbit_sums runs it over digit
-columns, eval_orbit_sum evaluates one row, and orbit_tail's one rule gives the row's tail
-at coefficient scale * sup|polynomial|.  Rows that all start at one x share their first
+Each is a row of _ORBIT_SUMS (Y, Ydx, Ydgamma, S): a scale, a trig polynomial, a weight,
+its tail and its x-slope.  _steps is the one step body for every row; _orbit_sums runs it
+over digit columns, eval_orbit_sum evaluates one row, orbit_tail's one rule gives the row's
+tail at coefficient scale * sup|polynomial|, and orbit_lipschitz bounds the x-derivative
+of the row truncated at any depth.  Rows that all start at one x share their first
 steps: _prefix_states runs every digit prefix's orbit once, over the most levels t <= depth
 with b^t <= min(rows, _PREFIX_LEAVES), and each row gathers its prefix's orbit point
 and partial sums by index.  The transversal sampler builds one tree per sample and
@@ -312,17 +313,22 @@ def eval_weierstrass(
 
 _SIN = PhiSpec(sine_coeffs=((1, 1.0),))
 
-#: The orbit sums by name: (scale, polynomial, weight, tail).  Term n is scale * polynomial(u_n)
-#: * weight(n, gamma^(n-1), gamma^n, (gamma/b)^n), None being the caller's psi; tail(b, gamma,
-#: scale * sup|polynomial|, n) bounds the terms after the first n.
+#: The orbit sums by name: (scale, polynomial, weight, tail, slope).  Term n is scale *
+#: polynomial(u_n) * weight(n, gamma^(n-1), gamma^n, (gamma/b)^n), None being the caller's psi;
+#: tail(b, gamma, scale * sup|polynomial|, n) bounds the terms after the first n.  u_n moves by
+#: dx / b^n, so term n's x-derivative is b^-n scale polynomial'(u_n) weight; slope(b, gamma,
+#: scale * sup|polynomial'|) sums those bounds over every n >= 1 in closed form.
 _ORBIT_SUMS = {
     "Y": (TWO_PI, _SIN, lambda n, g0, g, r: g,
-          lambda b, g, c, n: tail_bound_geometric(g, c, n + 1)),
+          lambda b, g, c, n: tail_bound_geometric(g, c, n + 1), lambda b, g, c: c * g / (b - g)),
     "Ydx": (FOUR_PI_SQ, COSINE, lambda n, g0, g, r: r,
-            lambda b, g, c, n: tail_bound_geometric(g / b, c, n + 1)),
+            lambda b, g, c, n: tail_bound_geometric(g / b, c, n + 1),
+            lambda b, g, c: c * g / (b * b - g)),
     "Ydgamma": (TWO_PI, _SIN, lambda n, g0, g, r: n * g0,
-                lambda b, g, c, n: tail_bound_slope_dgamma(g, c, n)),
-    "S": (1.0, None, lambda n, g0, g, r: g0, lambda b, g, c, n: tail_bound_geometric(g, c, n)),
+                lambda b, g, c, n: tail_bound_slope_dgamma(g, c, n),
+                lambda b, g, c: c * b / (b - g) ** 2),
+    "S": (1.0, None, lambda n, g0, g, r: g0, lambda b, g, c, n: tail_bound_geometric(g, c, n),
+          lambda b, g, c: c / (b - g)),
 }
 
 
@@ -446,6 +452,13 @@ def _orbit_sums(
     return acc
 
 
+def _orbit_row(what: str) -> tuple:
+    """The _ORBIT_SUMS row of `what`; an unknown name is refused with ValueError."""
+    if what not in _ORBIT_SUMS:
+        raise ValueError(f"what must be one of {', '.join(_ORBIT_SUMS)}, got {what!r}")
+    return _ORBIT_SUMS[what]
+
+
 def orbit_tail(what: str, b: int, gamma: float,
                psi: PhiSpec = COSINE_DERIV) -> Callable[[int], float]:
     """n -> bound on the orbit sum `what` (a key of _ORBIT_SUMS) after its first n terms.
@@ -453,10 +466,18 @@ def orbit_tail(what: str, b: int, gamma: float,
     psi is the polynomial of S; the slope sums do not read it.  An unknown
     `what` is refused with ValueError.
     """
-    if what not in _ORBIT_SUMS:
-        raise ValueError(f"what must be one of {', '.join(_ORBIT_SUMS)}, got {what!r}")
-    scale, poly, _, tail = _ORBIT_SUMS[what]
+    scale, poly, _, tail, _ = _orbit_row(what)
     return partial(tail, b, gamma, scale * (poly or psi).oscillating_sup())
+
+
+def orbit_lipschitz(what: str, b: int, gamma: float, psi: PhiSpec = COSINE_DERIV) -> float:
+    """Bound on sup |d/dx| of the orbit sum `what` truncated after any number of terms.
+
+    So |f(x) - f(x')| <= orbit_lipschitz(...) |x - x'| for one word's truncated sum,
+    and twice that for the difference of two words'.  S's constant does not move with x.
+    """
+    scale, poly, _, _, slope = _orbit_row(what)
+    return slope(b, gamma, scale * (poly or psi).derivative().oscillating_sup())
 
 
 def eval_orbit_sum(

@@ -15,21 +15,20 @@ charged, and in Y_x it can exceed the tail (1.2e-14 against 1.9e-15 at b = 2,
 lam = 0.85, depth 30), so no result here is a proof.
 
 Word pairs are one (n, 2) int64 array from draw to score.  The separation
-scan runs two depths per x block: every pair is scored on a shallow orbit of
-K digits, the least K with 2K <= depth whose tails are at most 2^-7, and only
-the x columns whose least shallow score lies within 4 tails of the block's
-least are summed again at full depth.  The tails are exact sums of the term
-bounds, so a full score lies between the shallow score and that plus 4 tails:
-the minimum stays in a kept column, and since a slope grid's bits do not
-depend on which x points share a call, the result is the one-depth scan's bit
-for bit.  Grid minima are reported with their argmin witnesses so a failure
+scan scores every pair at full depth on one x point in _GROUP, the middle
+of each group of consecutive grid points, and bounds every (pair, group)
+cell from below by the slopes' x-Lipschitz constants (orbit_lipschitz) times
+the group's reach; only the cells whose bound is within 1e-9 of the least
+anchor score are scored on every point of their group.  Every cell at the
+minimum is among them, and a slope grid's bits do not depend on which words
+or points share a call, so the result is the whole-grid scan's bit for bit.
+Grid minima are reported with their argmin witnesses so a failure
 can be reproduced directly.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,13 +41,14 @@ from .series import (
     Params,
     _check_int,
     _terms_for,
+    orbit_lipschitz,
     orbit_tail,
     slope_grid,
 )
 from .thresholds import solve_ae_critical_lambda
 
 _MAX_TANGENCY_WORK = 5e7  # b^(2n) b^m grid reps^2 comparisons per tangency count
-_SHALLOW_TAIL = 2.0 ** -7  # the separation scan's stage-1 tail: its depth is the least that meets it
+_GROUP = 32  # x points per anchor group of the separation scan: its middle one scores every pair
 _PAIR_BYTES = 16  # per budgeted pair: the upper-triangle draw's traced peak (9.2-9.7 B measured, b 2-10)
 
 
@@ -112,8 +112,9 @@ def _prefixes(b: int, d: int, reps: int = 1) -> np.ndarray:
 def _pair_counts(b: int, depth: int, pair_budget: int, points: int = 0, outputs: int = 0):
     """(exhaustive depth d, sampled ordered pairs, pool rows) of _pair_words, refused when
     the word rows (rows x depth) and pairs, plus a work bound of one grid cell per row,
-    point and output, are over the byte budget.  The scan holds one x block of that grid at
-    a time, so its term bounds work, not resident bytes.  The b^d prefixes hold
+    point and output, are over the byte budget.  The scan holds at most one x block of that
+    grid at a time, its groups' anchors or its kept cells' groups, so its term bounds work,
+    not resident bytes.  The b^d prefixes hold
     b^(2d-1) (b-1) ordered distinct-first-digit pairs."""
     d_ex = max((d for d in range(2, min(depth, int(12 / math.log2(b))) + 1)
                 if b ** (2 * d - 1) * (b - 1) <= pair_budget), default=1)
@@ -182,7 +183,7 @@ def _upper_counts(first: np.ndarray, limit: Optional[int]) -> np.ndarray:
 
 def _x_blocks(fn, n: int, cells: int) -> list:
     """fn(i0, i1) on the worker pool, in order, over consecutive blocks [i0, i1) of the
-    caller's n grid units (points, or whole intervals of points): as many units as hold
+    caller's n grid units (anchor groups of points, or whole intervals): as many units as hold
     about _CHUNK_CELLS cells of `cells` per unit, and at least one."""
     width = max(1, _CHUNK_CELLS // cells)
     return map_ordered(lambda i0: fn(i0, min(i0 + width, n)), range(0, n, width))
@@ -198,26 +199,20 @@ def _gap(grid: np.ndarray, si: np.ndarray, sj: np.ndarray, out: np.ndarray,
     return np.abs(out, out=out)
 
 
-def _chunk_scores(grids: tuple, ii: np.ndarray, jj: np.ndarray, t_y, t_d):
-    """Yield (p0, score) for each chunk of pairs p0, p0 + 1, ... of (ii, jj): the score of
-    every (gamma, pair, x) cell of the slope grids (Y, Y_x, Y_gamma or None), as many pairs
-    at a time as the grids have words, max(|dY| - 2 t_y, |dY_x| [+ |dY_gamma|] - 2 t_d).
-    Three buffers of one grid's size serve every chunk, so a chunk's scores live until
-    the next is drawn."""
+def _terms(grids: tuple, si: np.ndarray, sj: np.ndarray, t_y, t_d, bufs: list) -> tuple:
+    """(|dY| - 2 t_y, |dY_x| [+ |dY_gamma|] - 2 t_d) between rows si and sj of the slope
+    grids (Y, Y_x, Y_gamma or None), along the grids' second-last axis, in two of the
+    three buffers `bufs`; a cell's score is the larger of the two."""
     y, ydx, ydg = grids
-    bufs = [np.empty(y.size) for _ in range(3)]
-    rows, n_x = y.shape[-2:]
-    for p0 in range(0, ii.size, rows):
-        si, sj = ii[p0 : p0 + rows], jj[p0 : p0 + rows]
-        shape = y.shape[:-2] + (si.size, n_x)
-        d, e, scratch = (buf[: math.prod(shape)].reshape(shape) for buf in bufs)
-        _gap(ydx, si, sj, d, scratch)
-        if ydg is not None:
-            d += _gap(ydg, si, sj, e, scratch)
-        d -= 2.0 * t_d
-        score = _gap(y, si, sj, e, scratch)
-        score -= 2.0 * t_y
-        yield p0, np.maximum(score, d, out=score)
+    shape = y.shape[:-2] + (si.size, y.shape[-1])
+    d, e, scratch = (buf[: math.prod(shape)].reshape(shape) for buf in bufs)
+    _gap(ydx, si, sj, d, scratch)
+    if ydg is not None:
+        d += _gap(ydg, si, sj, e, scratch)
+    d -= 2.0 * t_d
+    _gap(y, si, sj, e, scratch)
+    e -= 2.0 * t_y
+    return e, d
 
 
 def _min_separation(
@@ -228,69 +223,99 @@ def _min_separation(
 
     The score is max(|dY| - 2 tY, |dY_x| [+ |dY_gamma|] - 2 tD), tD being the
     Y_x tail bound plus, `with_dgamma`, the Y_gamma one; slack = 2 max(tY, tD).
-    A 1-D gamma appends the gamma index to the tuple.  Each _x_blocks task
-    takes one x block of about _CHUNK_CELLS cells and scores every row of the
-    (n, 2) pair array through _chunk_scores, in three buffers of one grid's
-    size; the least (score, gamma index, pair index, x index) over all blocks
-    is the first minimiser, and the full grid is never held.  A pair index
-    outside 0..rows-1 raises IndexError before any orbit work.
+    A 1-D gamma appends the gamma index to the tuple.  A pair index outside
+    0..rows-1 raises IndexError before any orbit work.
 
-    A task runs two depths.  Stage 1 scores every cell on the first K digits
-    of each word, K the least k with 2k <= depth whose tail R = max(tY(k),
-    tD(k)) over the gammas is at most _SHALLOW_TAIL; stage 2 rescores at full
-    depth only the x columns whose least stage-1 score is within 4R (plus
-    1e-9 for rounding) of the block's least.  The tails are exact sums of the
-    term bounds, so a cell's full score lies between its depth-K score and
-    that plus 4R: every cell at the block's minimum is in a kept column, and
-    the first minimiser is the full-depth scan's.  slope_grid's bits do not
-    depend on which x points share a call, so stage 2's are the one-stage
-    scan's.  With no such K the task runs stage 2 on every column.
+    The x grid is cut into groups of _GROUP consecutive points; a group's
+    middle point is its anchor a, and r its largest |x - x_a|.  Each
+    _x_blocks task takes as many groups as make about _CHUNK_CELLS anchor
+    cells, sums the slope grids at full depth on their anchors, and scores
+    every (gamma, pair) there; the least anchor score M is a real grid score,
+    so it bounds the task's minimum from above.  Within r no score falls below
+    max(|dY(a)| - L_Y r - 2 tY, |dY_x(a)| [+ |dY_gamma(a)|] - L_D r - 2 tD),
+    the L being twice orbit_lipschitz of each sum.  Only the (gamma, pair,
+    group) cells whose bound is at most M + 1e-9 (for rounding) are scored on
+    every point of their group, a piece of groups at a time: one slope grid
+    of the words and groups its kept cells touch, at most one x block of the
+    full grid, and as many cells as fill three buffers of that size per
+    chunk.  Every cell at the task's minimum is kept, and a slope grid's bits
+    do not depend on which words or points share a call, so the least
+    (score, gamma index, pair index, x index) over all tasks is the whole-grid
+    scan's first minimiser bit for bit; the full grid is never held.
     """
     gammas = np.atleast_1d(gamma).tolist()
+    n_gam, rows = len(gammas), words.shape[0]
 
-    def tails(n):  # each gamma's (tY, tD) after n terms, broadcast over (pair, x)
-        def tail(what):
-            return np.reshape([orbit_tail(what, b, g)(n) for g in gammas], np.shape(gamma) + (1, 1))
+    def per_gamma(rule, whats):  # each gamma's sum of rule over whats, broadcast over (pair, x)
+        return np.reshape([sum(rule(w, g) for w in whats) for g in gammas], (-1, 1, 1))
 
-        t_d = tail("Ydx")
-        if with_dgamma:
-            t_d += tail("Ydgamma")
-        return tail("Y"), t_d
-
-    def reach(n):  # R(n): the largest tail over the gammas, decreasing in n
-        return float(np.maximum(*tails(n)).max())
-
-    t_y, t_d = tails(depth)
-    ks = range(1, depth // 2 + 1)
-    at = bisect_left(ks, True, key=lambda k: reach(k) <= _SHALLOW_TAIL)
-    shallow = ks[at] if at < len(ks) else 0  # K, or 0 for one stage
-    if shallow:
-        t_k, margin = tails(shallow), 4.0 * (reach(shallow) + 1e-9)
+    d_sums = ("Ydx", "Ydgamma") if with_dgamma else ("Ydx",)
+    t_y, t_d = (per_gamma(lambda w, g: orbit_tail(w, b, g)(depth), s) for s in (("Y",), d_sums))
+    l_y, l_d = (per_gamma(lambda w, g: 2.0 * orbit_lipschitz(w, b, g), s) for s in (("Y",), d_sums))
     ii, jj = pairs.T
-    rows = words.shape[0]
     if pairs.min() < 0 or pairs.max() >= rows:
         raise IndexError(f"pair indices must lie in 0..{rows - 1}")
+    starts = np.arange(0, xs.size, _GROUP)
+    sizes = np.diff(starts, append=xs.size)
+    anchors, span = starts + sizes // 2, int(sizes[0])  # span: the most points of a group
+    # r from each group's own points: xs need not be sorted
+    reach = np.maximum.reduceat(np.abs(xs - np.repeat(xs[anchors], sizes)), starts)
+    step = max(1, _CHUNK_CELLS // (n_gam * rows * span))  # groups per piece: one x block
 
-    def block_min(x0, x1):
-        xb = xs[x0:x1]
-        cols = np.arange(xb.size)
-        if shallow:
-            least = np.full(xb.size, np.inf)  # each column's least depth-K score
-            grids = slope_grid(b, gamma, xb, words[:, :shallow], want_dgamma=with_dgamma)
-            for _, score in _chunk_scores(grids, ii, jj, *t_k):
-                np.minimum(least, score.reshape(-1, xb.size).min(axis=0), out=least)
-            del grids, score  # stage 1's grids and buffers go before stage 2's orbit
-            cols = np.flatnonzero(least <= least.min() + margin)
-        grids = slope_grid(b, gamma, xb[cols], words, want_dgamma=with_dgamma)
+    def grids_at(x, digits, shape):
+        return tuple(None if g is None else g.reshape(shape)
+                     for g in slope_grid(b, gamma, x, digits, want_dgamma=with_dgamma))
+
+    def piece_min(grids, bufs, least, s0, s1):
+        """The least (score, gamma index, pair index, x index) of each chunk of the kept
+        cells of groups s0..s1-1, none if no cell is kept; grids holds their anchors."""
+        n_s = s1 - s0
+        keep = np.empty((n_gam, ii.size, n_s), dtype=bool)
+        width = bufs[0].size // (n_gam * n_s)
+        for p0 in range(0, ii.size, width):
+            e, d = _terms(grids, ii[p0 : p0 + width], jj[p0 : p0 + width], t_y, t_d, bufs)
+            e -= l_y * reach[s0:s1]
+            d -= l_d * reach[s0:s1]
+            np.less_equal(np.maximum(e, d, out=e), least + 1e-9, out=keep[:, p0 : p0 + width])
+        hit = np.flatnonzero(keep.any(axis=(0, 2)))  # the pairs with a kept cell
+        if not hit.size:
+            return []
+        used = np.zeros(rows, dtype=bool)
+        used[pairs[hit]] = True
+        kept = np.flatnonzero(keep.any(axis=(0, 1)))
+        row_at, group_at = np.cumsum(used) - 1, np.zeros(n_s, dtype=np.int64)
+        group_at[kept] = np.arange(kept.size)
+        # the kept groups' points; a short group repeats its last, which never comes first
+        cols = starts[s0 + kept, None] + np.minimum(np.arange(span), sizes[s0 + kept, None] - 1)
+        fine = grids_at(xs[cols.ravel()], words[used], (-1, span))
+
+        def at(k, g_i, grp):  # each cell's row of the fine grids for word k of its pair
+            return (g_i * (row_at[-1] + 1) + row_at[k]) * kept.size + group_at[grp]
+
         best = []
-        for p0, score in _chunk_scores(grids, ii, jj, t_y, t_d):
-            k = int(np.argmin(score))
-            g_i, c = divmod(k, score.shape[-2] * cols.size)
-            best.append((float(score.flat[k]), g_i, p0 + c // cols.size,
-                         x0 + int(cols[c % cols.size])))
-        return min(best)
+        width = bufs[0].size // (n_gam * n_s * span)
+        for c0 in range(0, hit.size, width):  # in (gamma, pair, x) order within a chunk
+            g_i, k, grp = np.nonzero(keep[:, hit[c0 : c0 + width]])
+            k = hit[c0 + k]
+            cell_tails = (t.reshape(-1, 1)[g_i] for t in (t_y, t_d))
+            e, d = _terms(fine, at(ii[k], g_i, grp), at(jj[k], g_i, grp), *cell_tails, bufs)
+            c, j = divmod(int(np.argmin(np.maximum(e, d, out=e))), span)
+            best.append((float(e[c, j]), int(g_i[c]), int(k[c]), int(cols[group_at[grp[c]], j])))
+        return best
 
-    score, g_i, k, x_idx = min(_x_blocks(block_min, xs.size, rows * len(gammas)))
+    def block_min(k0, k1):  # the groups k0 .. k1-1
+        grids = grids_at(xs[anchors[k0:k1]], words, (n_gam, rows, k1 - k0))
+        bufs = [np.empty(n_gam * rows * max(k1 - k0, min(step, k1 - k0) * span))
+                for _ in range(3)]
+        least = np.inf
+        for p0 in range(0, ii.size, rows):
+            e, d = _terms(grids, ii[p0 : p0 + rows], jj[p0 : p0 + rows], t_y, t_d, bufs)
+            least = min(least, float(np.maximum(e, d, out=e).min()))
+        return min(c for s0 in range(k0, k1, step) for c in piece_min(
+            tuple(None if g is None else g[..., s0 - k0 : s0 - k0 + step] for g in grids),
+            bufs, least, s0, min(s0 + step, k1)))
+
+    score, g_i, k, x_idx = min(_x_blocks(block_min, starts.size, n_gam * rows))
     slack = 2.0 * float(max(t_y.flat[g_i], t_d.flat[g_i]))
     found = score, (int(ii[k]), int(jj[k])), float(xs[x_idx]), slack
     return found + (g_i,) if np.ndim(gamma) else found

@@ -32,6 +32,7 @@ from weierdim.series import (
     FOUR_PI_SQ,
     _orbit_sums,
     _prefix_states,
+    orbit_lipschitz,
     _terms_for,
     tail_bound_geometric,
 )
@@ -570,6 +571,36 @@ class TestOrbitTail:
                 eval_orbit_sum(Params(2, 0.9), DigitWord(), 0.3, what)
             with pytest.raises(ValueError, match="^what must be one of"):
                 orbit_tail(what, 2, 0.6)
+
+
+class TestOrbitLipschitz:
+    """orbit_lipschitz bounds how far each orbit sum, truncated at any depth, moves with x."""
+
+    def test_bounds_every_truncated_sum(self):
+        rnd = np.random.default_rng(41)
+        tightest = dict.fromkeys(("Y", "Ydx", "Ydgamma", "S"), 0.0)
+        for case in range(400):
+            b = 10 if case % 8 == 0 else int(rnd.integers(2, 11))
+            g = 0.99 if case % 6 == 0 else float(rnd.uniform(1.0 / b + 0.01, 0.99))
+            depth = int(rnd.integers(1, 41))
+            digits = rnd.integers(0, b, size=(3, depth))
+            x = np.concatenate([[0.0, 1.0], rnd.uniform(0.0, 1.0, size=4)])
+            # close points inside [0, 1]: right of x = 0, left of x = 1
+            near = x + np.array([1, -1, 1, -1, 1, -1]) * 10.0 ** rnd.uniform(-7, -2, size=6)
+            psi = random_spec(rnd, case)
+            sums = []
+            for at in (x, near):
+                y, ydx, ydg = slope_grid(b, g, at, digits, want_dgamma=True)
+                s = _orbit_sums(at, b, g, digits.T[:, :, None], ("S",), psi, rows=3)["S"]
+                sums.append(dict(zip(tightest, (y, ydx, ydg, s))))
+            for what in tightest:
+                moved = np.abs(sums[0][what] - sums[1][what])
+                room = orbit_lipschitz(what, b, g, psi) * np.abs(x - near)
+                assert np.all(moved <= room + 1e-12), (what, b, g, depth)  # 1e-12: rounding
+                ratio = moved / np.maximum(room, 1e-300)
+                tightest[what] = max(tightest[what], float(ratio.max()))
+        # and close: where every term's derivative is near its sup, the bound is all but met
+        assert all(t > 0.99 for t in tightest.values())
 
 
 class TestMinimalTerms:

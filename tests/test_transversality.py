@@ -66,30 +66,39 @@ def _grid_calls(monkeypatch) -> list:
     grids = []
 
     def spy(b, gamma, x, digits, want_dgamma=False):
-        grids.append((np.size(gamma), *digits.shape, x.size))
+        grids.append((np.size(gamma), *digits.shape, x))
         return slope_grid(b, gamma, x, digits, want_dgamma)
 
     monkeypatch.setattr(transversality, "slope_grid", spy)
     return grids
 
 
-def _assert_one_orbit_per_point(monkeypatch, estimate, b, depth, x_grid):
+def _anchors(xs):
+    """The middle point of each group of _GROUP consecutive grid points."""
+    n = transversality._GROUP
+    return np.array([xs[i + min(n, xs.size - i) // 2] for i in range(0, xs.size, n)])
+
+
+def _assert_one_orbit_per_point(monkeypatch, estimate, b, depth, xs):
     """Run estimate at one thread and check that np.sin and np.cos each see one element
     per orbit point of its slope grids, which it returns as _grid_calls does.  A grid's
     first L steps run once per digit prefix (b^L <= words), the rest once per word.
-    Each x block runs two stages: every point to the shallow depth K, 2K <= depth, then
-    the full depth on the points that can still hold the minimum."""
+    Each task sums every word on its groups' anchors, then the words of the kept cells
+    on the points of their groups, whole groups of _GROUP points."""
     monkeypatch.setenv("WEIERDIM_THREADS", "1")
     calls, grids = counted_trig(monkeypatch), _grid_calls(monkeypatch)
     estimate()
-    shallow, full = grids[::2], grids[1::2]
-    assert len({k for _, _, k, _ in shallow}) == 1 and 2 * shallow[0][2] <= depth
-    assert {d for _, _, d, _ in full} == {depth}
-    assert sum(n for *_, n in shallow) == x_grid > sum(n for *_, n in full)
+    rows = max(r for _, r, _, _ in grids)
+    anchor = [x for _, r, _, x in grids if r == rows and np.isin(x, _anchors(xs)).all()]
+    assert np.array_equal(np.concatenate(anchor), _anchors(xs))  # each anchor once, in order
+    fine = [x for _, _, _, x in grids if not any(x is a for a in anchor)]
+    assert fine and all(x.size % transversality._GROUP == 0 for x in fine)
+    assert sum(x.size for x in fine) < xs.size
+    assert {d for _, _, d, _ in grids} == {depth}
     points = 0
-    for _, rows, n_terms, n_x in grids:
+    for _, rows, n_terms, x in grids:
         tree = max(t for t in range(n_terms + 1) if b ** t <= rows)
-        points += n_x * (sum(b ** n for n in range(1, tree + 1)) + (n_terms - tree) * rows)
+        points += x.size * (sum(b ** n for n in range(1, tree + 1)) + (n_terms - tree) * rows)
     assert calls == {"sin": points, "cos": points}
     return grids
 
@@ -124,9 +133,11 @@ class TestEmpiricalDelta:
                 assert est.delta_hat > 0, (b, lam)
 
     def test_one_orbit_per_point(self, monkeypatch):
+        monkeypatch.setattr(transversality, "_CHUNK_CELLS", 4096)  # 15 of the 19 groups a task
         grids = _assert_one_orbit_per_point(monkeypatch, lambda: empirical_delta(
-            2, Params(2, 0.95).gamma, x_grid=600, pair_budget=16384, seed=1), 2, 30, 600)
-        assert len(grids) > 2  # more than one x block
+            2, Params(2, 0.95).gamma, x_grid=600, pair_budget=16384, seed=1), 2, 30,
+            np.linspace(0.0, 1.0, 600))
+        assert sum(r == 257 and x.size in (15, 4) for _, r, _, x in grids) == 2  # two tasks
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -273,30 +284,36 @@ class TestPairChunks:
         assert ests == ests[:1] * 6
 
 
-def _reference_min_separation(b, gamma, xs, words, pairs, depth, with_dgamma):
-    """_min_separation as the whole slope grid, every pair scored at once over every x.
-    A 1-D gamma scores every gamma too and appends the gamma index."""
+def _reference_min_separation(b, gamma, xs, words, pairs, depth, with_dgamma, width=None):
+    """_min_separation as the whole slope grid, every pair scored at once over every x, or
+    over blocks of `width` x points for a grid too large to hold.  A 1-D gamma scores every
+    gamma too and appends the gamma index."""
 
     def tail(what):  # each gamma's bound, broadcast over (pair, x)
         return np.reshape([orbit_tail(what, b, g)(depth) for g in np.atleast_1d(gamma)],
                           np.shape(gamma) + (1, 1))
 
-    y, ydx, ydg = slope_grid(b, gamma, xs, words, want_dgamma=with_dgamma)
     t_y, t_d = tail("Y"), tail("Ydx")
     if with_dgamma:
         t_d += tail("Ydgamma")
     ii, jj = pairs.T
-    d = np.abs(ydx[..., ii, :] - ydx[..., jj, :])
-    if with_dgamma:
-        d += np.abs(ydg[..., ii, :] - ydg[..., jj, :])
-    d -= 2.0 * t_d
-    score = np.abs(y[..., ii, :] - y[..., jj, :])
-    score -= 2.0 * t_y
-    np.maximum(score, d, out=score)
-    # the first minimiser in (gamma, pair, x) order
-    at = np.unravel_index(int(np.argmin(score)), score.shape)
-    g_i, k, x_idx = (0,) * (3 - len(at)) + tuple(int(i) for i in at)
-    found = (float(score[at]), tuple(pairs[k].tolist()), float(xs[x_idx]),
+    best = []
+    for x0 in range(0, xs.size, width or xs.size):
+        y, ydx, ydg = slope_grid(b, gamma, xs[x0 : x0 + (width or xs.size)], words,
+                                 want_dgamma=with_dgamma)
+        d = np.abs(ydx[..., ii, :] - ydx[..., jj, :])
+        if with_dgamma:
+            d += np.abs(ydg[..., ii, :] - ydg[..., jj, :])
+        d -= 2.0 * t_d
+        score = np.abs(y[..., ii, :] - y[..., jj, :])
+        score -= 2.0 * t_y
+        np.maximum(score, d, out=score)
+        # the first minimiser in (gamma, pair, x) order
+        at = np.unravel_index(int(np.argmin(score)), score.shape)
+        g_i, k, x_idx = (0,) * (3 - len(at)) + tuple(int(i) for i in at)
+        best.append((float(score[at]), g_i, k, x0 + x_idx))
+    score, g_i, k, x_idx = min(best)
+    found = (score, tuple(pairs[k].tolist()), float(xs[x_idx]),
              2.0 * max(float(t_y.flat[g_i]), float(t_d.flat[g_i])))
     return found + (g_i,) if np.ndim(gamma) else found
 
@@ -402,57 +419,70 @@ class TestFusedScan:
         assert peak < 16 * 2 ** 20
 
     @pytest.mark.parametrize("scan, bound", [
-        # the words' prefix tree is dropped at the gather: 3.8 MiB measured; a tree held
+        # the words' prefix tree is dropped at the gather: 3.2 MiB measured; a tree held
         # through every orbit step took 5.3 MiB
         (lambda: empirical_delta(2, 1 / 1.9, x_grid=8000, pair_budget=16384, seed=1), 4.5),
-        # the pairs are scored in three buffers reused per chunk: 2.6 MiB measured; fresh
+        # the pairs are scored in three buffers reused per chunk: 1.9 MiB measured; fresh
         # (gamma, pairs, x) temporaries per chunk took 3.2 MiB
         (lambda: two_var_delta(2, 0.05, seed=1), 2.9),
-    ], ids=["delta-x8000", "two-var"])
+        # nearly every pair ties at depth 1: the kept cells are scored a piece of groups and
+        # a chunk of cells at a time
+        (lambda: empirical_delta(2, 1 / 1.9, x_grid=8000, depth=1, pair_budget=16384,
+                                 seed=1), 4.5),
+    ], ids=["delta-x8000", "two-var", "ties-depth1"])
     def test_scan_working_set(self, monkeypatch, scan, bound):
         monkeypatch.setenv("WEIERDIM_THREADS", "1")
         assert traced_peak(scan) < bound * 2 ** 20
 
 
-class TestTwoDepthScan:
-    """The shallow stage only drops x columns that cannot hold the minimum: each estimate
-    is the one-stage scan's, bit for bit, at any thread count and block width."""
+class TestAnchorScan:
+    """Cells are left unscored on their group's points only when their bound shows they
+    cannot hold the minimum: each estimate is the whole-grid scan's, bit for bit, at any
+    thread count and block width."""
 
-    @pytest.mark.parametrize("estimate, two_stage", [
-        # below the mirror floor (delta_hat 0.0093): no K with 2K <= 30 meets the tail rule
-        (lambda: empirical_delta(2, Params(2, 0.80).gamma, seed=1), False),
-        (lambda: empirical_delta(6, Params(6, 0.49).gamma, x_grid=4000, pair_budget=16384,
-                                 seed=1), True),
+    @pytest.mark.parametrize("estimate", [
+        # below the mirror floor (delta_hat 0.0093)
+        lambda: empirical_delta(2, Params(2, 0.80).gamma, seed=1),
+        lambda: empirical_delta(6, Params(6, 0.49).gamma, x_grid=4000, pair_budget=16384,
+                                seed=1),
         # the minimiser at the grid's last point, x = 1.0
-        (lambda: empirical_delta(10, Params(10, 0.45).gamma, seed=1), True),
-        (lambda: two_var_delta(2, 0.05, seed=1), True),
-        (lambda: two_var_delta(3, 0.05, seed=1), True),
-    ], ids=["delta-b2-l0.80", "delta-b6-l0.49", "delta-b10-l0.45", "two-var-b2", "two-var-b3"])
-    def test_matches_one_stage(self, monkeypatch, estimate, two_stage):
+        lambda: empirical_delta(10, Params(10, 0.45).gamma, seed=1),
+        lambda: two_var_delta(2, 0.05, seed=1),
+        lambda: two_var_delta(3, 0.05, seed=1),
+        # tie-heavy: at depth 1 or 2 many pairs score alike, at every x
+        lambda: empirical_delta(2, 1 / 1.9, x_grid=8000, depth=1, pair_budget=16384, seed=1),
+        lambda: empirical_delta(2, 1 / 1.9, x_grid=8000, depth=2, pair_budget=16384, seed=1),
+        lambda: empirical_delta(3, Params(3, 0.5).gamma, x_grid=4000, depth=3, seed=1),
+    ], ids=["delta-b2-l0.80", "delta-b6-l0.49", "delta-b10-l0.45", "two-var-b2", "two-var-b3",
+            "ties-b2-depth1", "ties-b2-depth2", "ties-b3-depth3"])
+    def test_matches_whole_grid(self, monkeypatch, estimate):
+        scans, scan = [], transversality._min_separation
+        monkeypatch.setattr(transversality, "_min_separation",
+                            lambda *args: scans.append((args, scan(*args))) or scans[-1][1])
         grids = _grid_calls(monkeypatch)
-        shallow_tail = transversality._SHALLOW_TAIL
-        monkeypatch.setattr(transversality, "_SHALLOW_TAIL", -1.0)  # no depth meets it
         want = estimate()
-        assert len({depth for _, _, depth, _ in grids}) == 1
-        monkeypatch.setattr(transversality, "_SHALLOW_TAIL", shallow_tail)
+        (args, found), = scans
+        # the whole-grid scan over x blocks of about 2^19 (gamma, pair, x) cells
+        width = max(1, 2 ** 19 // (np.size(args[1]) * len(args[4])))
+        assert found == _reference_min_separation(*args, width=width)
+        # the kept cells' words on their groups' points: at most a quarter of the grid
+        fine = [r * x.size for _, r, _, x in grids if not np.isin(x, _anchors(args[2])).all()]
+        assert 0 < sum(fine) <= args[3].shape[0] * args[2].size / 4
         for threads in ("1", "2"):
             monkeypatch.setenv("WEIERDIM_THREADS", threads)
-            for cells in (parallel._CHUNK_CELLS, 4096):  # 4096: tens of blocks
+            for cells in (parallel._CHUNK_CELLS, 4096):  # 4096: 17 tasks at x8000
                 monkeypatch.setattr(transversality, "_CHUNK_CELLS", cells)
-                grids.clear()
                 assert estimate() == want, (threads, cells)
-                assert len({depth for _, _, depth, _ in grids}) == (2 if two_stage else 1)
 
-    def test_tie_in_two_stages(self, monkeypatch):
-        # the tied window of TestFusedScan at a gamma and depth that run two stages
-        grids = _grid_calls(monkeypatch)
+    def test_tie(self, monkeypatch):
+        # the tied window of TestFusedScan, its xs unsorted, at another gamma and depth
         tie = _tie_query(0.4, 24)
         want = _reference_min_separation(*tie)
-        for cells in (1, 2 ** 30):
-            monkeypatch.setattr(transversality, "_CHUNK_CELLS", cells)
-            grids.clear()
-            assert transversality._min_separation(*tie) == want
-            assert len({depth for _, _, depth, _ in grids}) == 2
+        for threads in ("1", "2"):
+            monkeypatch.setenv("WEIERDIM_THREADS", threads)
+            for cells in (1, 4096, parallel._CHUNK_CELLS, 2 ** 30):
+                monkeypatch.setattr(transversality, "_CHUNK_CELLS", cells)
+                assert transversality._min_separation(*tie) == want, (threads, cells)
 
 
 class TestScaleIdentity:
@@ -652,9 +682,9 @@ class TestTwoVariable:
     def test_one_orbit_for_every_gamma(self, monkeypatch):
         # one sin and one cos per orbit point, however many gammas share the orbit
         grids = _assert_one_orbit_per_point(monkeypatch, lambda: two_var_delta(
-            2, 0.05, x_grid=300, seed=1), 2, 40, 300)
+            2, 0.05, x_grid=300, seed=1), 2, 40, (np.arange(300) + 0.5) / 300)
         assert {g for g, *_ in grids} == {4}
-        assert {rows for _, rows, _, _ in grids} == {_pair_words(2, 40, 512, 1)[0].shape[0]}
+        assert grids[0][1] == _pair_words(2, 40, 512, 1)[0].shape[0]  # the anchors: every word
 
 
 class TestTailSlackAccounting:
